@@ -9,30 +9,39 @@ for state that is only ever *accumulated into*, never branched on.
 :class:`FleetFlowStore` generalizes the
 :class:`~repro.vswitch.flow_records.FlowRecordStore` idea one level up:
 per-flow packet/byte counters live in parallel stdlib ``array`` columns
-(16 bytes per flow), slots are claimed in bulk blocks, and — the fleet
-twist — epoch traffic is *not* written per flow at all. Each vSwitch
-carries two pending integers (packets, bytes) that the shard advances
-per epoch in O(1); the per-flow columns are touched only at flow churn
-(bounded per epoch) and at the final *materialization boundary*, where
-:meth:`fold` distributes the pending aggregate uniformly across the
-vSwitch's live slots with exact integer remainder bookkeeping — the same
-flush-at-boundary discipline DESIGN.md §5.5 established for the hot
-datapath.
+(16 bytes per flow), and a vSwitch owns its slots as a *block*: a flat
+``array('q')`` of ``start, length`` extents in logical slot order — one
+extent if it only ever grew, a few more once churn has recycled other
+vSwitches' freed ranges into it. There is no per-flow index (cost: 16 B
+per flow + O(extents) per vSwitch) and no per-flow Python: blocks grow,
+shrink and fold an extent at a time, the per-slot work done in C. Epoch
+traffic is *not* written per flow at all. Each vSwitch carries two
+pending integers (packets, bytes) that the shard advances per epoch in
+O(1); the columns are touched only at flow churn (bounded per epoch) and
+at the final *materialization boundary*, where :meth:`fold` distributes
+the pending aggregate uniformly across the vSwitch's live slots with
+exact integer remainder bookkeeping — the same flush-at-boundary
+discipline DESIGN.md §5.5 established for the hot datapath.
 
-Nothing output-visible may depend on slot numbering: freed slots are
+Nothing output-visible may depend on slot numbering: freed extents are
 recycled across vSwitches within a shard, so slot ids differ between
 shard layouts while every folded total is identical.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
-from typing import Iterable, Tuple
+from typing import Tuple
 
 #: Bytes per flow held in the store's columns (two ``'q'`` counters).
 BYTES_PER_FLOW = 16
-#: Bytes per flow for the owner's slot index (one ``'l'`` entry).
-BYTES_PER_SLOT_REF = 8
+
+if sys.byteorder != "little":  # pragma: no cover
+    # fold() reads the columns' memory as one little-endian integer.
+    raise ImportError("repro.fleet.flyweight needs a little-endian host")
+
+_LANE_ONE = (1).to_bytes(8, "little")
 
 
 class FleetFlowStore:
@@ -43,11 +52,12 @@ class FleetFlowStore:
     def __init__(self) -> None:
         self.packets = array("q")
         self.bytes = array("q")
-        self._free = array("l")
+        #: LIFO stack of free extents, flat like a block.
+        self._free = array("q")
 
     def __len__(self) -> int:
         """Live slots (allocated minus freed)."""
-        return len(self.packets) - len(self._free)
+        return len(self.packets) - sum(self._free[1::2])
 
     @property
     def capacity(self) -> int:
@@ -55,91 +65,108 @@ class FleetFlowStore:
         return len(self.packets)
 
     def nbytes(self) -> int:
-        """Payload bytes held by the columns and the free list."""
+        """Payload bytes held by the columns and the free stack."""
         return (self.packets.itemsize * len(self.packets)
                 + self.bytes.itemsize * len(self.bytes)
                 + self._free.itemsize * len(self._free))
 
     def stats(self) -> dict:
         """Occupancy snapshot for runtime instrumentation. Capacity and
-        free-list depth depend on intra-shard slot recycling (i.e. on
-        the shard layout), so these numbers belong in the run's ``stats``
+        free slots depend on intra-shard slot recycling (i.e. on the
+        shard layout), so these numbers belong in the run's ``stats``
         side channel, never in the deterministic metric snapshot."""
-        return {"live": len(self), "capacity": self.capacity,
-                "free": len(self._free), "nbytes": self.nbytes()}
+        live = len(self)
+        return {"live": live, "capacity": self.capacity,
+                "free": self.capacity - live, "nbytes": self.nbytes()}
 
     # -- slot lifecycle -----------------------------------------------------
 
-    def _grow(self, n: int) -> int:
-        """Append ``n`` zeroed slots in one C-level extension; returns the
-        first new slot index. ``frombytes`` appends straight from one
-        shared zero buffer — no intermediate array to build and discard
-        (the seed epoch calls this once per vSwitch)."""
-        start = len(self.packets)
-        zeros = bytes(8 * n)
-        self.packets.frombytes(zeros)
-        self.bytes.frombytes(zeros)
-        return start
-
-    def alloc_block(self, n: int) -> "array[int]":
-        """Claim ``n`` zeroed slots — recycled ones first, then one bulk
-        extension for the rest."""
-        slots = array("l")
-        if n <= 0:
-            return slots
+    def alloc_block(self, block: "array[int]", n: int) -> None:
+        """Append ``n`` zeroed slots to ``block`` — recycled extents
+        first (the top of the free stack is split when it is longer than
+        needed), then one ``frombytes`` extension of both columns for the
+        rest. An extent that starts where the block's last one ends is
+        merged into it."""
         free = self._free
-        take = min(n, len(free))
-        if take:
-            slots.extend(free[len(free) - take:])
-            del free[len(free) - take:]
-            packets, nbytes = self.packets, self.bytes
-            for slot in slots:
-                packets[slot] = 0
-                nbytes[slot] = 0
-        rest = n - take
-        if rest:
-            start = self._grow(rest)
-            slots.extend(array("l", range(start, start + rest)))
-        return slots
+        while n > 0:
+            if free:
+                # Take the extent's head: a block re-growing over its own
+                # trimmed tail merges straight back into one extent.
+                start, take = free[-2], min(n, free[-1])
+                free[-2] += take
+                free[-1] -= take
+                if not free[-1]:
+                    del free[-2:]
+                zeros = array("q", bytes(8 * take))
+                self.packets[start:start + take] = zeros
+                self.bytes[start:start + take] = zeros
+            else:
+                start, take = len(self.packets), n
+                self.packets.frombytes(bytes(8 * n))
+                self.bytes.frombytes(bytes(8 * n))
+            if block and block[-2] + block[-1] == start:
+                block[-1] += take
+            else:
+                block.extend((start, take))
+            n -= take
 
-    def free_block(self, slots: Iterable[int]) -> None:
-        """Return slots to the free list (counters left in place: a dead
-        flow's folded history is part of the fleet totals)."""
-        self._free.extend(slots)
+    def free_block(self, block: "array[int]", n: int) -> None:
+        """Trim the last ``n`` slots off ``block`` onto the free stack
+        (counters left in place: a dead flow's folded history is part of
+        the fleet totals until the slot is recycled)."""
+        while n > 0:
+            take = min(n, block[-1])
+            block[-1] -= take
+            self._free.extend((block[-2] + block[-1], take))
+            if not block[-1]:
+                del block[-2:]
+            n -= take
 
     # -- materialization ----------------------------------------------------
 
-    def fold(self, slots: "array[int]", pending_packets: int,
+    def fold(self, block: "array[int]", pending_packets: int,
              pending_bytes: int) -> Tuple[int, int]:
         """Distribute one vSwitch's pending epoch aggregate over its live
         slots: every slot gets the integer share, the first
         ``remainder`` slots get one extra — exact by construction, and
         independent of which physical slot ids the vSwitch holds.
         Returns the (packets, bytes) actually folded; with no live slots
-        the pending amounts stay with the caller."""
-        n = len(slots)
+        the pending amounts stay with the caller.
+
+        The add runs an extent at a time in C: an extent's bytes are one
+        little-endian integer whose 64-bit lanes are its counters, so
+        adding ``share`` times the repunit (a 1 in every lane) adds
+        ``share`` to each. Lanes and shares are below 2**63, so no sum
+        carries into a neighbour; one with bit 63 set no longer fits a
+        signed ``'q'`` and raises ``OverflowError`` before its extent is
+        written back, as ``column[slot] += share`` would (DESIGN §5.6)."""
+        n = sum(block[1::2])
         if n == 0 or (pending_packets == 0 and pending_bytes == 0):
             return (0, 0)
-        per_pkts, rem_pkts = divmod(pending_packets, n)
-        per_bytes, rem_bytes = divmod(pending_bytes, n)
-        packets, nbytes = self.packets, self.bytes
-        # Same shares as the single enumerate loop, but with the
-        # remainder branch hoisted into slice bounds: the first ``rem``
-        # slots take ``per + 1``, the rest take ``per`` — four tight
-        # loops with no per-slot conditionals (this loop walks every
-        # live flow in the fleet at the materialization boundary).
-        bump = per_pkts + 1
-        for slot in slots[:rem_pkts]:
-            packets[slot] += bump
-        if per_pkts:
-            for slot in slots[rem_pkts:]:
-                packets[slot] += per_pkts
-        bump = per_bytes + 1
-        for slot in slots[:rem_bytes]:
-            nbytes[slot] += bump
-        if per_bytes:
-            for slot in slots[rem_bytes:]:
-                nbytes[slot] += per_bytes
+        packets_share, packets_extra = divmod(pending_packets, n)
+        bytes_share, bytes_extra = divmod(pending_bytes, n)
+        if packets_share >> 63 or bytes_share >> 63:
+            raise OverflowError("per-slot share outside [0, 2**63)")
+        with memoryview(self.packets).cast("B") as raw_packets, \
+                memoryview(self.bytes).cast("B") as raw_bytes:
+            columns = ((raw_packets, packets_share, packets_extra),
+                       (raw_bytes, bytes_share, bytes_extra))
+            done = 0  # slots of the block already folded
+            for k in range(0, len(block), 2):
+                length = block[k + 1]
+                lo = 8 * block[k]
+                hi = lo + 8 * length
+                ones = int.from_bytes(_LANE_ONE * length, "little")
+                sign_bits = ones << 63
+                for raw, share, extra in columns:
+                    bumped = min(max(extra - done, 0), length)
+                    lanes = (int.from_bytes(raw[lo:hi], "little")
+                             + share * ones
+                             + (ones >> 64 * (length - bumped)))
+                    if lanes & sign_bits:
+                        raise OverflowError("flow counter exceeds 63 bits")
+                    raw[lo:hi] = lanes.to_bytes(8 * length, "little")
+                done += length
         return (pending_packets, pending_bytes)
 
     def totals(self) -> Tuple[int, int]:

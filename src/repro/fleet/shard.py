@@ -122,14 +122,14 @@ def partition(n: int, shards: int) -> List[Tuple[int, int]]:
 class ShardState:
     """Per-shard persistent state threaded through the epochs.
 
-    Pickle-friendly by construction: the flyweight store and the
-    per-vSwitch slot blocks are stdlib arrays, the pending accumulators
-    plain int lists. One instance round-trips coordinator → worker →
-    coordinator every epoch when the fleet runs sharded; with
+    Pickle-friendly by construction: the flyweight store, the
+    per-vSwitch extent blocks (``slots``), their ``live`` slot counts
+    and the pending accumulators are all stdlib arrays. One instance
+    round-trips coordinator → worker → coordinator every epoch when the fleet runs sharded; with
     ``shards=1``/``jobs=1`` it is mutated in place (the legacy path).
     """
 
-    __slots__ = ("lo", "hi", "store", "slots", "pending_pkts",
+    __slots__ = ("lo", "hi", "store", "slots", "live", "pending_pkts",
                  "pending_bytes", "_seed_prefixes")
 
     def __init__(self, lo: int, hi: int) -> None:
@@ -137,7 +137,8 @@ class ShardState:
         self.hi = hi
         self.store = FleetFlowStore()
         n = hi - lo
-        self.slots: List["array[int]"] = [array("l") for _ in range(n)]
+        self.slots: List["array[int]"] = [array("q") for _ in range(n)]
+        self.live = array("q", bytes(8 * n))
         self.pending_pkts = array("q", bytes(8 * n))
         self.pending_bytes = array("q", bytes(8 * n))
         #: (root seed, per-vSwitch ``b"{vswitch_seed}:"`` encodings) —
@@ -148,11 +149,11 @@ class ShardState:
         self._seed_prefixes: Optional[Tuple[int, List[bytes]]] = None
 
     def __getstate__(self):
-        return (self.lo, self.hi, self.store, self.slots,
+        return (self.lo, self.hi, self.store, self.slots, self.live,
                 self.pending_pkts, self.pending_bytes)
 
     def __setstate__(self, state) -> None:
-        (self.lo, self.hi, self.store, self.slots,
+        (self.lo, self.hi, self.store, self.slots, self.live,
          self.pending_pkts, self.pending_bytes) = state
         self._seed_prefixes = None
 
@@ -177,9 +178,9 @@ class ShardState:
         return len(self.store)
 
     def nbytes(self) -> int:
-        """Flyweight payload bytes: store columns + per-vSwitch slot refs."""
-        refs = sum(block.itemsize * len(block) for block in self.slots)
-        return self.store.nbytes() + refs
+        """Flyweight payload bytes: store columns + per-vSwitch extents."""
+        extents = sum(block.itemsize * len(block) for block in self.slots)
+        return self.store.nbytes() + extents
 
     def materialize(self) -> Tuple[int, int]:
         """Fold every vSwitch's pending aggregate into its flow slots —
@@ -303,6 +304,7 @@ def run_shard_epoch(point) -> Tuple[ShardState, Dict[str, object]]:
     pkts_per_conn = params.pkts_per_conn
     avg_pkt_bytes = params.avg_pkt_bytes
     slots = state.slots
+    live = state.live
     pending_pkts = state.pending_pkts
     pending_bytes = state.pending_bytes
     lo = state.lo
@@ -317,20 +319,20 @@ def run_shard_epoch(point) -> Tuple[ShardState, Dict[str, object]]:
 
         # -- flow churn toward this epoch's target population ----------
         target = int(flows * flows_per_unit)
-        block = slots[i]
-        delta = target - len(block)
+        count = live[i]
+        delta = target - count
         if delta > 0:
             born = delta if seed_epoch or delta < churn_cap else churn_cap
-            block.extend(store.alloc_block(born))
+            store.alloc_block(slots[i], born)
+            live[i] = count = count + born
             born_total += born
         elif delta < 0:
             died = -delta if -delta < churn_cap else churn_cap
-            # Fold what the dying flows have pending before they leave:
-            # their history is part of the fleet totals either way, but
-            # folding first keeps the per-slot shares exact.
-            doomed = block[len(block) - died:]
-            del block[len(block) - died:]
-            store.free_block(doomed)
+            # Nothing is folded here: pending stays with the vSwitch
+            # and is shared among the slots live at the materialization
+            # boundary; dying slots keep their history until recycled.
+            store.free_block(slots[i], died)
+            live[i] = count = count - died
             died_total += died
 
         # -- fluid traffic: two pending ints, O(1) per epoch -----------
@@ -354,7 +356,7 @@ def run_shard_epoch(point) -> Tuple[ShardState, Dict[str, object]]:
                 "kinds": [kind.value for kind in kinds],
                 "units": demand_units(demand, capacity, ratio),
                 "ratio": ratio,
-                "flows": len(block),
+                "flows": count,
                 "pkts": pkts,
                 "bytes": nbytes,
             }
@@ -362,7 +364,7 @@ def run_shard_epoch(point) -> Tuple[ShardState, Dict[str, object]]:
             hot.append(entry)
         else:
             cold_count += 1
-            cold_flows += len(block)
+            cold_flows += count
             cold_pkts += pkts
             cold_bytes += nbytes
 
@@ -371,8 +373,8 @@ def run_shard_epoch(point) -> Tuple[ShardState, Dict[str, object]]:
     report: Dict[str, object] = {"epoch": epoch, "lo": lo,
                                  "hi": state.hi, "cold": cold, "hot": hot}
     if params.collect_metrics:
-        # End-of-epoch slot lengths equal the classification-time flow
+        # End-of-epoch live counts equal the classification-time flow
         # populations, so the snapshot is derivable entirely from the
-        # finished report + final slots — see snapshot_shard.
-        report["metrics"] = snapshot_shard(report, slots)
+        # finished report + final counts — see snapshot_shard.
+        report["metrics"] = snapshot_shard(report, live)
     return state, report

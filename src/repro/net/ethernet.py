@@ -7,6 +7,7 @@ from typing import Tuple
 
 from repro.errors import DecodeError
 from repro.net.addr import MacAddress
+from repro.net.slotcopy import slot_copy
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_VLAN = 0x8100
@@ -15,6 +16,7 @@ ETHERTYPE_NSH = 0x894F
 HEADER_LEN = 14
 
 
+@slot_copy
 class EthernetHeader:
     """Destination MAC, source MAC, EtherType — 14 bytes on the wire."""
 

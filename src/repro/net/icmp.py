@@ -6,6 +6,7 @@ import struct
 from typing import Tuple
 
 from repro.errors import DecodeError
+from repro.net.slotcopy import slot_copy
 
 HEADER_LEN = 8
 
@@ -13,6 +14,7 @@ ECHO_REQUEST = 8
 ECHO_REPLY = 0
 
 
+@slot_copy
 class IcmpHeader:
     """An 8-byte ICMP echo request/reply header."""
 

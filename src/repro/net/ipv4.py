@@ -8,10 +8,12 @@ from typing import Tuple
 from repro.errors import DecodeError
 from repro.net.addr import IPv4Address
 from repro.net.checksum import internet_checksum
+from repro.net.slotcopy import slot_copy
 
 HEADER_LEN = 20
 
 
+@slot_copy
 class IPv4Header:
     """A 20-byte IPv4 header. ``total_length`` covers header + payload."""
 

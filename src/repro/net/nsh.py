@@ -21,6 +21,7 @@ import struct
 from typing import Dict, Tuple
 
 from repro.errors import DecodeError
+from repro.net.slotcopy import slot_copy
 
 BASE_LEN = 8
 MD_TYPE_2 = 0x02
@@ -116,6 +117,7 @@ class NshContext:
         return f"NshContext({kinds})"
 
 
+@slot_copy
 class NshHeader:
     """NSH base + service-path headers with an MD-type-2 context."""
 

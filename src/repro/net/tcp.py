@@ -6,6 +6,7 @@ import struct
 from typing import Tuple
 
 from repro.errors import DecodeError
+from repro.net.slotcopy import slot_copy
 
 HEADER_LEN = 20
 
@@ -65,6 +66,7 @@ class TcpFlags:
         return f"TcpFlags({'|'.join(names) or '0'})"
 
 
+@slot_copy
 class TcpHeader:
     """A 20-byte TCP header (data offset fixed at 5 words)."""
 

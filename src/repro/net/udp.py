@@ -6,10 +6,12 @@ import struct
 from typing import Tuple
 
 from repro.errors import DecodeError
+from repro.net.slotcopy import slot_copy
 
 HEADER_LEN = 8
 
 
+@slot_copy
 class UdpHeader:
     """An 8-byte UDP header; ``length`` covers header + payload."""
 

@@ -11,6 +11,7 @@ import struct
 from typing import Tuple
 
 from repro.errors import DecodeError
+from repro.net.slotcopy import slot_copy
 
 HEADER_LEN = 8
 VXLAN_PORT = 4789
@@ -18,6 +19,7 @@ VXLAN_PORT = 4789
 _FLAG_VNI_VALID = 0x08
 
 
+@slot_copy
 class VxlanHeader:
     """An 8-byte VXLAN header carrying a 24-bit VNI."""
 

@@ -82,13 +82,13 @@ def _observe(hist: Dict[str, Any], value: float) -> None:
 
 
 def snapshot_shard(report: Dict[str, Any],
-                   slots: Iterable[Any]) -> Dict[str, Any]:
+                   live: Iterable[int]) -> Dict[str, Any]:
     """Distill one shard's finished epoch report into a snapshot.
 
-    ``slots`` is the shard's per-vSwitch flow-slot blocks *after* the
-    epoch step (their lengths equal the classification-time populations:
-    churn for a vSwitch completes before its report entry is built and
-    is not revisited), so the whole snapshot derives from final state —
+    ``live`` is the shard's per-vSwitch live-flow counts *after* the
+    epoch step (they equal the classification-time populations: churn
+    for a vSwitch completes before its report entry is built and is not
+    revisited), so the whole snapshot derives from final state —
     the epoch loop itself needs zero instrumentation.
     """
     snap = empty_snapshot()
@@ -105,8 +105,8 @@ def snapshot_shard(report: Dict[str, Any],
     counters["churn.died"] = cold["died"]
 
     flows_hist = hist["flows_per_vswitch"]
-    for block in slots:
-        _observe(flows_hist, len(block))
+    for flows in live:
+        _observe(flows_hist, flows)
 
     ratio_hist = hist["demand_ratio"]
     cpu_hist = hist["hot_cpu"]

@@ -66,8 +66,9 @@ class Vnic:
                      on_rx_run: Optional[Callable[[Packet, int],
                                                   None]] = None) -> None:
         """``on_rx_run`` lets a guest accept fluid runs (template packet
-        + count) without materialization — a VM kernel registers one;
-        bare callbacks leave it None and runs materialize into copies."""
+        + count) without materialization — a VM kernel and the fleet
+        micro-sim's count-only sink register one; bare callbacks
+        (middleboxes, tests) leave it None and runs become copies."""
         self._guest_rx = on_rx
         self._guest_rx_run = on_rx_run
 
@@ -102,9 +103,9 @@ class Vnic:
             rx(packet)
 
     def deliver_run(self, packet: Packet, count: int) -> None:
-        """Fluid delivery: one call when the guest understands runs,
-        materialized copies otherwise (spans, bare callbacks, child
-        vNICs delivering through a parent)."""
+        """Fluid delivery: one call, no copies, when the guest is
+        run-aware; ``count`` materialized copies otherwise (spans active,
+        a bare callback, a child vNIC delivering through its parent)."""
         if (_spans.ACTIVE or self._guest_rx_run is None
                 or self._guest_rx is None):
             for _ in range(count):

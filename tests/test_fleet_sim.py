@@ -8,9 +8,13 @@ the full telemetry stack installed — the fleet-scale instance of the
 repo's determinism contract.
 """
 
+import sys
 from array import array
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.errors import ConfigError
@@ -68,45 +72,154 @@ def test_vswitch_seed_is_shard_layout_free():
 
 # -- flyweight store --------------------------------------------------------
 
+def _slot_ids(block):
+    """A block's slots in logical order (test-side view of the extents)."""
+    return [slot for k in range(0, len(block), 2)
+            for slot in range(block[k], block[k] + block[k + 1])]
+
+
 def test_flyweight_alloc_grows_zeroed():
     store = FleetFlowStore()
-    slots = store.alloc_block(5)
-    assert list(slots) == [0, 1, 2, 3, 4]
-    assert len(store) == 5 and store.capacity == 5
+    block = array("q")
+    store.alloc_block(block, 5)
+    store.alloc_block(block, 3)              # adjacent growth merges
+    assert len(block) == 2 and block[1] == 8  # one (start, length) extent
+    assert len(store) == 8 and store.capacity == 8
     assert store.totals() == (0, 0)
 
 
 def test_flyweight_free_and_recycle_rezeroes():
     store = FleetFlowStore()
-    slots = store.alloc_block(4)
-    store.fold(slots, pending_packets=8, pending_bytes=80)
-    store.free_block(slots[2:])
+    block, other = array("q"), array("q")
+    store.alloc_block(block, 4)
+    store.fold(block, pending_packets=8, pending_bytes=80)
+    store.free_block(block, 2)
     assert len(store) == 2
-    recycled = store.alloc_block(2)          # LIFO reuse of freed slots
-    assert set(recycled) <= {2, 3}
+    assert store.totals() == (8, 80)         # freed slots keep their history
+    store.alloc_block(other, 2)              # LIFO reuse of the freed extent
     assert store.capacity == 4               # no growth needed
-    assert all(store.packets[s] == 0 for s in recycled)
+    assert not set(_slot_ids(other)) & set(_slot_ids(block))
+    assert all(store.packets[s] == 0 and store.bytes[s] == 0
+               for s in _slot_ids(other))
+    assert store.totals() == (4, 40)
 
 
 def test_flyweight_fold_is_exact_with_remainder():
     store = FleetFlowStore()
-    slots = store.alloc_block(3)
-    folded = store.fold(slots, pending_packets=10, pending_bytes=101)
+    block = array("q")
+    store.alloc_block(block, 3)
+    folded = store.fold(block, pending_packets=10, pending_bytes=101)
     assert folded == (10, 101)
-    assert sorted(store.packets[s] for s in slots) == [3, 3, 4]
+    assert [store.packets[s] for s in _slot_ids(block)] == [4, 3, 3]
+    assert [store.bytes[s] for s in _slot_ids(block)] == [34, 34, 33]
     assert store.totals() == (10, 101)
 
 
 def test_flyweight_fold_without_live_slots_defers():
     store = FleetFlowStore()
-    assert store.fold(array("l"), 7, 70) == (0, 0)
+    assert store.fold(array("q"), 7, 70) == (0, 0)
     assert store.totals() == (0, 0)
 
 
 def test_flyweight_nbytes_tracks_columns():
     store = FleetFlowStore()
-    store.alloc_block(100)
-    assert store.nbytes() == 100 * 16       # two 'q' columns, empty free list
+    store.alloc_block(array("q"), 100)
+    assert store.nbytes() == 100 * 16       # two 'q' columns, empty free stack
+
+
+_FLYWEIGHT_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("alloc"), st.integers(0, 3), st.integers(1, 40)),
+        st.tuples(st.just("free"), st.integers(0, 3), st.integers(1, 40)),
+        st.tuples(st.just("fold"), st.integers(0, 3),
+                  st.integers(0, 10_000), st.integers(0, 10**9))),
+    max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FLYWEIGHT_OPS)
+def test_flyweight_matches_naive_model(ops):
+    """Random alloc / tail-free / fold / re-alloc interleavings over four
+    blocks against a list-of-[packets, bytes] model per block. Slot
+    numbers never appear in an assertion: only what a block's slots hold,
+    in the block's own order."""
+    store = FleetFlowStore()
+    blocks = [array("q") for _ in range(4)]
+    model = [[] for _ in blocks]             # block -> [[packets, bytes]]
+    dead_packets = dead_bytes = 0            # history held by freed slots
+    for op, which, *args in ops:
+        block, slots = blocks[which], model[which]
+        if op == "alloc":
+            before = store.totals()
+            store.alloc_block(block, args[0])
+            after = store.totals()
+            # Recycled slots come back zeroed; what they held leaves
+            # the totals, nothing else moves.
+            dead_packets -= before[0] - after[0]
+            dead_bytes -= before[1] - after[1]
+            assert dead_packets >= 0 and dead_bytes >= 0
+            slots.extend([0, 0] for _ in range(args[0]))
+        elif op == "free":
+            n = min(args[0], len(slots))
+            store.free_block(block, n)
+            for packets, nbytes in slots[len(slots) - n:]:
+                dead_packets += packets
+                dead_bytes += nbytes
+            del slots[len(slots) - n:]
+        else:
+            folded = store.fold(block, *args)
+            if not slots or args == [0, 0]:
+                assert folded == (0, 0)
+            else:
+                assert folded == tuple(args)
+                for col, pending in enumerate(args):
+                    # Shares differ by at most one and sum to pending.
+                    share, extra = divmod(pending, len(slots))
+                    for k, slot in enumerate(slots):
+                        slot[col] += share + (k < extra)
+        ids = _slot_ids(block)
+        assert sum(block[1::2]) == len(slots) == len(set(ids))
+        assert [[store.packets[s], store.bytes[s]] for s in ids] == slots
+    live = [slot for slots in model for slot in slots]
+    assert len(store) == len(live)
+    assert len({s for block in blocks for s in _slot_ids(block)}) == len(live)
+    assert store.totals() == (sum(p for p, _b in live) + dead_packets,
+                              sum(b for _p, b in live) + dead_bytes)
+
+
+def test_flyweight_fold_lane_overflow_raises_and_spares_neighbours():
+    store = FleetFlowStore()
+    block = array("q")
+    store.alloc_block(block, 1)
+    store.fold(block, 2**63 - 1, 5)          # the largest value 'q' holds
+    store.alloc_block(block, 2)              # merged: [2**63 - 1, 0, 0]
+    assert len(block) == 2
+    with pytest.raises(OverflowError):
+        store.fold(block, 3, 0)              # one more each: lane 0 overflows
+    assert [store.packets[s] for s in _slot_ids(block)] == [2**63 - 1, 0, 0]
+    with pytest.raises(OverflowError):
+        store.fold(block, 2**65, 0)          # a share no lane can hold
+    assert store.totals() == (2**63 - 1, 5)
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_live_slot_invariant_every_epoch(shards):
+    """ROADMAP 3(a): live slots == sum of per-vSwitch live counts ==
+    births - deaths, after every epoch, whatever the shard layout."""
+    params = FleetParams(seed=0, n_vswitches=400)
+    states = make_shards(params, shards)
+    born = died = 0
+    for epoch in range(4):
+        for k, state in enumerate(states):
+            states[k], report = run_shard_epoch((state, epoch, {}, params))
+            born += report["cold"]["born"]
+            died += report["cold"]["died"]
+        live = sum(len(state.store) for state in states)
+        assert live == sum(sum(state.live) for state in states) \
+            == born - died
+        for state in states:
+            assert list(state.live) == [sum(b[1::2]) for b in state.slots]
+    assert died > 0                          # churn really recycled slots
 
 
 # -- hot micro-sim ----------------------------------------------------------
@@ -316,6 +429,69 @@ def test_hot_sim_fluid_fast_forward_is_output_identical():
         slow = simulate_hot_epoch(seed=seed, demand_ratio=ratio,
                                   granted=granted, fluid=False)
         assert fast == slow
+
+
+def _count_packet_copies(monkeypatch):
+    """Count ``Packet.copy`` calls by the function that made them."""
+    from repro.net.packet import Packet
+    copies = Counter()
+    real_copy = Packet.copy
+
+    def counting_copy(self):
+        copies[sys._getframe(1).f_code.co_name] += 1
+        return real_copy(self)
+
+    monkeypatch.setattr(Packet, "copy", counting_copy)
+    return copies
+
+
+def test_hot_sim_fluid_sink_copies_nothing_on_delivery(monkeypatch):
+    """The micro-sim's sink is run-aware and count-only: a fluid run
+    reaches it as (template, count). The copies left are the sender
+    side's re-materializations at a session miss or an FSM boundary."""
+    copies = _count_packet_copies(monkeypatch)
+    fast = simulate_hot_epoch(seed=7, demand_ratio=3.0, granted=False,
+                              fluid=True)
+    assert copies["deliver_run"] == 0
+    assert sum(copies.values()) < fast["sim_delivered"] // 10
+    copies.clear()
+    slow = simulate_hot_epoch(seed=7, demand_ratio=3.0, granted=False,
+                              fluid=False)
+    assert not copies                        # the burst path never copies
+    assert fast == slow and fast["sim_delivered"] > 0
+
+
+def test_hot_sim_under_spans_materializes_and_stays_pure(monkeypatch):
+    """With a span recorder active every packet needs its own hop list,
+    so runs are materialized where they enter the vSwitch — and the
+    measurements are the ones the unobserved run returns."""
+    bare = simulate_hot_epoch(seed=7, demand_ratio=1.0, granted=False)
+    copies = _count_packet_copies(monkeypatch)
+    with telemetry.span_session():
+        observed = simulate_hot_epoch(seed=7, demand_ratio=1.0,
+                                      granted=False)
+    assert observed == bare
+    assert sum(copies.values()) > bare["sim_delivered"] // 2 > 0
+
+
+def test_vnic_run_delivery_materializes_distinct_packets_under_spans():
+    from repro.net.addr import IPv4Address, MacAddress
+    from repro.net.packet import Packet
+    from repro.vswitch import CostModel, Vnic
+    from repro.vswitch.vswitch import make_standard_chain
+    vnic = Vnic(1, 400, IPv4Address("10.40.0.2"), MacAddress(0x42),
+                make_standard_chain(CostModel.testbed()))
+    got, runs = [], []
+    vnic.attach_guest(got.append, lambda pkt, n: runs.append(n))
+    template = Packet.udp(IPv4Address("10.40.0.1"), IPv4Address("10.40.0.2"),
+                          5000, 9, payload=b"x" * 8)
+    vnic.deliver_run(template, 5)            # run-aware guest: no copies
+    assert (got, runs, vnic.rx_delivered) == ([], [5], 5)
+    with telemetry.span_session():
+        vnic.deliver_run(template, 5)
+    assert runs == [5] and vnic.rx_delivered == 10
+    assert len({id(pkt) for pkt in got} - {id(template)}) == 5
+    assert all(pkt == template for pkt in got)
 
 
 def test_hot_sim_restores_global_fluid_mode():

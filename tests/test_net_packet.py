@@ -1,5 +1,7 @@
 """Tests for the Packet model: stacking, encap/decap, wire round-trips."""
 
+import copy
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from repro.net import (
     NshContext, NshHeader, Packet, TcpFlags, TcpHeader, UdpHeader,
     VxlanHeader, PROTO_TCP,
 )
+from repro.net.icmp import IcmpHeader
 from repro.net.packet import NSH_PORT, make_underlay_transport
 
 A = IPv4Address("10.0.0.1")
@@ -136,6 +139,39 @@ def test_copy_is_independent():
     assert "x" not in pkt.meta
     assert pkt.expect(IPv4Header).ttl == 64
     assert dup == pkt or dup.expect(IPv4Header).ttl != pkt.expect(IPv4Header).ttl
+
+
+_EVERY_HEADER = [
+    EthernetHeader(MacAddress(2), MacAddress(1), 0x0800),
+    IPv4Header(A, B, PROTO_TCP, total_length=60, ttl=9, identification=7,
+               dscp=3, flags=2, frag_offset=5),
+    TcpHeader(1000, 80, seq=11, ack_num=12, flags=TcpFlags.of("syn"),
+              window=100),
+    UdpHeader(5000, 4789, length=30),
+    IcmpHeader(8, 0, identifier=3, sequence=4),
+    VxlanHeader(77),
+    NshHeader(spi=5, si=200, context=NshContext().put(1, b"abcd")),
+]
+
+
+@pytest.mark.parametrize("header", _EVERY_HEADER,
+                         ids=lambda h: type(h).__name__)
+def test_header_copy_equals_reduce_protocol_copy(header):
+    """The generated slot-wise ``__copy__`` must build what ``copy.copy``
+    built before the header classes had one: same class, every slot
+    bound to the very same value object — and no shared instance."""
+    cls = type(header)
+    via_reduce = copy._reconstruct(header, None, *header.__reduce_ex__(4))
+    dup = copy.copy(header)
+    assert dup is not header and type(dup) is type(via_reduce) is cls
+    assert dup == header == via_reduce
+    for name in cls.__slots__:
+        assert getattr(dup, name) is getattr(via_reduce, name) \
+            is getattr(header, name)
+    for name in cls.__slots__:               # rebinding never aliases
+        before = getattr(header, name)
+        setattr(dup, name, object())
+        assert getattr(header, name) is before
 
 
 # -- wire round-trips -----------------------------------------------------------------------

@@ -39,9 +39,9 @@ RESIDENT_SMOKE_SCALE = 400
 RESIDENT_SHARDS = 2
 RESIDENT_JOBS = 2
 #: Worker counts the resident measurement sweeps: jobs=1 is the
-#: in-process pseudo-pool (no IPC, the fork/pipe cost isolated away),
-#: jobs=2 the real two-worker pool — their per-phase walls answer
-#: "where does --jobs time go" (ROADMAP: true multi-core numbers).
+#: in-process loop (no pool: its phase walls and IPC record as
+#: zero/None), jobs=2 the real two-worker pool whose per-phase walls
+#: answer "where does --jobs time go" (ROADMAP: true multi-core numbers).
 RESIDENT_JOBS_SWEEP = (1, 2)
 #: Scale for the telemetry-overhead measurement. Larger than the quick
 #: profile (1000 vSwitches x 3 epochs, ~0.4s untraced) so the 2% gate
@@ -85,12 +85,12 @@ def run_fleet_point(n_vswitches: int, epochs: int = 3, seed: int = 0,
     steady epochs (vectorized cold tail + hot micro-sims) — so the
     benches can tell allocation cost from per-epoch cost.
 
-    ``measure_resident`` adds a third run on the resident worker pool
-    (``RESIDENT_SHARDS`` shards × ``RESIDENT_JOBS`` workers) and records
-    its IPC accounting: ``ipc_bytes_per_epoch`` must stay flat —
-    proportional to the hot-report count, independent of the flyweight
-    state size — or state has started round-tripping again (DESIGN
-    §5.7).
+    ``measure_resident`` adds one run per ``RESIDENT_JOBS_SWEEP`` entry
+    at ``RESIDENT_SHARDS`` shards and records the pool's IPC accounting:
+    ``ipc_bytes_per_epoch`` and ``ipc_bytes_collect`` must stay flat —
+    proportional to the hot-report and shard counts, independent of the
+    flyweight state size — or state has started round-tripping again
+    (DESIGN §5.7).
     """
     from repro.experiments.fleet import run
 
@@ -136,8 +136,7 @@ def run_fleet_point(n_vswitches: int, epochs: int = 3, seed: int = 0,
             rstats: Dict[str, object] = {}
             started = time.perf_counter()
             run(n_vswitches=n_vswitches, epochs=epochs, seed=seed,
-                shards=RESIDENT_SHARDS, jobs=jobs, resident=True,
-                stats=rstats)
+                shards=RESIDENT_SHARDS, jobs=jobs, stats=rstats)
             pool = rstats.get("pool", {})
             phase_wall = pool.get("phase_wall_s", {})
             steps = phase_wall.get("step", [])
@@ -249,10 +248,11 @@ def run_fleet_smoke(epochs: int = 3, seed: int = 0) -> Dict[str, object]:
 
     Runs the reduced fleet with ``shards=1`` and ``shards=SMOKE_SHARDS``
     and byte-compares the rendered tables (the determinism contract);
-    repeats the comparison at ``RESIDENT_SMOKE_SCALE`` with the resident
-    worker pool on vs off (same shards/jobs, so residency is the only
-    variable); then measures the smoke point's peak for the caller to
-    gate against the committed baseline.
+    repeats the comparison at ``RESIDENT_SMOKE_SCALE`` between the
+    in-process loop (``jobs=1``) and the resident worker pool
+    (``jobs=RESIDENT_JOBS``) at the same ``RESIDENT_SHARDS``, so
+    residency is the only variable; then measures the smoke point's
+    peak for the caller to gate against the committed baseline.
     """
     from repro.experiments.fleet import run
 
@@ -260,14 +260,12 @@ def run_fleet_smoke(epochs: int = 3, seed: int = 0) -> Dict[str, object]:
                shards=1, jobs=1).to_text()
     sharded = run(n_vswitches=SMOKE_SCALE, epochs=epochs, seed=seed,
                   shards=SMOKE_SHARDS, jobs=1).to_text()
-    swept = run(n_vswitches=RESIDENT_SMOKE_SCALE, epochs=epochs, seed=seed,
-                shards=RESIDENT_SHARDS, jobs=RESIDENT_JOBS,
-                resident=False).to_text()
+    inline = run(n_vswitches=RESIDENT_SMOKE_SCALE, epochs=epochs, seed=seed,
+                 shards=RESIDENT_SHARDS, jobs=1).to_text()
     pooled = run(n_vswitches=RESIDENT_SMOKE_SCALE, epochs=epochs, seed=seed,
-                 shards=RESIDENT_SHARDS, jobs=RESIDENT_JOBS,
-                 resident=True).to_text()
+                 shards=RESIDENT_SHARDS, jobs=RESIDENT_JOBS).to_text()
     entry = run_fleet_point(SMOKE_SCALE, epochs=epochs, seed=seed,
                             measure_wall=False)
     entry["identical_across_shards"] = base == sharded
-    entry["identical_with_resident_pool"] = swept == pooled
+    entry["identical_with_resident_pool"] = inline == pooled
     return entry

@@ -10,20 +10,22 @@ whose demand crosses capacity run a real per-packet micro-sim
 flyweight struct-of-arrays flow records (:mod:`repro.fleet.flyweight`) —
 millions of concurrent connections in tens of megabytes.
 
-The fleet is partitioned into contiguous shards; with ``jobs > 1`` the
-epoch loop runs on a **resident worker pool**
+The fleet is partitioned into contiguous shards and runs on one of two
+paths. With more than one effective worker the epoch loop runs on a
+**resident worker pool**
 (:class:`~repro.experiments.parallel.ResidentPool`): each worker holds
-its shards' state in-process across epochs and only plain-data payloads
-(epoch, grants) and reports cross the process boundary — the flyweight
-columns ship exactly twice (init/collect) instead of twice per epoch
-(DESIGN §5.7). ``resident=False`` falls back to the PR 7 per-epoch
-:func:`~repro.experiments.parallel.sweep` round-trip; ``jobs=1`` is the
-exact legacy in-process loop. The shared FE pool is the only
-cross-shard coupling (shards report demand, the coordinator feeds
-grants back next epoch). Every per-vSwitch stream is keyed on the
-global index, so the rendered table is **byte-identical for every
-``--shards`` × ``--jobs`` × resident-mode combination** — the
-fleet-scale instance of the repo's determinism contract (DESIGN §5.6).
+its shards' state in-process for the whole run, end-of-run
+materialization included, and only plain data crosses the process
+boundary — empty shard descriptors in, ``(epoch, grants, params)`` out
+and reports back per epoch, one :func:`_shard_digest` per shard at the
+end; the flyweight columns never cross (DESIGN §5.7). With one
+effective worker there is no pool: a plain in-process loop over
+:func:`~repro.fleet.shard.run_shard_epoch`, then the same digest. The
+shared FE pool is the only cross-shard coupling (shards report demand,
+the coordinator feeds grants back next epoch). Every per-vSwitch stream
+is keyed on the global index, so the rendered table is **byte-identical
+for every ``--shards`` × ``--jobs`` combination** — the fleet-scale
+instance of the repo's determinism contract (DESIGN §5.6).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Dict, Optional
 from repro import telemetry as _telemetry
 from repro.experiments.common import ExperimentResult
 from repro.experiments.fig13 import PAPER_MITIGATION
-from repro.experiments.parallel import ResidentPool, resolve_jobs, sweep
+from repro.experiments.parallel import ResidentPool, resolve_jobs
 from repro.fleet import (FleetCoordinator, FleetParams, make_shards,
                          run_shard_epoch)
 from repro.telemetry.fleet import fold, fold_snapshots
@@ -51,6 +53,17 @@ def _resident_step(state, payload):
     return run_shard_epoch((state, epoch, grants, params))
 
 
+def _shard_digest(state) -> Dict[str, object]:
+    """The end-of-run materialization boundary for one shard, run where
+    the state lives: fold pending aggregates into the flyweight columns
+    and return the plain data the run reads — the folded totals and the
+    occupancy. A few hundred bytes per shard, whatever the fleet size."""
+    pkts, nbytes = state.materialize()
+    return {"pkts": pkts, "bytes": nbytes,
+            "live_flows": state.live_flows(), "nbytes": state.nbytes(),
+            "store": state.store.stats()}
+
+
 def default_pool_units(n_vswitches: int) -> int:
     """FE units provisioned for the fleet: ~1 FE per 40 vSwitches (the
     paper's pooling economics — a small pool serves a large region),
@@ -63,7 +76,6 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
         fe_pool_units: Optional[int] = None,
         flows_per_unit: int = 20_000,
         survivable_window: float = 3.6,
-        resident: Optional[bool] = None,
         policy: str = "nezha",
         fleet_metrics: Optional[bool] = None,
         stats: Optional[Dict[str, object]] = None) -> ExperimentResult:
@@ -71,10 +83,10 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
 
     ``shards=None`` matches the shard count to ``jobs`` so parallelism
     is meaningful by default; any explicit value is honored — the output
-    does not depend on it. ``resident=None`` uses the resident worker
-    pool exactly when more than one effective worker is available
-    (``jobs=1`` stays the legacy in-process loop either way); ``True`` /
-    ``False`` force the mode — the output does not depend on it either.
+    does not depend on it. More than one effective worker
+    (``resolve_jobs(jobs, shards) > 1``) runs the shards on a resident
+    worker pool, otherwise they run in the calling process — the output
+    does not depend on that either.
     ``policy`` selects the coordinator's allocation strategy
     (``nezha``/``pam``/``supernic``/``sirius``, see
     :class:`~repro.fleet.coordinator.FleetCoordinator`); the default
@@ -103,10 +115,8 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
                                    policy=policy)
     states = make_shards(params, shards)
     grants: dict = {}
-    if resident is None:
-        resident = resolve_jobs(jobs, len(states)) > 1
     pool = ResidentPool(_resident_step, states, jobs=jobs) \
-        if resident else None
+        if resolve_jobs(jobs, len(states)) > 1 else None
 
     hot_observations = 0
     hot_sent = hot_delivered = hot_drops = 0
@@ -120,16 +130,16 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
             if pool is not None:
                 reports = pool.step((epoch, grants, params))
             else:
-                points = [(state, epoch, grants, params)
-                          for state in states]
-                outcomes = sweep(points, run_shard_epoch, jobs=jobs)
-                states = [state for state, _report in outcomes]
-                reports = [report for _state, report in outcomes]
+                reports = []
+                for slot, state in enumerate(states):
+                    states[slot], report = run_shard_epoch(
+                        (state, epoch, grants, params))
+                    reports.append(report)
             grants = coordinator.settle(epoch, reports)
             if params.collect_metrics:
                 # Fold in submission order (= ascending global index):
                 # the slot-order fold contract makes the merged snapshot
-                # byte-identical across shards x jobs x residency.
+                # byte-identical across shards x jobs.
                 epoch_snapshot = fold_snapshots(
                     report["metrics"] for report in reports)
                 fleet_snapshot = epoch_snapshot if fleet_snapshot is None \
@@ -147,14 +157,14 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
                     fluid_pkts += entry["pkts"]
                     fluid_bytes += entry["bytes"]
             epoch_walls.append(time.perf_counter() - epoch_started)
-        if pool is not None:
-            states = pool.collect()
+        # Materialize where the state lives; only digests come back.
+        digests = pool.collect(_shard_digest) if pool is not None \
+            else [_shard_digest(state) for state in states]
     finally:
         if pool is not None:
             pool.close()
 
     if stats is not None:
-        stats["resident"] = resident
         stats["jobs"] = pool.jobs if pool is not None else 1
         stats["epoch_walls_s"] = epoch_walls
         stats["seed_epoch_s"] = epoch_walls[0] if epoch_walls else 0.0
@@ -166,8 +176,8 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
             stats["ipc_bytes_collect"] = pool.collect_ipc_bytes
             stats["ipc_bytes_per_epoch"] = pool.ipc_bytes_per_step()
             stats["pool"] = pool.runtime_stats()
-        stats["state_nbytes"] = sum(state.nbytes() for state in states)
-        stats["store_stats"] = [state.store.stats() for state in states]
+        stats["state_nbytes"] = sum(digest["nbytes"] for digest in digests)
+        stats["store_stats"] = [digest["store"] for digest in digests]
         if fleet_snapshot is not None:
             stats["fleet_metrics"] = fleet_snapshot
     if fleet_snapshot is not None:
@@ -175,14 +185,10 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
         if tel is not None:
             tel.set_fleet_metrics(fleet_snapshot)
 
-    # End-of-run materialization boundary: fold pending aggregates into
-    # the flyweight columns and cross-check the fluid totals exactly.
-    folded_pkts = folded_bytes = live_flows = 0
-    for state in states:
-        pkts, nbytes = state.materialize()
-        folded_pkts += pkts
-        folded_bytes += nbytes
-        live_flows += state.live_flows()
+    # Cross-check the folded totals against the fluid ones exactly.
+    folded_pkts = sum(digest["pkts"] for digest in digests)
+    folded_bytes = sum(digest["bytes"] for digest in digests)
+    live_flows = sum(digest["live_flows"] for digest in digests)
     assert folded_pkts == fluid_pkts and folded_bytes == fluid_bytes, \
         "flyweight fold lost traffic"
 

@@ -26,12 +26,13 @@ makes replication across pool processes reproducible.
 :class:`ResidentPool` is the *stateful* counterpart for iterated
 computations (the fleet's epoch loop): long-lived worker processes that
 receive their state once (``init``), advance it in-process every
-round (``step``), and ship it back once at the end (``collect``) — so
-per-round IPC carries only the small plain-data payloads and reports,
-never the state itself. The determinism story is the same as
-:func:`sweep`'s: slots are assigned to workers as contiguous ascending
-slices and every reply merges in slot order, so the merged report list
-is byte-for-byte what the sequential loop would produce.
+round (``step``), and at the end apply a caller's ``fn`` to it where it
+lives (``collect``) — so IPC carries only small plain-data payloads,
+reports and ``fn``'s results, never the state itself. The determinism
+story is the same as :func:`sweep`'s: slots are assigned to workers as
+contiguous ascending slices and every reply merges in slot order, so
+the merged report list is byte-for-byte what the sequential loop would
+produce.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ import pickle
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
-from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import (Any, Callable, Iterable, List, Optional, Sequence, Tuple,
+                    TypeVar)
 
 from repro import telemetry as _telemetry
 from repro.sim.rng import derive_seed
@@ -130,7 +132,8 @@ class ResidentWorkerError(RuntimeError):
 
 def _resident_worker_main(conn, worker_fn) -> None:
     """Worker-process loop: hold assigned states in-process, apply
-    ``worker_fn(state, payload)`` per slot on every ``step``.
+    ``worker_fn(state, payload)`` per slot on every ``step`` and the
+    ``fn`` a ``collect`` message carries per slot once at the end.
 
     Slots are processed in ascending slot order inside the worker;
     combined with contiguous slot assignment across workers, replies
@@ -173,7 +176,8 @@ def _resident_worker_main(conn, worker_fn) -> None:
                                                          payload)
                         value.append(report)
                 elif kind == "collect":
-                    value = [states[slot] for slot in sorted(states)]
+                    fn = message[1]
+                    value = [fn(states[slot]) for slot in sorted(states)]
                 elif kind == "stop":
                     conn.send_bytes(pickle.dumps(("ok", None, None)))
                     return
@@ -198,9 +202,10 @@ class ResidentPool:
     through pickle on every call, which is fine for independent points
     but makes an epoch loop over tens of megabytes of shard state pay
     the serialization cost ``epochs`` times. A resident pool ships each
-    state across the process boundary exactly twice (``init`` in,
-    ``collect`` out); every :meth:`step` carries only a small broadcast
-    payload out and plain-data reports back.
+    state across the process boundary once (``init`` in); every
+    :meth:`step` carries only a small broadcast payload out and
+    plain-data reports back, and :meth:`collect` a function out and its
+    per-slot results back.
 
     Contract:
 
@@ -216,8 +221,9 @@ class ResidentPool:
       sequential ``[worker_fn(s, payload) for s in states]``.
     * **Degenerate pool.** With one effective worker (``jobs=1``, one
       slot, or inside an existing pool worker) no process is spawned:
-      the pool runs the exact legacy in-process loop (same call order,
-      no pickling, zero IPC) — the ``sweep(jobs=1)`` guarantee.
+      ``step`` and ``collect`` run the same calls inline in the calling
+      process (same call order, no pickling, zero IPC) — the
+      ``sweep(jobs=1)`` guarantee.
     * **Failure.** A worker that raises ships its traceback back and
       the coordinator raises :class:`ResidentWorkerError`; a worker
       that *dies* (kill, OOM) is detected by the reply poll loop and
@@ -338,9 +344,23 @@ class ResidentPool:
             f"resident worker {process.name} "
             f"(slots {worker['slots'][0]}..{worker['slots'][-1]}) died "
             f"with exit code {process.exitcode}; its resident state is "
-            f"lost — rerun, or rerun with resident mode off")
+            f"lost, but it is a pure function of the initial states and "
+            f"step payloads (the fleet's seed and epoch history): rerun")
 
     # -- the actor protocol --------------------------------------------------
+
+    def _round(self, phase: str, message) -> Tuple[List[Any], int]:
+        """Send ``message`` to every worker; returns the reply values
+        merged in worker (= ascending slot) order and the IPC bytes."""
+        ipc_bytes = sum(self._send(worker, message)
+                        for worker in self._workers)
+        values = []
+        for w, worker in enumerate(self._workers):
+            replies, nbytes, meta = self._recv(worker)
+            values.extend(replies)
+            ipc_bytes += nbytes
+            self._account(w, phase, meta)
+        return values, ipc_bytes
 
     def step(self, payload) -> List[Any]:
         """Broadcast ``payload``; returns per-slot reports in slot order."""
@@ -359,41 +379,30 @@ class ResidentPool:
             runtime["step_wall_s"] += wall
             runtime["steps"] += 1
             return reports
-        sent = sum(self._send(worker, ("step", payload))
-                   for worker in self._workers)
-        reports = []
-        received = 0
-        for w, worker in enumerate(self._workers):
-            replies, nbytes, meta = self._recv(worker)
-            reports.extend(replies)
-            received += nbytes
-            self._account(w, "step", meta)
-        self.step_ipc_bytes.append(sent + received)
+        reports, ipc_bytes = self._round("step", ("step", payload))
+        self.step_ipc_bytes.append(ipc_bytes)
         self.phase_wall_s["step"].append(perf_counter() - started)
         return reports
 
-    def collect(self) -> List[Any]:
-        """Ship the final states back; returns them in slot order."""
+    def collect(self, fn: Callable[[Any], Any]) -> List[Any]:
+        """Apply ``fn(state)`` to every slot in the worker that holds it;
+        returns the per-slot results in slot order. ``fn`` is a
+        top-level picklable callable; only its results cross the process
+        boundary, so a caller that wants a state back passes an identity
+        function and pays for its pickle."""
         if self._closed:
             raise ResidentWorkerError("pool is closed")
         started = perf_counter()
         if self._jobs == 1:
+            results = [fn(state) for state in self._states]
             wall = perf_counter() - started
             self.phase_wall_s["collect"] = wall
             self.worker_runtime[0]["collect_wall_s"] += wall
-            return list(self._states)
-        sent = sum(self._send(worker, ("collect",))
-                   for worker in self._workers)
-        states = []
-        received = 0
-        for w, worker in enumerate(self._workers):
-            replies, nbytes, meta = self._recv(worker)
-            states.extend(replies)
-            received += nbytes
-            self._account(w, "collect", meta)
-        self.collect_ipc_bytes = sent + received
+            return results
+        results, self.collect_ipc_bytes = self._round("collect",
+                                                      ("collect", fn))
         self.phase_wall_s["collect"] = perf_counter() - started
-        return states
+        return results
 
     def close(self) -> None:
         """Stop the workers; idempotent, safe after a worker death."""

@@ -54,20 +54,17 @@ def _quick_kwargs(name: str) -> dict:
 
 def _run_kwargs(run_fn, seed: int, jobs: int,
                 shards: Optional[int] = None,
-                resident: Optional[bool] = None,
                 policy: Optional[str] = None) -> dict:
     """Keyword arguments ``run_fn`` actually accepts.
 
     Inspects the signature's *parameters* — the old
     ``"seed" in run.__code__.co_varnames`` check also matched local
     variables, so a seedless ``run`` with a ``seed`` local would have
-    been called with an unexpected keyword. ``shards``, ``resident``,
-    and ``policy`` are forwarded only when the experiment takes them
-    (today: fleet and policy_arena) *and* the user asked for a specific
-    value; ``None`` keeps the experiment's own default (fleet matches
-    shards to jobs, uses the resident pool whenever more than one worker
-    is effective, and allocates with the Nezha policy; policy_arena runs
-    every policy).
+    been called with an unexpected keyword. ``shards`` and ``policy``
+    are forwarded only when the experiment takes them (today: fleet and
+    policy_arena) *and* the user asked for a specific value; ``None``
+    keeps the experiment's own default (fleet matches shards to jobs and
+    allocates with the Nezha policy; policy_arena runs every policy).
     """
     params = inspect.signature(run_fn).parameters
     kwargs = {}
@@ -77,8 +74,6 @@ def _run_kwargs(run_fn, seed: int, jobs: int,
         kwargs["jobs"] = jobs
     if "shards" in params and shards is not None:
         kwargs["shards"] = shards
-    if "resident" in params and resident is not None:
-        kwargs["resident"] = resident
     if "policy" in params and policy is not None:
         kwargs["policy"] = policy
     return kwargs
@@ -86,11 +81,10 @@ def _run_kwargs(run_fn, seed: int, jobs: int,
 
 def run_experiment(name: str, seed: int = 0, jobs: int = 1,
                    fast: bool = False, shards: Optional[int] = None,
-                   resident: Optional[bool] = None,
                    policy: Optional[str] = None):
     """Import and execute one experiment; returns (result, elapsed_s)."""
     module = importlib.import_module(f"repro.experiments.{name}")
-    kwargs = _run_kwargs(module.run, seed, jobs, shards, resident, policy)
+    kwargs = _run_kwargs(module.run, seed, jobs, shards, policy)
     if fast:
         kwargs.update(_quick_kwargs(name))
     started = time.perf_counter()
@@ -100,11 +94,9 @@ def run_experiment(name: str, seed: int = 0, jobs: int = 1,
 
 def run_one(name: str, seed: int = 0, jobs: int = 1,
             fast: bool = False, shards: Optional[int] = None,
-            resident: Optional[bool] = None,
             policy: Optional[str] = None) -> None:
     result, elapsed = run_experiment(name, seed, jobs, fast=fast,
-                                     shards=shards, resident=resident,
-                                     policy=policy)
+                                     shards=shards, policy=policy)
     print(result.to_text())
     print(f"[{name} finished in {elapsed:.1f}s]\n")
 
@@ -150,13 +142,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fleet experiment only: partition the vSwitch "
                              "range into N shards (default: match --jobs); "
                              "output is byte-identical for every N")
-    parser.add_argument("--resident", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="fleet experiment only: force the resident "
-                             "worker pool on (--resident) or off "
-                             "(--no-resident); default: resident whenever "
-                             "more than one worker is effective; output is "
-                             "byte-identical either way")
     parser.add_argument("--policy", default=None,
                         choices=["nezha", "pam", "supernic", "sirius"],
                         help="load-sharing policy for experiments that "
@@ -197,8 +182,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         else:
             run_one(args.experiment, args.seed, jobs, fast=args.fast,
-                    shards=args.shards, resident=args.resident,
-                    policy=args.policy)
+                    shards=args.shards, policy=args.policy)
         if tel is not None:
             lines = tel.export(args.telemetry)
             print(f"[telemetry: {lines} lines -> {args.telemetry}]")

@@ -7,7 +7,7 @@ Layer map (DESIGN §5.6):
 * :mod:`~repro.fleet.hotsim` — per-packet micro-sim of one hot vSwitch
   epoch on a private two-server overlay;
 * :mod:`~repro.fleet.shard` — contiguous vSwitch ranges, global-index
-  keyed demand streams, the ``sweep()``-compatible epoch step;
+  keyed demand streams, the picklable-point epoch step;
 * :mod:`~repro.fleet.coordinator` — shared FE pool allocation and
   mitigation accounting, the only cross-shard coupling.
 

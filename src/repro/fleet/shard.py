@@ -16,17 +16,16 @@ shard-local position:
 
 So the numbers a vSwitch produces cannot depend on how many shards the
 fleet was split into, and because shard ranges are contiguous and
-ascending — and ``sweep()`` merges in submission order — concatenating
+ascending — and reports merge in slot order — concatenating
 per-shard hot lists yields a globally index-ascending list for every
 shard count. Cold-side aggregates are integers, which commute. That is
 the whole shard-count-invariance argument (DESIGN §5.6).
 
 :func:`run_shard_epoch` is a top-level function over one picklable
-tuple, the :func:`repro.experiments.parallel.sweep` point contract; the
-:class:`ShardState` it threads through is arrays all the way down, so
-the round-trip through a pool worker is cheap — and under the resident
-pool (:class:`repro.experiments.parallel.ResidentPool`) the state never
-crosses the process boundary at all between epochs.
+tuple; the :class:`ShardState` it threads through is arrays all the way
+down and ships to a resident pool worker
+(:class:`repro.experiments.parallel.ResidentPool`) once, empty, after
+which it never crosses the process boundary again.
 
 The epoch step itself is **vectorized over the cold tail**: per-vSwitch
 epoch streams are drawn into plain columns first (one reused
@@ -125,8 +124,8 @@ class ShardState:
     Pickle-friendly by construction: the flyweight store, the
     per-vSwitch extent blocks (``slots``), their ``live`` slot counts
     and the pending accumulators are all stdlib arrays. One instance
-    round-trips coordinator → worker → coordinator every epoch when the fleet runs sharded; with
-    ``shards=1``/``jobs=1`` it is mutated in place (the legacy path).
+    is pickled into its resident worker once (empty) when the fleet runs
+    on a pool, and is mutated in place in either path.
     """
 
     __slots__ = ("lo", "hi", "store", "slots", "live", "pending_pkts",
@@ -268,8 +267,8 @@ def demand_units(demand: VSwitchDemand, capacity: FleetCapacity,
 
 
 def run_shard_epoch(point) -> Tuple[ShardState, Dict[str, object]]:
-    """Advance one shard one epoch; the ``sweep()`` point function and
-    the resident pool's per-epoch actor step.
+    """Advance one shard one epoch; the in-process loop's body and the
+    resident pool's per-epoch actor step.
 
     ``point`` is ``(state, epoch, grants, params)`` where ``grants`` maps
     the global indices holding an active FE grant (decided by the

@@ -534,29 +534,29 @@ def test_fleet_experiment_identical_with_pool_and_telemetry():
     assert composed == base
 
 
-def test_fleet_experiment_identity_matrix_shards_jobs_resident():
+def test_fleet_experiment_identity_matrix_shards_jobs():
     """The PR 8 determinism matrix, grown a telemetry axis by PR 10:
-    every shards × jobs × residency × telemetry combination renders the
+    every shards × jobs × telemetry combination renders the
     byte-identical table AND folds the byte-identical fleet-metrics
-    snapshot. jobs=1 is the legacy in-process loop (resident=True
-    degenerates to it in-process — no worker processes, no pickling);
-    jobs=2 exercises the real pool both per-epoch-swept and resident;
-    the telemetry axis proves observation never perturbs the run."""
+    snapshot. jobs=1 is the in-process loop (no pool, no pickling);
+    jobs=2 runs the shards on the resident worker pool (in-process again
+    at shards=1, where one slot clamps to one worker); the telemetry
+    axis proves observation never perturbs the run."""
     import itertools
     from repro.experiments import fleet
     base_stats = {}
-    base = fleet.run(shards=1, jobs=1, resident=False, fleet_metrics=True,
+    base = fleet.run(shards=1, jobs=1, fleet_metrics=True,
                      stats=base_stats, **FLEET_KWARGS).to_text()
     base_snapshot = base_stats["fleet_metrics"]
     assert base_snapshot["counters"]["vswitches"] > 0
-    for shards, jobs, resident, with_tel in itertools.product(
-            (1, 2, 4), (1, 2), (False, True), (False, True)):
-        combo = (shards, jobs, resident, with_tel)
+    for shards, jobs, with_tel in itertools.product(
+            (1, 2, 4), (1, 2), (False, True)):
+        combo = (shards, jobs, with_tel)
         if with_tel:
             telemetry.install()
         try:
             stats = {}
-            text = fleet.run(shards=shards, jobs=jobs, resident=resident,
+            text = fleet.run(shards=shards, jobs=jobs,
                              fleet_metrics=True, stats=stats,
                              **FLEET_KWARGS).to_text()
         finally:
@@ -564,6 +564,51 @@ def test_fleet_experiment_identity_matrix_shards_jobs_resident():
                 telemetry.uninstall()
         assert text == base, combo
         assert stats["fleet_metrics"] == base_snapshot, combo
+        assert ("pool" in stats) == (min(shards, jobs) > 1), combo
+
+
+def _digest_run(n_vswitches, jobs):
+    from repro.experiments import fleet
+    stats = {}
+    text = fleet.run(n_vswitches=n_vswitches, epochs=2, seed=0, shards=2,
+                     jobs=jobs, stats=stats).to_text()
+    return text, stats
+
+
+def test_fleet_pool_collects_digests_not_state():
+    """The pool path reads the same totals and occupancy as the
+    in-process loop, and what collect ships is flat in fleet size — a
+    state round trip cannot come back silently."""
+    inline_text, inline = _digest_run(400, jobs=1)
+    pooled_text, pooled = _digest_run(400, jobs=2)
+    assert pooled_text == inline_text
+    assert pooled["state_nbytes"] == inline["state_nbytes"] > 0
+    # Same shard layout => same slot recycling => same occupancy.
+    assert pooled["store_stats"] == inline["store_stats"]
+    assert len(pooled["store_stats"]) == 2
+    assert "ipc_bytes_collect" not in inline        # no pool, no IPC
+    assert 0 < pooled["ipc_bytes_collect"] < 4096
+    # 4x the fleet adds megabytes of state and moves collect only by
+    # pickle's integer widths (the digests' 16 counters, <= 4 B each).
+    _text, larger = _digest_run(1600, jobs=2)
+    assert larger["state_nbytes"] > 3 * pooled["state_nbytes"]
+    assert abs(larger["ipc_bytes_collect"]
+               - pooled["ipc_bytes_collect"]) <= 64
+
+
+def test_shard_digest_materializes_once():
+    """The digest is the materialization boundary: the first call folds
+    and reports the pending totals, a second finds nothing pending and
+    leaves the occupancy untouched (ROADMAP 3a idempotence)."""
+    from repro.experiments.fleet import _shard_digest
+    params = FleetParams(seed=0, n_vswitches=400)
+    (state,) = make_shards(params, 1)
+    for epoch in range(2):
+        state, _report = run_shard_epoch((state, epoch, {}, params))
+    first = _shard_digest(state)
+    assert first["pkts"] > 0 and first["bytes"] > 0
+    assert first["live_flows"] == first["store"]["live"] > 0
+    assert _shard_digest(state) == {**first, "pkts": 0, "bytes": 0}
 
 
 def test_fleet_experiment_seed_sensitivity():
@@ -609,25 +654,22 @@ def test_cli_rejects_bad_shards(capsys):
 
 
 def test_cli_fleet_resident_flag(capsys):
+    """The residency switch is gone: the pool is chosen by the effective
+    worker count alone, so the old flag is an unknown option."""
     from repro.experiments.runner import main
-    assert main(["fleet", "--fast", "--shards", "2", "--jobs", "2",
-                 "--resident"]) == 0
-    resident_out = capsys.readouterr().out
-    assert main(["fleet", "--fast", "--shards", "2", "--jobs", "2",
-                 "--no-resident"]) == 0
-    swept_out = capsys.readouterr().out
-
-    def table(out):  # strip the timing line, keep the rendered result
-        return out.split("[fleet finished")[0]
-
-    assert table(resident_out) == table(swept_out)
-    assert "residency mode" in resident_out
+    for flag in ("--resident", "--no-resident"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--fast", "--shards", "2", "--jobs", "2", flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert main(["fleet", "--fast", "--shards", "2", "--jobs", "2"]) == 0
+    assert "residency mode" in capsys.readouterr().out
 
 
 def test_runner_forwards_shards_only_when_accepted():
     from repro.experiments.runner import _run_kwargs
 
-    def fleet_like(seed=0, jobs=1, shards=None, resident=None):
+    def fleet_like(seed=0, jobs=1, shards=None):
         pass
 
     def classic(seed=0, jobs=1):
@@ -635,9 +677,5 @@ def test_runner_forwards_shards_only_when_accepted():
 
     assert _run_kwargs(fleet_like, 3, 2, 4) \
         == dict(seed=3, jobs=2, shards=4)
-    assert _run_kwargs(fleet_like, 3, 2, 4, True) \
-        == dict(seed=3, jobs=2, shards=4, resident=True)
-    assert _run_kwargs(fleet_like, 3, 2, None, False) \
-        == dict(seed=3, jobs=2, resident=False)
     assert _run_kwargs(fleet_like, 3, 2, None) == dict(seed=3, jobs=2)
-    assert _run_kwargs(classic, 3, 2, 4, True) == dict(seed=3, jobs=2)
+    assert _run_kwargs(classic, 3, 2, 4) == dict(seed=3, jobs=2)

@@ -248,6 +248,10 @@ def _advance(state, payload):
     return state + payload, state * 2
 
 
+def _identity(state):
+    return state
+
+
 def test_resident_pool_runtime_stats_and_liveness():
     from repro.experiments.parallel import ResidentPool
     pool = ResidentPool(_advance, [1, 2, 3, 4], jobs=2)
@@ -255,7 +259,7 @@ def test_resident_pool_runtime_stats_and_liveness():
         assert pool.alive() == [True, True]
         pool.step(10)
         pool.step(10)
-        pool.collect()
+        assert pool.collect(_identity) == [21, 22, 23, 24]
         stats = pool.runtime_stats()
     finally:
         pool.close()
@@ -280,7 +284,7 @@ def test_resident_pool_runtime_stats_in_process():
     from repro.experiments.parallel import ResidentPool
     pool = ResidentPool(_advance, [1, 2], jobs=1)
     pool.step(1)
-    pool.collect()
+    assert pool.collect(_identity) == [2, 3]
     stats = pool.runtime_stats()
     assert stats["jobs"] == 1
     assert stats["workers"][0]["steps"] == 1

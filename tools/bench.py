@@ -222,7 +222,8 @@ def run_fleet_mode(args) -> int:
     accounting, and writes BENCH_fleet.json.
     With ``--smoke``: re-runs only the 500-vSwitch point, requires the
     shards-1-vs-2 output to be byte-identical AND the resident-pool
-    output (at 400 vSwitches, pool on vs off) to be byte-identical, and
+    output (at 400 vSwitches, in-process loop vs pool) to be
+    byte-identical, and
     gates its peak memory against the committed baseline (per-entry
     ``gate_tolerance``).
     """
@@ -238,7 +239,7 @@ def run_fleet_mode(args) -> int:
             return 1
         if not entry["identical_with_resident_pool"]:
             print("\nerror: fleet output diverged between the resident "
-                  "worker pool and the per-epoch sweep", file=sys.stderr)
+                  "worker pool and the in-process loop", file=sys.stderr)
             return 1
         if not output.exists():
             print(f"error: no baseline at {output}; run --fleet without "

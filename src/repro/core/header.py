@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from repro.errors import DecodeError
@@ -29,49 +30,53 @@ from repro.net.udp import UdpHeader
 from repro.net.five_tuple import PROTO_UDP
 from repro.vswitch.actions import PreAction, PreActions, Verdict
 from repro.vswitch.rule_tables import Location
-from repro.vswitch.state import SessionState, StatsPolicy
+from repro.vswitch.state import (STATS_POLICY_BY_CODE, SessionState,
+                                 StatsPolicy)
 
 KIND_TX = b"T"
 KIND_RX = b"R"
 KIND_NOTIFY = b"N"
 
+# One struct per TLV payload; enum members come from tables, not calls.
+_PRE_ACTIONS = struct.Struct("!cc??BB2x")  # verdicts, stateful flags, policy, qos
+_FIVE_TUPLE = struct.Struct("!IIBHH")
+_VNIC = struct.Struct("!I")
+
 
 def encode_pre_actions(pre: PreActions) -> bytes:
     """Pack the fields the BE needs to finish RX processing (8 bytes)."""
-    return (pre.tx.verdict.to_wire() + pre.rx.verdict.to_wire()
-            + (b"\x01" if pre.tx.stateful_acl else b"\x00")
-            + (b"\x01" if pre.rx.stateful_acl else b"\x00")
-            + pre.rx.stats_policy.to_wire()
-            + bytes([pre.rx.qos_class & 0xFF])
-            + b"\x00\x00")
+    tx, rx = pre.tx, pre.rx
+    return _PRE_ACTIONS.pack(tx.verdict.to_wire(), rx.verdict.to_wire(),
+                             tx.stateful_acl, rx.stateful_acl,
+                             rx.stats_policy.value, rx.qos_class & 0xFF)
 
 
 def decode_pre_actions(data: bytes) -> PreActions:
-    if len(data) < 8:
+    if len(data) < _PRE_ACTIONS.size:
         raise DecodeError(f"pre-actions blob needs 8B, got {len(data)}")
-    tx = PreAction(verdict=Verdict.from_wire(data[0:1]),
-                   stateful_acl=bool(data[2]))
-    rx = PreAction(verdict=Verdict.from_wire(data[1:2]),
-                   stateful_acl=bool(data[3]),
-                   stats_policy=StatsPolicy.from_wire(data[4:5]),
-                   qos_class=data[5])
-    tx.stats_policy = rx.stats_policy
-    return PreActions(tx, rx)
+    tx_verdict, rx_verdict, tx_stateful, rx_stateful, policy, qos = (
+        _PRE_ACTIONS.unpack_from(data))
+    try:
+        policy = STATS_POLICY_BY_CODE[policy]
+    except KeyError:
+        raise DecodeError(f"unknown stats policy {policy}") from None
+    return PreActions(
+        PreAction(verdict=Verdict.from_wire(tx_verdict),
+                  stateful_acl=tx_stateful, stats_policy=policy),
+        PreAction(verdict=Verdict.from_wire(rx_verdict),
+                  stateful_acl=rx_stateful, stats_policy=policy,
+                  qos_class=qos))
 
 
 def encode_five_tuple(ft: FiveTuple) -> bytes:
-    return (ft.src_ip.to_bytes() + ft.dst_ip.to_bytes() + bytes([ft.proto])
-            + struct.pack("!HH", ft.src_port, ft.dst_port))
+    return _FIVE_TUPLE.pack(ft.src_ip.value, ft.dst_ip.value, ft.proto,
+                            ft.src_port, ft.dst_port)
 
 
 def decode_five_tuple(data: bytes) -> FiveTuple:
-    if len(data) < 13:
+    if len(data) < _FIVE_TUPLE.size:
         raise DecodeError(f"five-tuple blob needs 13B, got {len(data)}")
-    src = IPv4Address.from_bytes(data[0:4])
-    dst = IPv4Address.from_bytes(data[4:8])
-    proto = data[8]
-    sport, dport = struct.unpack("!HH", data[9:13])
-    return FiveTuple(src, dst, proto, sport, dport)
+    return FiveTuple(*_FIVE_TUPLE.unpack_from(data))
 
 
 @dataclass
@@ -87,62 +92,78 @@ class NezhaMeta:
     notify_policy: Optional[StatsPolicy] = None
 
     def to_context(self) -> NshContext:
-        ctx = NshContext()
-        ctx.put(NshContext.DIRECTION, self.kind)
-        ctx.put(NshContext.VNIC, struct.pack("!I", self.vnic_id))
+        entries = {NshContext.DIRECTION: self.kind,
+                   NshContext.VNIC: _VNIC.pack(self.vnic_id)}
         if self.state is not None:
-            ctx.put(NshContext.STATE, self.state.to_wire())
+            entries[NshContext.STATE] = self.state.to_wire()
         if self.pre_actions is not None:
-            ctx.put(NshContext.PRE_ACTIONS, encode_pre_actions(self.pre_actions))
+            entries[NshContext.PRE_ACTIONS] = encode_pre_actions(
+                self.pre_actions)
         if self.overlay_src is not None:
-            ctx.put(NshContext.STATE_INIT, self.overlay_src.to_bytes())
+            entries[NshContext.STATE_INIT] = self.overlay_src.to_bytes()
         if self.notify_five_tuple is not None:
-            payload = encode_five_tuple(self.notify_five_tuple)
-            payload += (self.notify_policy or StatsPolicy.NONE).to_wire()
-            ctx.put(NshContext.NOTIFY, payload)
-        return ctx
+            entries[NshContext.NOTIFY] = (
+                encode_five_tuple(self.notify_five_tuple)
+                + (self.notify_policy or StatsPolicy.NONE).to_wire())
+        return NshContext(entries)
 
     @classmethod
     def from_context(cls, ctx: NshContext) -> "NezhaMeta":
-        kind = ctx.get(NshContext.DIRECTION)
-        (vnic_id,) = struct.unpack("!I", ctx.get(NshContext.VNIC))
-        meta = cls(kind=kind, vnic_id=vnic_id)
-        if NshContext.STATE in ctx:
-            meta.state = SessionState.from_wire(ctx.get(NshContext.STATE))
-        if NshContext.PRE_ACTIONS in ctx:
-            meta.pre_actions = decode_pre_actions(
-                ctx.get(NshContext.PRE_ACTIONS))
-        if NshContext.STATE_INIT in ctx:
-            meta.overlay_src = IPv4Address.from_bytes(
-                ctx.get(NshContext.STATE_INIT))
-        if NshContext.NOTIFY in ctx:
-            blob = ctx.get(NshContext.NOTIFY)
-            meta.notify_five_tuple = decode_five_tuple(blob[:13])
+        """A decoded *snapshot*: every field is rebuilt from the TLV
+        bytes, so the FE never sees the BE's live ``SessionState``."""
+        entries = ctx.entries
+        (vnic_id,) = _VNIC.unpack(ctx.get(NshContext.VNIC))
+        meta = cls(ctx.get(NshContext.DIRECTION), vnic_id)
+        blob = entries.get(NshContext.STATE)
+        if blob is not None:
+            meta.state = SessionState.from_wire(blob)
+        blob = entries.get(NshContext.PRE_ACTIONS)
+        if blob is not None:
+            meta.pre_actions = decode_pre_actions(blob)
+        blob = entries.get(NshContext.STATE_INIT)
+        if blob is not None:
+            meta.overlay_src = IPv4Address.from_bytes(blob)
+        blob = entries.get(NshContext.NOTIFY)
+        if blob is not None:
+            meta.notify_five_tuple = decode_five_tuple(blob)
             meta.notify_policy = StatsPolicy.from_wire(blob[13:14])
         return meta
+
+
+@lru_cache(maxsize=4096)
+def _hop_ethernet(dst_mac: int, src_mac: int) -> EthernetHeader:
+    """The hop's per-peer template — what
+    :class:`~repro.net.packet.EncapTemplate` is to VXLAN: one outer
+    Ethernet header per (peer, sender) pair, shared by every hop between
+    them (nothing mutates it in flight). The outer IPv4/UDP carry
+    per-packet lengths, entropy and a TTL the underlay decrements, so
+    they are built per hop around the peers' own address objects."""
+    return EthernetHeader(MacAddress(dst_mac), MacAddress(src_mac))
 
 
 def build_nezha_hop(src_ip: IPv4Address, src_mac: MacAddress,
                     dst: Location, meta: NezhaMeta,
                     inner: Optional[Packet] = None,
                     entropy: int = 0) -> Packet:
-    """Wrap ``inner`` (or nothing, for a notify) for the BE↔FE hop."""
+    """Wrap ``inner`` (or nothing, for a notify) for the BE↔FE hop.
+
+    Reading ``nsh.wire_length`` seals the context: the hop's one TLV
+    encode, and where an over-long context raises ``DecodeError``."""
     nsh = NshHeader(spi=meta.vnic_id & 0xFFFFFF, si=255,
                     context=meta.to_context())
-    inner_layers = list(inner.layers) if inner is not None else []
-    inner_payload = inner.payload if inner is not None else b""
-    inner_len = inner.wire_length if inner is not None else 0
-    udp_len = UdpHeader.wire_length + nsh.wire_length + inner_len
+    udp_len = UdpHeader.wire_length + nsh.wire_length
+    if inner is not None:
+        udp_len += inner.wire_length
     total = IPv4Header.wire_length + udp_len
-    src_port = 49152 + (entropy & 0x3FFF)
-    layers = [
-        EthernetHeader(dst.underlay_mac, src_mac),
+    outer = [
+        _hop_ethernet(dst.underlay_mac.value, src_mac.value),
         IPv4Header(src_ip, dst.underlay_ip, PROTO_UDP, total_length=total),
-        UdpHeader(src_port, NSH_PORT, udp_len),
+        UdpHeader(49152 + (entropy & 0x3FFF), NSH_PORT, udp_len),
         nsh,
-    ] + inner_layers
-    meta_dict = dict(inner.meta) if inner is not None else {}
-    return Packet(layers, inner_payload, meta_dict)
+    ]
+    if inner is None:
+        return Packet(outer)
+    return inner.wrapped(outer, EthernetHeader.wire_length + total)
 
 
 def unwrap_nezha_hop(packet: Packet) -> NezhaMeta:
@@ -152,14 +173,14 @@ def unwrap_nezha_hop(packet: Packet) -> NezhaMeta:
     notify, a placeholder NSH layer remains — notify packets carry no
     tenant payload and are consumed by the BE).
     """
-    nsh = packet.find(NshHeader)
-    if nsh is None:
-        raise DecodeError("not a Nezha hop packet (no NSH layer)")
-    meta = NezhaMeta.from_context(nsh.context)
-    index = packet.layers.index(nsh)
-    if index + 1 < len(packet.layers):
-        packet.layers[:index + 1] = []
-    else:
-        packet.layers[:index] = []  # keep the NSH layer as placeholder
-    packet.invalidate_flow_cache()  # layer surgery bypassed Packet.decap
+    layers = packet.layers
+    index = 3  # the hop's fixed shape: Eth / IPv4 / UDP / NSH
+    if len(layers) <= index or type(layers[index]) is not NshHeader:
+        nsh = packet.find(NshHeader)
+        if nsh is None:
+            raise DecodeError("not a Nezha hop packet (no NSH layer)")
+        index = layers.index(nsh)
+    meta = NezhaMeta.from_context(layers[index].context)
+    # A notify's NSH layer is the last one: it stays as the placeholder.
+    packet.decap(index + 1 if index + 1 < len(layers) else index)
     return meta

@@ -118,11 +118,12 @@ class Link:
             return
         now = self.engine.now
         start = max(now, self._busy_until[id(from_port)])
-        tx_time = packet.wire_length * 8 / self.bits_per_second
+        wire = packet.wire_length
+        tx_time = wire * 8 / self.bits_per_second
         self._busy_until[id(from_port)] = start + tx_time
         arrive = start + tx_time + self.latency
         self.packets_carried += 1
-        self.bytes_carried += packet.wire_length
+        self.bytes_carried += wire
         to_port = from_port.peer
         self.engine.call_at(arrive, to_port.device.receive, packet, to_port)
 

@@ -26,8 +26,9 @@ class EthernetHeader:
 
     def __init__(self, dst: MacAddress, src: MacAddress,
                  ethertype: int = ETHERTYPE_IPV4) -> None:
-        self.dst = MacAddress(dst)
-        self.src = MacAddress(src)
+        # A MacAddress is an immutable value object: keep the one given.
+        self.dst = dst if type(dst) is MacAddress else MacAddress(dst)
+        self.src = src if type(src) is MacAddress else MacAddress(src)
         if not 0 <= ethertype <= 0xFFFF:
             raise DecodeError(f"ethertype out of range: {ethertype:#x}")
         self.ethertype = ethertype

@@ -40,8 +40,12 @@ class FiveTuple:
         src_port: int,
         dst_port: int,
     ) -> None:
-        self.src_ip = IPv4Address(src_ip)
-        self.dst_ip = IPv4Address(dst_ip)
+        # An IPv4Address is an immutable value object: keep the one given,
+        # coerce (and range-check) anything else.
+        self.src_ip = (src_ip if type(src_ip) is IPv4Address
+                       else IPv4Address(src_ip))
+        self.dst_ip = (dst_ip if type(dst_ip) is IPv4Address
+                       else IPv4Address(dst_ip))
         self.proto = int(proto)
         self.src_port = int(src_port)
         self.dst_port = int(dst_port)

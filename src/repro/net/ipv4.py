@@ -34,8 +34,10 @@ class IPv4Header:
         flags: int = 0,
         frag_offset: int = 0,
     ) -> None:
-        self.src = IPv4Address(src)
-        self.dst = IPv4Address(dst)
+        # An IPv4Address is an immutable value object: keep the one given,
+        # coerce (and range-check) anything else.
+        self.src = src if type(src) is IPv4Address else IPv4Address(src)
+        self.dst = dst if type(dst) is IPv4Address else IPv4Address(dst)
         if not 0 <= proto <= 255:
             raise DecodeError(f"bad protocol: {proto}")
         if not HEADER_LEN <= total_length <= 0xFFFF:

@@ -18,17 +18,21 @@ Wire format implemented here:
 from __future__ import annotations
 
 import struct
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import DecodeError
 from repro.net.slotcopy import slot_copy
 
 BASE_LEN = 8
+MAX_CONTEXT_LEN = 0x3F * 4 - BASE_LEN  # the length field is 6 bits of words
 MD_TYPE_2 = 0x02
 TLV_CLASS_NEZHA = 0x0103  # experimental class for Nezha metadata
 
 NEXT_PROTO_IPV4 = 0x01
 NEXT_PROTO_ETHERNET = 0x03
+
+_TLV_HEAD = struct.Struct("!HBB").pack
+_PAD = (b"", b"\x00" * 3, b"\x00" * 2, b"\x00")  # by value length mod 4
 
 
 class NshContext:
@@ -37,6 +41,12 @@ class NshContext:
     A mapping from small integer TLV types to byte strings. Symbolic names
     for the types Nezha uses are provided as class attributes; the codec
     itself is type-agnostic.
+
+    :meth:`encode` seals the context: the TLV bytes are built once and
+    kept until the next :meth:`put`, and they are what
+    :attr:`wire_length` measures — so a hop's length on a link is the
+    length of bytes that exist, and a context no NSH header could carry
+    fails where it is sealed (when the hop is built).
     """
 
     # TLV types used by Nezha (see repro.core.header for the payloads).
@@ -47,10 +57,11 @@ class NshContext:
     VNIC = 0x05         # vNIC id the metadata belongs to
     DIRECTION = 0x06    # TX/RX marker
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_enc")
 
     def __init__(self, entries: Dict[int, bytes] = None) -> None:
         self.entries = dict(entries or {})
+        self._enc: Optional[bytes] = None
         for tlv_type, value in self.entries.items():
             self._validate(tlv_type, value)
 
@@ -64,6 +75,7 @@ class NshContext:
     def put(self, tlv_type: int, value: bytes) -> "NshContext":
         self._validate(tlv_type, value)
         self.entries[tlv_type] = value
+        self._enc = None
         return self
 
     def get(self, tlv_type: int) -> bytes:
@@ -82,14 +94,25 @@ class NshContext:
         return len(self.entries)
 
     def encode(self) -> bytes:
-        out = bytearray()
-        for tlv_type in sorted(self.entries):
-            value = self.entries[tlv_type]
-            out += struct.pack("!HBB", TLV_CLASS_NEZHA, tlv_type, len(value))
-            out += value
-            pad = (-len(value)) % 4
-            out += b"\x00" * pad
-        return bytes(out)
+        enc = self._enc
+        if enc is None:
+            parts = []
+            for tlv_type, value in sorted(self.entries.items()):
+                length = len(value)
+                parts += (_TLV_HEAD(TLV_CLASS_NEZHA, tlv_type, length),
+                          value, _PAD[length & 3])
+            enc = b"".join(parts)
+            if len(enc) > MAX_CONTEXT_LEN:
+                raise DecodeError(
+                    f"NSH context too long: {len(enc)}B > {MAX_CONTEXT_LEN}B")
+            self._enc = enc
+        return enc
+
+    @property
+    def wire_length(self) -> int:
+        """Length of the sealed TLV bytes (sealing them if need be)."""
+        enc = self._enc
+        return len(enc if enc is not None else self.encode())
 
     @classmethod
     def decode(cls, data: bytes) -> "NshContext":
@@ -137,19 +160,15 @@ class NshHeader:
 
     @property
     def wire_length(self) -> int:
-        return BASE_LEN + len(self.context.encode())
+        return BASE_LEN + self.context.wire_length
 
     def encode(self) -> bytes:
         ctx = self.context.encode()
-        total_words = (BASE_LEN + len(ctx)) // 4
-        if total_words > 0x3F:
-            raise DecodeError(f"NSH too long: {total_words} words")
         # 16 bits: version(2)=0 | O(1)=0 | U(1)=0 | TTL(6)=63 | length(6),
         # then MD-type byte and next-protocol byte.
-        hword = (63 << 6) | total_words
-        base = struct.pack("!HBB", hword, MD_TYPE_2, self.next_proto)
-        sp = struct.pack("!I", (self.spi << 8) | self.si)
-        return base + sp + ctx
+        hword = (63 << 6) | (BASE_LEN + len(ctx)) // 4
+        return struct.pack("!HBBI", hword, MD_TYPE_2, self.next_proto,
+                           (self.spi << 8) | self.si) + ctx
 
     @classmethod
     def decode(cls, data: bytes) -> Tuple["NshHeader", bytes]:

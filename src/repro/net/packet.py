@@ -35,6 +35,7 @@ NSH_PORT = 4790  # VXLAN-GPE port, next-protocol NSH
 Header = Union[EthernetHeader, IPv4Header, TcpHeader, UdpHeader,
                IcmpHeader, VxlanHeader, NshHeader]
 H = TypeVar("H")
+_L4_HEADERS = (TcpHeader, UdpHeader, IcmpHeader)
 
 
 class Packet:
@@ -43,9 +44,13 @@ class Packet:
     ``five_tuple()``, ``wire_length``, and :meth:`encode` are memoized:
     all three walk the layer stack, and the data path consults the first
     two several times per hop while the codec path re-serializes
-    identical headers otherwise. The memos are invalidated by
-    :meth:`encap`/:meth:`decap`/:meth:`decap_until`; code that mutates
-    header fields in place (the NAT rewrites) must call
+    identical headers otherwise. The flow key and the wire length are
+    *carried*: pushing or popping outer headers cannot touch the
+    innermost ones, so :meth:`encap`/:meth:`decap`/:meth:`decap_until`
+    keep the key and adjust the length by the layers moved, and
+    :meth:`wrapped` hands both to the packet it builds around the same
+    header objects (only the encoded bytes are dropped). Code that
+    mutates header fields in place (the NAT rewrites) must call
     :meth:`invalidate_flow_cache` afterwards (see DESIGN.md §3).
     """
 
@@ -128,7 +133,7 @@ class Packet:
 
     def inner_l4(self) -> Union[TcpHeader, UdpHeader, IcmpHeader]:
         for layer in reversed(self.layers):
-            if isinstance(layer, (TcpHeader, UdpHeader, IcmpHeader)):
+            if isinstance(layer, _L4_HEADERS):
                 return layer
         raise PacketError("packet has no L4 header")
 
@@ -166,34 +171,61 @@ class Packet:
 
     def encap(self, *outer_layers: Header) -> "Packet":
         """Push extra outer headers (given outer-first); returns self."""
-        self.layers[:0] = list(outer_layers)
-        self._ft = None
-        self._wire = None
+        self.layers[:0] = outer_layers
+        if self._wire is not None:
+            for layer in outer_layers:
+                self._wire += layer.wire_length
         self._enc = None
         return self
+
+    def wrapped(self, outer_layers: List[Header], wire_length: int) -> "Packet":
+        """A new packet of ``wire_length`` bytes: ``outer_layers`` around
+        this packet's own header objects, carrying its flow key."""
+        new = Packet.__new__(Packet)
+        new.layers = outer_layers + self.layers
+        new.payload = self.payload
+        new.meta = dict(self.meta)
+        new._ft = self._ft
+        new._wire = wire_length
+        new._enc = None
+        return new
+
+    def _pop(self, count: int) -> List[Header]:
+        """Front pop that carries the parse: the length shrinks by what
+        left; the flow key survives while an IPv4 and an L4 header remain
+        (the innermost of each is the last one, so a front pop cannot
+        reach it without taking every other one first)."""
+        removed, self.layers = self.layers[:count], self.layers[count:]
+        if self._wire is not None:
+            for layer in removed:
+                self._wire -= layer.wire_length
+        if self._ft is not None:
+            has_ip = has_l4 = False
+            for layer in reversed(self.layers):
+                if isinstance(layer, IPv4Header):
+                    has_ip = True
+                elif isinstance(layer, _L4_HEADERS):
+                    has_l4 = True
+                if has_ip and has_l4:
+                    break
+            else:
+                self._ft = None
+        self._enc = None
+        return removed
 
     def decap(self, count: int = 1) -> List[Header]:
         """Pop ``count`` outermost headers; returns them."""
         if count >= len(self.layers):
             raise PacketError("decap would remove every header")
-        removed, self.layers = self.layers[:count], self.layers[count:]
-        self._ft = None
-        self._wire = None
-        self._enc = None
-        return removed
+        return self._pop(count)
 
     def decap_until(self, header_type: Type[Header]) -> List[Header]:
-        """Pop outer headers until the outermost is ``header_type``."""
-        removed: List[Header] = []
-        while self.layers and not isinstance(self.layers[0], header_type):
-            if len(self.layers) == 1:
-                raise PacketError(f"no {header_type.__name__} layer to decap to")
-            removed.append(self.layers.pop(0))
-        if removed:
-            self._ft = None
-            self._wire = None
-            self._enc = None
-        return removed
+        """Pop outer headers until the outermost is ``header_type``; a
+        packet without one is left untouched."""
+        for count, layer in enumerate(self.layers):
+            if isinstance(layer, header_type):
+                return self._pop(count) if count else []
+        raise PacketError(f"no {header_type.__name__} layer to decap to")
 
     def copy(self) -> "Packet":
         """A shallow-header copy (headers re-decoded from bytes would be
@@ -318,39 +350,41 @@ class Packet:
         return f"Packet({names}, {self.wire_length}B)"
 
 
+#: The synthetic inner Ethernet header of the VXLAN transport: the same
+#: for every tenant packet and never mutated, so one object serves all.
+_INNER_ETH = EthernetHeader(MacAddress(0x02_00_00_00_00_02),
+                            MacAddress(0x02_00_00_00_00_01))
+
+
 def make_underlay_transport(
     src_mac: MacAddress, dst_mac: MacAddress,
     src_ip: IPv4Address, dst_ip: IPv4Address,
     inner: Packet, vni: int, src_port: int = 49152,
 ) -> Packet:
     """Wrap a tenant packet in the standard VXLAN overlay transport."""
-    inner_bytes_len = inner.wire_length
-    inner_eth = EthernetHeader(MacAddress(0x02_00_00_00_00_02),
-                               MacAddress(0x02_00_00_00_00_01))
-    udp_len = (UdpHeader.wire_length + VxlanHeader.wire_length
-               + EthernetHeader.wire_length + inner_bytes_len)
+    udp_len = EncapTemplate.OVERHEAD + inner.wire_length
     total = IPv4Header.wire_length + udp_len
     outer = [
         EthernetHeader(dst_mac, src_mac),
         IPv4Header(src_ip, dst_ip, PROTO_UDP, total_length=total),
         UdpHeader(src_port, VXLAN_PORT, udp_len),
         VxlanHeader(vni),
-        inner_eth,
+        _INNER_ETH,
     ]
-    wrapped = Packet(outer + inner.layers, inner.payload, dict(inner.meta))
-    return wrapped
+    return inner.wrapped(outer, EthernetHeader.wire_length + total)
 
 
 class EncapTemplate:
     """Per-(flow, overlay) cache of the constant VXLAN transport headers.
 
-    :func:`make_underlay_transport` builds five header objects per
-    forwarded packet, but for a given session-and-route three of them —
-    the outer Ethernet, the VXLAN header, and the synthetic inner
-    Ethernet — are identical across every packet, and nothing downstream
-    mutates them in place (the underlay only decrements the outer IPv4
-    TTL, and :meth:`Packet.copy` shallow-copies layers before any NAT
-    surgery). Those three are built once here and shared across wraps.
+    :func:`make_underlay_transport` builds four header objects per
+    forwarded packet, but for a given session-and-route two of them —
+    the outer Ethernet and the VXLAN header — are identical across every
+    packet (as is the synthetic inner Ethernet, one shared constant), and
+    nothing downstream mutates them in place (the underlay only
+    decrements the outer IPv4 TTL, and :meth:`Packet.copy` shallow-copies
+    layers before any NAT surgery). They are built once here and shared
+    across wraps.
     The outer IPv4 and UDP headers carry per-packet lengths and the TTL
     is mutated in flight, so they stay per-wrap.
 
@@ -378,8 +412,7 @@ class EncapTemplate:
         self.src_port = src_port
         self.eth = EthernetHeader(dst_mac, src_mac)
         self.vxlan = VxlanHeader(vni)
-        self.inner_eth = EthernetHeader(MacAddress(0x02_00_00_00_00_02),
-                                        MacAddress(0x02_00_00_00_00_01))
+        self.inner_eth = _INNER_ETH
 
     def matches(self, src_mac: MacAddress, dst_mac: MacAddress,
                 src_ip: IPv4Address, dst_ip: IPv4Address,
@@ -404,4 +437,4 @@ class EncapTemplate:
             self.vxlan,
             self.inner_eth,
         ]
-        return Packet(outer + inner.layers, inner.payload, dict(inner.meta))
+        return inner.wrapped(outer, EthernetHeader.wire_length + total)

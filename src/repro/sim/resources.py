@@ -77,11 +77,15 @@ class CpuResource:
         """Seconds one core needs for ``cycles`` cycles."""
         return cycles / self.hz
 
-    def _book(self, cycles: float) -> float:
+    def _admit(self, cycles: float,
+               max_backlog: Optional[float] = None) -> Optional[float]:
         """Reserve the least-loaded core for ``cycles``; returns the
-        completion time. The argmin runs through C-level ``min`` +
-        ``list.index`` instead of a per-core lambda — this is the single
-        hottest expression in a CPS sweep."""
+        completion time, or None — counting a rejection — when that
+        core's backlog exceeds ``max_backlog`` seconds (drop-tail; None
+        admits unconditionally). The one admit-and-book step behind
+        every submission method: the argmin runs once, through C-level
+        ``min`` + ``list.index`` — the single hottest expression in a
+        CPS sweep."""
         free = self._free_at
         if len(free) == 1:
             core = 0
@@ -90,40 +94,40 @@ class CpuResource:
             start = min(free)
             core = free.index(start)
         now = self.engine.now
+        if max_backlog is not None and start - now > max_backlog:
+            self.jobs_rejected += 1
+            return None
         if start < now:
             start = now
         end = start + cycles / self.hz
         free[core] = end
-        self._record_busy(start, end)
+        self._busy.append((start, end))
         self.total_cycles += cycles
         self.jobs_done += 1
         return end
 
-    def submit(self, cycles: float) -> Event:
-        """Enqueue a job; returns an Event fired at its completion time."""
-        end = self._book(cycles)
+    def _event_at(self, end: Optional[float]) -> Optional[Event]:
+        """An Event fired at a booked job's completion time."""
+        if end is None:
+            return None
         done = self.engine.event(name=f"{self.name}.job")
         self.engine.call_at(end, done.succeed, None)
         return done
 
+    def submit(self, cycles: float) -> Event:
+        """Enqueue a job; returns an Event fired at its completion time."""
+        return self._event_at(self._admit(cycles))
+
     def execute(self, cycles: float) -> Generator[Any, Any, None]:
         """Process-style helper: ``yield from cpu.execute(cycles)``."""
         yield self.submit(cycles)
-
-    def _backlogged(self, max_backlog: float) -> bool:
-        free = self._free_at
-        head = free[0] if len(free) == 1 else min(free)
-        return head - self.engine.now > max_backlog
 
     def try_submit(self, cycles: float, max_backlog: float) -> Optional[Event]:
         """Submit unless the least-loaded core's backlog exceeds
         ``max_backlog`` seconds; returns None (and counts a rejection) when
         the job is dropped. This models drop-tail under overload.
         """
-        if self._backlogged(max_backlog):
-            self.jobs_rejected += 1
-            return None
-        return self.submit(cycles)
+        return self._event_at(self._admit(cycles, max_backlog))
 
     def try_book(self, cycles: float, max_backlog: float) -> Optional[float]:
         """Drop-tail admission returning the bare completion time.
@@ -131,10 +135,7 @@ class CpuResource:
         The direct-dispatch twin of :meth:`try_submit`: the caller
         schedules its own completion callback, so no Event is built.
         """
-        if self._backlogged(max_backlog):
-            self.jobs_rejected += 1
-            return None
-        return self._book(cycles)
+        return self._admit(cycles, max_backlog)
 
     def try_submit_call(self, cycles: float, max_backlog: float,
                         fn: Callable[..., None], *args: Any) -> bool:
@@ -145,10 +146,9 @@ class CpuResource:
         resumed by the job's Event would run at — so schedules are
         indistinguishable from the event-driven path.
         """
-        if self._backlogged(max_backlog):
-            self.jobs_rejected += 1
+        end = self._admit(cycles, max_backlog)
+        if end is None:
             return False
-        end = self._book(cycles)
         engine = self.engine
         engine.call_at(end, engine.call_soon, fn, *args)
         return True
@@ -171,9 +171,6 @@ class CpuResource:
             # has a backlog; only the portion inside [lo, now] counts.
             busy += max(0.0, min(end, now) - max(start, lo))
         return min(1.0, busy / (self.util_window * self.cores))
-
-    def _record_busy(self, start: float, end: float) -> None:
-        self._busy.append((start, end))
 
     def _prune(self, lo: float) -> None:
         while self._busy and self._busy[0][1] < lo:

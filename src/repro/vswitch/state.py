@@ -14,6 +14,7 @@ use it).
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
@@ -119,24 +120,32 @@ class SessionState:
 
     def to_wire(self) -> bytes:
         """Compact encoding of the fields the FE needs (§3.2.1)."""
-        direction = (self.first_direction.to_wire()
-                     if self.first_direction is not None else b"?")
-        decap = (self.decap_overlay_src.to_bytes()
-                 if self.decap_overlay_src is not None else b"\x00" * 4)
-        has_decap = b"\x01" if self.decap_overlay_src is not None else b"\x00"
-        return (direction + bytes([self.tcp_state.value])
-                + self.stats_policy.to_wire() + has_decap + decap)
+        direction = self.first_direction
+        decap = self.decap_overlay_src
+        return _WIRE.pack(
+            b"?" if direction is None else direction.to_wire(),
+            self.tcp_state.value, self.stats_policy.value,
+            decap is not None, decap.value if decap is not None else 0)
 
     @classmethod
     def from_wire(cls, data: bytes) -> "SessionState":
         from repro.vswitch.actions import Direction
-        if len(data) < 8:
+        if len(data) < _WIRE.size:
             raise ValueError(f"state blob needs 8B, got {len(data)}")
-        state = cls()
-        if data[0:1] != b"?":
-            state.first_direction = Direction.from_wire(data[0:1])
-        state.tcp_state = TcpState(data[1])
-        state.stats_policy = StatsPolicy.from_wire(data[2:3])
-        if data[3]:
-            state.decap_overlay_src = IPv4Address.from_bytes(data[4:8])
+        direction, tcp, policy, has_decap, decap = _WIRE.unpack_from(data)
+        try:
+            state = cls(tcp_state=_TCP_STATES[tcp],
+                        stats_policy=STATS_POLICY_BY_CODE[policy])
+        except KeyError as exc:
+            raise ValueError(f"state blob has unknown code {exc}") from None
+        if direction != b"?":
+            state.first_direction = Direction.from_wire(direction)
+        if has_decap:
+            state.decap_overlay_src = IPv4Address(decap)
         return state
+
+
+# first direction | TCP state | stats policy | has-decap flag | decap source
+_WIRE = struct.Struct("!cBB?I")
+_TCP_STATES = {member.value: member for member in TcpState}
+STATS_POLICY_BY_CODE = {member.value: member for member in StatsPolicy}

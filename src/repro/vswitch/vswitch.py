@@ -373,7 +373,9 @@ class VSwitch:
         if self.crashed:
             self.stats.crashed_drops += 1
             return
-        udp = packet.find(UdpHeader)
+        udp, after = _underlay_frame(packet)
+        if udp is None:
+            udp = packet.find(UdpHeader)
         if udp is not None and udp.dst_port == NSH_PORT:
             self.stats.nsh_received += 1
             if self.nsh_handler is not None:
@@ -382,7 +384,8 @@ class VSwitch:
         if udp is not None and udp.dst_port == PROBE_PORT:
             self._answer_probe(packet)
             return
-        vxlan = packet.find(VxlanHeader)
+        vxlan = (after if type(after) is VxlanHeader
+                 else packet.find(VxlanHeader))
         if vxlan is not None:
             self._handle_overlay_rx(packet, vxlan.vni)
             return
@@ -419,12 +422,7 @@ class VSwitch:
         self.stats.rx_packets += 1
         if _spans.ACTIVE:
             _spans.hop(packet, "vswitch_rx", self.engine.now)
-        outer_ip = packet.find(IPv4Header)
-        outer_src = outer_ip.src if outer_ip is not None else None
-        packet.decap_until(VxlanHeader)
-        packet.decap(1)                      # VXLAN
-        packet.decap_until(IPv4Header)       # inner Ethernet
-        inner_ip = packet.expect(IPv4Header)
+        outer_src, inner_ip = _strip_overlay(packet)
         vnic = self.vnic_for(vni, inner_ip.dst)
         if vnic is None:
             if (self.overlay_fallback is not None
@@ -451,18 +449,15 @@ class VSwitch:
         if self.crashed:
             self.stats.crashed_drops += count
             return
-        vxlan = packet.find(VxlanHeader)
+        _udp, after = _underlay_frame(packet)
+        vxlan = (after if type(after) is VxlanHeader
+                 else packet.find(VxlanHeader))
         if vxlan is None or _spans.ACTIVE:
             for _ in range(count):
                 self._fabric_sink(packet.copy())
             return
         self.stats.rx_packets += count
-        outer_ip = packet.find(IPv4Header)
-        outer_src = outer_ip.src if outer_ip is not None else None
-        packet.decap_until(VxlanHeader)
-        packet.decap(1)                      # VXLAN
-        packet.decap_until(IPv4Header)       # inner Ethernet
-        inner_ip = packet.expect(IPv4Header)
+        outer_src, inner_ip = _strip_overlay(packet)
         vni = vxlan.vni
         vnic = self.vnic_for(vni, inner_ip.dst)
         if vnic is None:
@@ -591,6 +586,37 @@ class VSwitch:
         wrapped = tmpl.wrap(packet)
         self.stats.forwarded += count
         self.server.send_to_fabric_run(wrapped, count)
+
+
+def _underlay_frame(packet: Packet):
+    """``(outer UDP, the layer after it)`` read from the fixed slots of an
+    ``Eth / IPv4 / UDP / X`` underlay frame; ``(None, None)`` for any
+    other shape, which the caller classifies by scanning."""
+    layers = packet.layers
+    if (len(layers) > 3 and type(layers[2]) is UdpHeader
+            and type(layers[1]) is IPv4Header
+            and type(layers[0]) is EthernetHeader):
+        return layers[2], layers[3]
+    return None, None
+
+
+def _strip_overlay(packet: Packet):
+    """Pop the VXLAN transport off an overlay arrival (one ``decap`` for
+    the standard ``Eth / IPv4 / UDP / VXLAN / Eth / IPv4`` frame, header
+    scans for anything else); returns ``(outer source IP, inner IPv4)``."""
+    layers = packet.layers
+    _udp, vxlan = _underlay_frame(packet)
+    if (type(vxlan) is VxlanHeader and len(layers) > 5
+            and type(layers[4]) is EthernetHeader
+            and type(layers[5]) is IPv4Header):
+        packet.decap(5)
+        return layers[1].src, layers[5]
+    outer_ip = packet.find(IPv4Header)
+    outer_src = outer_ip.src if outer_ip is not None else None
+    packet.decap_until(VxlanHeader)
+    packet.decap(1)                      # VXLAN
+    packet.decap_until(IPv4Header)       # inner Ethernet
+    return outer_src, packet.expect(IPv4Header)
 
 
 class LocalDatapath(Datapath):

@@ -3,9 +3,11 @@
 import copy
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.header import (KIND_NOTIFY, KIND_RX, KIND_TX, NezhaMeta,
+                               build_nezha_hop, unwrap_nezha_hop)
 from repro.errors import PacketError
 from repro.net import (
     EthernetHeader, FiveTuple, IPv4Address, IPv4Header, MacAddress,
@@ -13,7 +15,12 @@ from repro.net import (
     VxlanHeader, PROTO_TCP,
 )
 from repro.net.icmp import IcmpHeader
-from repro.net.packet import NSH_PORT, make_underlay_transport
+from repro.net.packet import (NSH_PORT, EncapTemplate,
+                              make_underlay_transport)
+from repro.vswitch.actions import Direction, PreActions, Verdict
+from repro.vswitch.rule_tables import Location
+from repro.vswitch.state import SessionState, StatsPolicy
+from repro.vswitch.tcp_fsm import TcpState
 
 A = IPv4Address("10.0.0.1")
 B = IPv4Address("10.0.0.2")
@@ -219,3 +226,133 @@ def test_tcp_packet_wire_roundtrip_property(src, dst, sport, dport, payload):
     pkt = Packet.tcp(IPv4Address(src), IPv4Address(dst), sport, dport,
                      TcpFlags.of("ack"), payload)
     assert Packet.decode(pkt.encode(), first_layer="ipv4") == pkt
+
+
+# -- the carried parse (DESIGN §3): an oracle over random layer surgery --------------
+
+UNDERLAY = (MacAddress(1), MacAddress(2),
+            IPv4Address("172.16.0.1"), IPv4Address("172.16.0.2"))
+PEER = Location(IPv4Address("172.16.0.9"), MacAddress(9))
+
+_OPS = st.one_of(
+    st.tuples(st.just("encap"), st.sampled_from(["eth", "vxlan", "ip_udp"])),
+    st.tuples(st.just("decap"), st.integers(0, 7)),
+    st.tuples(st.just("decap_until"),
+              st.sampled_from([IPv4Header, VxlanHeader, EthernetHeader,
+                               TcpHeader, NshHeader])),
+    st.tuples(st.just("underlay"), st.integers(0, 0xFFFFFF)),
+    st.tuples(st.just("template"), st.integers(0, 0xFFFFFF)),
+    st.tuples(st.just("hop"), st.integers(0, 0xFFFF)),
+    st.tuples(st.just("copy"), st.none()),
+    st.tuples(st.just("edit"), st.integers(0, (1 << 32) - 1)),
+)
+
+
+def _apply(pkt, op, arg):
+    """One step of layer surgery; returns the packet to continue with."""
+    if op == "encap":
+        outer = {"eth": [EthernetHeader(MacAddress(3), MacAddress(4))],
+                 "vxlan": [VxlanHeader(5)],
+                 "ip_udp": [IPv4Header(A, B, 17, total_length=28),
+                            UdpHeader(7, 8)]}[arg]
+        return pkt.encap(*outer)
+    if op == "decap":
+        pkt.decap(arg)
+    elif op == "decap_until":
+        pkt.decap_until(arg)
+    elif op == "underlay":
+        return make_underlay_transport(*UNDERLAY, pkt, vni=arg)
+    elif op == "template":
+        return EncapTemplate(*UNDERLAY, vni=arg, src_port=50000).wrap(pkt)
+    elif op == "hop":
+        meta = NezhaMeta(kind=KIND_TX, vnic_id=arg,
+                         state=SessionState(first_direction=Direction.TX))
+        hop = build_nezha_hop(UNDERLAY[2], UNDERLAY[0], PEER, meta,
+                              inner=pkt, entropy=arg)
+        assert unwrap_nezha_hop(hop) == meta
+        return hop
+    elif op == "copy":
+        return pkt.copy()
+    elif op == "edit":
+        pkt.inner_ipv4().src = IPv4Address(arg)
+        pkt.invalidate_flow_cache()
+    return pkt
+
+
+def _observe(pkt):
+    try:
+        return pkt.wire_length, pkt.five_tuple()
+    except PacketError:
+        return pkt.wire_length, None
+
+
+def _run_surgery(ops, memoize):
+    previous, Packet.memoize = Packet.memoize, memoize
+    try:
+        pkt = tcp_pkt(b"payload")
+        seen = [_observe(pkt)]
+        for op, arg in ops:
+            try:
+                pkt = _apply(pkt, op, arg)
+            except PacketError:
+                pass                       # a refused step changes nothing
+            seen.append(_observe(pkt))
+            # The memoized answers are those of a fresh parse of the layers.
+            assert seen[-1] == _observe(Packet(pkt.layers, pkt.payload))
+            assert seen[-1][0] == sum(
+                layer.wire_length for layer in pkt.layers) + len(pkt.payload)
+        return seen
+    finally:
+        Packet.memoize = previous
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_OPS, max_size=12))
+def test_carried_parse_matches_fresh_parse_and_unmemoized_run(ops):
+    assert _run_surgery(ops, memoize=True) == _run_surgery(ops, memoize=False)
+
+
+def _hop_metas():
+    state = SessionState(first_direction=Direction.RX,
+                         tcp_state=TcpState.ESTABLISHED,
+                         stats_policy=StatsPolicy.FULL,
+                         decap_overlay_src=IPv4Address("172.16.0.7"))
+    pre = PreActions()
+    pre.tx.verdict = Verdict.DROP
+    pre.rx.stateful_acl = False
+    pre.rx.qos_class = 3
+    pre.tx.stats_policy = pre.rx.stats_policy = StatsPolicy.BYTES
+    return [
+        NezhaMeta(kind=KIND_TX, vnic_id=7, state=state),
+        NezhaMeta(kind=KIND_TX, vnic_id=7, state=SessionState()),
+        NezhaMeta(kind=KIND_RX, vnic_id=8, pre_actions=pre),
+        NezhaMeta(kind=KIND_RX, vnic_id=8, pre_actions=pre,
+                  overlay_src=IPv4Address("172.16.0.8")),
+        NezhaMeta(kind=KIND_NOTIFY, vnic_id=9,
+                  notify_five_tuple=FiveTuple(A, B, PROTO_TCP, 1, 2),
+                  notify_policy=StatsPolicy.PACKETS),
+    ]
+
+
+@pytest.mark.parametrize("meta", _hop_metas(),
+                         ids=["tx", "tx-blank", "rx", "rx-overlay", "notify"])
+def test_hop_wire_roundtrip_decodes_the_meta_that_was_sent(meta):
+    inner = None if meta.kind == KIND_NOTIFY else tcp_pkt(b"data")
+    hop = build_nezha_hop(UNDERLAY[2], UNDERLAY[0], PEER, meta, inner=inner,
+                          entropy=77)
+    wire = hop.encode()
+    assert len(wire) == hop.wire_length
+    if inner is None:
+        # A notify carries nothing after the NSH header, so there is no
+        # next protocol to parse: decode the NSH layer where it starts.
+        offset = sum(layer.wire_length for layer in hop.layers[:3])
+        nsh, rest = NshHeader.decode(wire[offset:])
+        assert rest == b""
+    else:
+        decoded = Packet.decode(wire, first_layer="ethernet")
+        assert decoded == hop
+        assert decoded.five_tuple() == inner.five_tuple()
+        assert decoded.wire_length == hop.wire_length
+        nsh = decoded.nsh()
+    assert nsh == hop.nsh()
+    assert NezhaMeta.from_context(nsh.context) == meta

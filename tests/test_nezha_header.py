@@ -148,3 +148,41 @@ def test_unwrap_requires_nsh():
     pkt = Packet.tcp(A, B, 1, 2, TcpFlags.of("syn"))
     with pytest.raises(DecodeError):
         unwrap_nezha_hop(pkt)
+
+
+# -- a header that cannot exist is refused where the hop is built ---------------------------
+
+class _PaddedMeta(NezhaMeta):
+    """A TX meta whose context is padded out to an exact number of words."""
+
+    words = 0
+
+    def to_context(self):
+        ctx = super().to_context()
+        have = len(ctx.encode()) // 4
+        # One filler TLV: a 1-word header plus the remaining words of value.
+        return ctx.put(0x7F, b"\xAA" * 4 * (self.words - have - 1))
+
+
+def _padded_hop(words):
+    meta = _PaddedMeta(kind=KIND_TX, vnic_id=1,
+                       state=SessionState(first_direction=Direction.TX))
+    meta.words = words
+    inner = Packet.tcp(A, B, 1000, 80, TcpFlags.of("ack"), b"abc")
+    return build_nezha_hop(IPv4Address("10.2.0.1"), MacAddress(1), LOC, meta,
+                           inner=inner)
+
+
+def test_longest_encodable_context_is_61_words():
+    """The NSH length field is 6 bits of 4-byte words: 2 words of base
+    header leave 61 for TLVs. The datapath never serializes a hop, so the
+    limit is enforced where the context is sealed."""
+    hop = _padded_hop(61)
+    assert hop.nsh().wire_length == 8 + 61 * 4
+    assert len(hop.encode()) == hop.wire_length
+    assert Packet.decode(hop.encode(), first_layer="ethernet") == hop
+
+
+def test_unencodable_context_fails_where_the_hop_is_built():
+    with pytest.raises(DecodeError):
+        _padded_hop(62)

@@ -10,11 +10,13 @@ import random
 
 import pytest
 
+from repro.errors import PacketError
 from repro.net.addr import IPv4Address, MacAddress
 from repro.net.ethernet import EthernetHeader
 from repro.net.five_tuple import PROTO_ICMP, PROTO_TCP, PROTO_UDP, FiveTuple
 from repro.net.ipv4 import IPv4Header
 from repro.net.packet import Packet, make_underlay_transport
+from repro.net.vxlan import VxlanHeader
 from repro.sim import Engine
 from repro.vswitch.actions import Direction, Verdict
 from repro.vswitch.costs import CostModel
@@ -188,25 +190,49 @@ def test_five_tuple_memo_hit_and_explicit_invalidation():
 
 
 def test_decap_invalidates_five_tuple_memo():
-    inner = Packet.tcp(A, B, 1000, 80)
+    """Name kept from when decap dropped the memo; the contract now is
+    that the parse is *carried* across encap/decap and only an in-place
+    header edit + ``invalidate_flow_cache()`` (or losing the headers the
+    key was read from) ends it."""
+    inner = Packet.tcp(A, B, 1000, 80, payload=b"x" * 7)
+    ft = inner.five_tuple()
     wrapped = make_underlay_transport(
         MacAddress(1), MacAddress(2), IPv4Address("172.16.0.1"),
         IPv4Address("172.16.0.2"), inner, vni=7)
-    assert wrapped.five_tuple() == inner.five_tuple()
     wrapped.decap(5)                           # Eth/IPv4/UDP/VXLAN/Eth
-    # The memo must have been dropped: a header edit with no explicit
-    # invalidation is now visible because decap cleared the cache.
+    assert wrapped.five_tuple() is ft          # the same FiveTuple object
+    assert wrapped.wire_length == inner.wire_length == 47
+    # DESIGN §3: an in-place edit without invalidate_flow_cache() is not
+    # visible to the memoized getters ...
     wrapped.expect(IPv4Header).src = IPv4Address("8.8.8.8")
+    assert wrapped.five_tuple() is ft
+    # ... and with it, it is.
+    wrapped.invalidate_flow_cache()
     assert wrapped.five_tuple().src_ip == IPv4Address("8.8.8.8")
+    # A decap that leaves no IPv4 header leaves no flow key either.
+    wrapped.decap(1)
+    with pytest.raises(PacketError):
+        wrapped.five_tuple()
 
 
 def test_encap_invalidates_wire_length():
+    """Name kept from when encap dropped the memo; ``wire_length`` is now
+    adjusted by the pushed/popped layers and must stay exact."""
     pkt = Packet.tcp(A, B, 1000, 80, payload=b"x" * 10)
     length = pkt.wire_length
+    ft = pkt.five_tuple()
     pkt.encap(EthernetHeader(MacAddress(1), MacAddress(2)))
     assert pkt.wire_length == length + EthernetHeader.wire_length
-    pkt.decap(1)
+    assert pkt.five_tuple() is ft
+    pkt.encap(EthernetHeader(MacAddress(3), MacAddress(4)), VxlanHeader(9))
+    assert pkt.wire_length == (length + 2 * EthernetHeader.wire_length
+                               + VxlanHeader.wire_length)
+    assert pkt.wire_length == sum(
+        layer.wire_length for layer in pkt.layers) + len(pkt.payload)
+    pkt.decap_until(IPv4Header)
     assert pkt.wire_length == length
+    assert pkt.five_tuple() is ft
+    assert len(pkt.encode()) == length         # encoded bytes were dropped
 
 
 def test_copy_does_not_share_memo():

@@ -1,6 +1,8 @@
 """Unit tests for simulated resources (repro.sim.resources)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ResourceExhausted, SimulationError
 from repro.sim import CpuResource, Engine, FifoQueue, MemoryBudget, Timeout
@@ -95,6 +97,83 @@ def test_cpu_validates_configuration():
         CpuResource(Engine(), cores=0, hz=100.0)
     with pytest.raises(SimulationError):
         CpuResource(Engine(), cores=1, hz=0.0)
+
+
+class _ReferenceCpu:
+    """The drop-tail least-loaded-core model, written out longhand."""
+
+    def __init__(self, cores, hz):
+        self.hz, self.free_at, self.busy = hz, [0.0] * cores, []
+        self.jobs_done = self.jobs_rejected = 0
+        self.total_cycles = 0.0
+
+    def admit(self, now, cycles, max_backlog):
+        core = min(range(len(self.free_at)), key=self.free_at.__getitem__)
+        if (max_backlog is not None
+                and self.free_at[core] - now > max_backlog):
+            self.jobs_rejected += 1
+            return None
+        start = max(now, self.free_at[core])
+        self.free_at[core] = end = start + cycles / self.hz
+        self.busy.append((start, end))
+        self.jobs_done += 1
+        self.total_cycles += cycles
+        return end
+
+
+_JOBS = st.lists(
+    st.tuples(st.sampled_from(["try_submit_call", "try_book", "try_submit",
+                               "submit"]),
+              st.integers(1, 500),                      # cycles
+              st.sampled_from([0.0, 0.5, 2.0, 50.0]),    # backlog limit, s
+              st.sampled_from([0.0, 0.0, 0.25, 1.0, 7.0])),  # time advance
+    max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 4]), _JOBS)
+def test_cpu_admission_matches_reference_model(cores, jobs):
+    engine = Engine()
+    cpu = CpuResource(engine, cores=cores, hz=100.0, util_window=1e9)
+    ref = _ReferenceCpu(cores, 100.0)
+    expected, completed = [], []
+
+    def done(tag):
+        completed.append((tag, engine.now))
+
+    def wait(event, tag):
+        yield event
+        done(tag)
+
+    def drive():
+        for tag, (method, cycles, limit, advance) in enumerate(jobs):
+            if advance:
+                yield engine.timeout(advance)
+            end = ref.admit(engine.now, cycles,
+                            None if method == "submit" else limit)
+            if method == "try_submit_call":
+                assert cpu.try_submit_call(cycles, limit, done, tag) \
+                    is (end is not None)
+            elif method == "try_book":
+                assert cpu.try_book(cycles, limit) == end
+                if end is not None:
+                    engine.call_at(end, done, tag)
+            else:
+                event = (cpu.submit(cycles) if method == "submit"
+                         else cpu.try_submit(cycles, limit))
+                assert (event is None) is (end is None)
+                if event is not None:
+                    engine.process(wait(event, tag))
+            if end is not None:
+                expected.append((tag, end))
+            assert cpu._free_at == ref.free_at
+            assert list(cpu._busy) == ref.busy
+
+    engine.process(drive())
+    engine.run()
+    assert sorted(completed) == sorted(expected)
+    assert (cpu.jobs_done, cpu.jobs_rejected, cpu.total_cycles) == (
+        ref.jobs_done, ref.jobs_rejected, ref.total_cycles)
 
 
 # -- MemoryBudget --------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from repro.errors import DecodeError
@@ -130,17 +129,6 @@ class NezhaMeta:
         return meta
 
 
-@lru_cache(maxsize=4096)
-def _hop_ethernet(dst_mac: int, src_mac: int) -> EthernetHeader:
-    """The hop's per-peer template — what
-    :class:`~repro.net.packet.EncapTemplate` is to VXLAN: one outer
-    Ethernet header per (peer, sender) pair, shared by every hop between
-    them (nothing mutates it in flight). The outer IPv4/UDP carry
-    per-packet lengths, entropy and a TTL the underlay decrements, so
-    they are built per hop around the peers' own address objects."""
-    return EthernetHeader(MacAddress(dst_mac), MacAddress(src_mac))
-
-
 def build_nezha_hop(src_ip: IPv4Address, src_mac: MacAddress,
                     dst: Location, meta: NezhaMeta,
                     inner: Optional[Packet] = None,
@@ -156,7 +144,7 @@ def build_nezha_hop(src_ip: IPv4Address, src_mac: MacAddress,
         udp_len += inner.wire_length
     total = IPv4Header.wire_length + udp_len
     outer = [
-        _hop_ethernet(dst.underlay_mac.value, src_mac.value),
+        EthernetHeader(dst.underlay_mac, src_mac),
         IPv4Header(src_ip, dst.underlay_ip, PROTO_UDP, total_length=total),
         UdpHeader(49152 + (entropy & 0x3FFF), NSH_PORT, udp_len),
         nsh,
@@ -174,13 +162,10 @@ def unwrap_nezha_hop(packet: Packet) -> NezhaMeta:
     tenant payload and are consumed by the BE).
     """
     layers = packet.layers
-    index = 3  # the hop's fixed shape: Eth / IPv4 / UDP / NSH
-    if len(layers) <= index or type(layers[index]) is not NshHeader:
-        nsh = packet.find(NshHeader)
-        if nsh is None:
-            raise DecodeError("not a Nezha hop packet (no NSH layer)")
-        index = layers.index(nsh)
-    meta = NezhaMeta.from_context(layers[index].context)
+    # The hop's fixed shape: Eth / IPv4 / UDP / NSH [/ inner tenant layers].
+    if len(layers) < 4 or type(layers[3]) is not NshHeader:
+        raise DecodeError("not a Nezha hop packet (no NSH layer in slot 3)")
+    meta = NezhaMeta.from_context(layers[3].context)
     # A notify's NSH layer is the last one: it stays as the placeholder.
-    packet.decap(index + 1 if index + 1 < len(layers) else index)
+    packet.decap(4 if len(layers) > 4 else 3)
     return meta

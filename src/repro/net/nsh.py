@@ -46,7 +46,9 @@ class NshContext:
     kept until the next :meth:`put`, and they are what
     :attr:`wire_length` measures — so a hop's length on a link is the
     length of bytes that exist, and a context no NSH header could carry
-    fails where it is sealed (when the hop is built).
+    fails where it is sealed (when the hop is built). ``entries`` is
+    therefore read-only outside :meth:`put`: a direct write would leave
+    the sealed bytes stale.
     """
 
     # TLV types used by Nezha (see repro.core.header for the payloads).

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigError, TableFull
+from repro.errors import ConfigError, PacketError, TableFull
 from repro.fabric.device import ServerNode
 from repro.net.addr import IPv4Address, MacAddress
 from repro.net.ethernet import EthernetHeader
@@ -374,8 +374,6 @@ class VSwitch:
             self.stats.crashed_drops += 1
             return
         udp, after = _underlay_frame(packet)
-        if udp is None:
-            udp = packet.find(UdpHeader)
         if udp is not None and udp.dst_port == NSH_PORT:
             self.stats.nsh_received += 1
             if self.nsh_handler is not None:
@@ -384,10 +382,8 @@ class VSwitch:
         if udp is not None and udp.dst_port == PROBE_PORT:
             self._answer_probe(packet)
             return
-        vxlan = (after if type(after) is VxlanHeader
-                 else packet.find(VxlanHeader))
-        if vxlan is not None:
-            self._handle_overlay_rx(packet, vxlan.vni)
+        if type(after) is VxlanHeader:
+            self._handle_overlay_rx(packet, after.vni)
             return
         # Probe replies and unknown traffic terminate here.
         reply_port = packet.meta.get("probe_reply_port")
@@ -449,10 +445,8 @@ class VSwitch:
         if self.crashed:
             self.stats.crashed_drops += count
             return
-        _udp, after = _underlay_frame(packet)
-        vxlan = (after if type(after) is VxlanHeader
-                 else packet.find(VxlanHeader))
-        if vxlan is None or _spans.ACTIVE:
+        _udp, vxlan = _underlay_frame(packet)
+        if type(vxlan) is not VxlanHeader or _spans.ACTIVE:
             for _ in range(count):
                 self._fabric_sink(packet.copy())
             return
@@ -589,34 +583,28 @@ class VSwitch:
 
 
 def _underlay_frame(packet: Packet):
-    """``(outer UDP, the layer after it)`` read from the fixed slots of an
-    ``Eth / IPv4 / UDP / X`` underlay frame; ``(None, None)`` for any
-    other shape, which the caller classifies by scanning."""
+    """``(outer UDP, the layer after it or None)`` read from the fixed
+    slots of an ``Eth / IPv4 / UDP [/ X]`` underlay frame — the one shape
+    the fabric carries; ``(None, None)`` for anything else, which the
+    sink treats as unknown traffic."""
     layers = packet.layers
-    if (len(layers) > 3 and type(layers[2]) is UdpHeader
+    if (len(layers) > 2 and type(layers[2]) is UdpHeader
             and type(layers[1]) is IPv4Header
             and type(layers[0]) is EthernetHeader):
-        return layers[2], layers[3]
+        return layers[2], layers[3] if len(layers) > 3 else None
     return None, None
 
 
 def _strip_overlay(packet: Packet):
-    """Pop the VXLAN transport off an overlay arrival (one ``decap`` for
-    the standard ``Eth / IPv4 / UDP / VXLAN / Eth / IPv4`` frame, header
-    scans for anything else); returns ``(outer source IP, inner IPv4)``."""
+    """Pop the VXLAN transport off an overlay arrival the sink classified
+    (``Eth / IPv4 / UDP / VXLAN`` in slots 0-3) with one ``decap``;
+    returns ``(outer source IP, inner IPv4)``."""
     layers = packet.layers
-    _udp, vxlan = _underlay_frame(packet)
-    if (type(vxlan) is VxlanHeader and len(layers) > 5
-            and type(layers[4]) is EthernetHeader
-            and type(layers[5]) is IPv4Header):
-        packet.decap(5)
-        return layers[1].src, layers[5]
-    outer_ip = packet.find(IPv4Header)
-    outer_src = outer_ip.src if outer_ip is not None else None
-    packet.decap_until(VxlanHeader)
-    packet.decap(1)                      # VXLAN
-    packet.decap_until(IPv4Header)       # inner Ethernet
-    return outer_src, packet.expect(IPv4Header)
+    if (len(layers) < 6 or type(layers[4]) is not EthernetHeader
+            or type(layers[5]) is not IPv4Header):
+        raise PacketError("overlay frame lacks the inner Ethernet / IPv4")
+    packet.decap(5)
+    return layers[1].src, layers[5]
 
 
 class LocalDatapath(Datapath):

@@ -41,6 +41,13 @@ def test_pre_actions_short_blob_rejected():
         decode_pre_actions(b"\x00")
 
 
+def test_pre_actions_unknown_stats_policy_rejected():
+    blob = bytearray(encode_pre_actions(PreActions()))
+    blob[4] = 0xEE  # the stats-policy byte
+    with pytest.raises(DecodeError):
+        decode_pre_actions(bytes(blob))
+
+
 @given(st.sampled_from(list(Verdict)), st.sampled_from(list(Verdict)),
        st.sampled_from(list(StatsPolicy)), st.integers(0, 255),
        st.booleans(), st.booleans())

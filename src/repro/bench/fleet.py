@@ -14,8 +14,7 @@ also pay for a FiveTuple key object per flow.
 The ISSUE 7 acceptance bar — peak at 10K vSwitches ≤ 25% of naive — is
 checked by the full run and recorded in the JSON; the CI smoke re-runs
 the reduced scale point and gates its peak against the committed
-baseline (``gate_tolerance`` travels in the JSON, the
-BENCH_fastpath.json idiom).
+baseline (``gate_tolerance`` travels in the JSON).
 """
 
 from __future__ import annotations

@@ -1,12 +1,10 @@
 """Macro wall-clock benchmarks: sequential vs parallel experiment runs.
 
-Complements the microbenchmarks in :mod:`repro.bench.micro`: instead of
-ops/sec on per-packet hot paths, each entry times a whole experiment
-sweep twice — ``jobs=1`` (the legacy in-process path) and ``jobs=N``
-(the process-pool fan-out) — and records both elapsed times, their
-ratio, and whether the two runs rendered byte-identical tables (they
-must; a mismatch is reported, not asserted, so a bench run can never
-crash on it).
+Each entry times a whole experiment sweep twice — ``jobs=1`` (in
+process) and ``jobs=N`` (the process-pool fan-out) — and records both
+elapsed times, their ratio, and whether the two runs rendered
+byte-identical tables (they must; a mismatch is reported, not asserted,
+so a bench run can never crash on it).
 
 Raw seconds are machine-dependent and the speedup depends on the host's
 core count (recorded in the config block), so the tracked JSON is a
@@ -148,9 +146,8 @@ def run_telemetry_overhead(profile: str = "quick",
       single attribute/module-flag check, so ``off_s`` must stay within
       a few percent of the committed baseline. Raw seconds are
       machine-dependent, so the tracked number is ``normalized_off``:
-      seconds times the same pure-python calibration loop the micro
-      smoke gate uses (a machine-independent "calibration ops' worth of
-      work" figure);
+      seconds times a fixed pure-python calibration loop (a
+      machine-independent "calibration ops' worth of work" figure);
     * **observation purity** — the telemetry-on run must render a
       byte-identical result table (``identical_output``); recording
       never perturbs the simulation.

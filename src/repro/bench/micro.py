@@ -1,472 +1,16 @@
-"""Microbenchmarks over the per-packet hot paths.
+"""The measurement primitives the tracked benches share.
 
-Each :class:`MicroBench` builds a workload once and exposes the optimized
-op plus, where the optimization kept its pre-change implementation behind
-a legacy switch, the baseline op. The baseline runs the *same workload
-through the pre-overhaul code path* (pure-heap engine, uncached chain,
-full-scan ACL, per-label percentile sorts), so the recorded speedup is a
-true before/after delta on the same machine.
-
-Ops/sec numbers are machine-dependent; speedups and the calibration-
-normalized throughputs are not, which is what the CI smoke gate checks
-(see ``tools/bench.py``).
+``calibration_loop`` is the fixed pure-python loop wall clocks are
+normalized by, so a gate recorded on one machine transfers to another;
+``_ops_per_sec`` times a callable until it has run long enough to
+trust. The macro and fleet telemetry-overhead gates and ``perfbench``
+import both from here.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
-
-from repro.fabric.device import ServerNode
-from repro.fabric.link import Link
-from repro.metrics.percentiles import STANDARD_LABELS, percentile, \
-    percentile_summary
-from repro.net.addr import IPv4Address, MacAddress
-from repro.net.five_tuple import PROTO_ICMP, PROTO_TCP, PROTO_UDP, FiveTuple
-from repro.net.packet import Packet, make_underlay_transport
-from repro.sim.engine import Engine
-from repro.sim.resources import CpuResource, MemoryBudget
-from repro.vswitch.actions import Direction, Verdict
-from repro.vswitch.costs import CostModel
-from repro.vswitch.flow_records import FlowRecordStore, FluidMode
-from repro.vswitch.rule_tables import (AclRule, AclTable, LookupContext,
-                                       MappingEntry)
-from repro.vswitch.session_table import EntryMode, SessionTable
-from repro.vswitch.slow_path import SlowPath
-from repro.vswitch.vnic import Vnic
-from repro.vswitch.vswitch import Datapath, VSwitch, make_standard_chain
-
-
-@dataclass
-class MicroBench:
-    """One benchmark: a setup returning (optimized op, legacy op, ops/call)."""
-
-    name: str
-    description: str
-    setup: Callable[[], Tuple[Callable[[], object],
-                              Optional[Callable[[], object]], int]]
-
-
-def _legacy_flags(fn: Callable[[], object]) -> Callable[[], object]:
-    """Run ``fn`` with every optimization switched to its legacy path."""
-
-    def wrapped() -> object:
-        saved = (Engine.micro_queue, SlowPath.caching,
-                 AclTable.bucketed, Packet.memoize,
-                 Link.burst, Datapath.batching, FiveTuple.memoize_key,
-                 CpuResource.direct_dispatch, FlowRecordStore.enabled,
-                 FluidMode.enabled)
-        Engine.micro_queue = False
-        SlowPath.caching = False
-        AclTable.bucketed = False
-        Packet.memoize = False
-        Link.burst = False
-        Datapath.batching = False
-        FiveTuple.memoize_key = False
-        CpuResource.direct_dispatch = False
-        FlowRecordStore.enabled = False
-        FluidMode.enabled = False
-        try:
-            return fn()
-        finally:
-            (Engine.micro_queue, SlowPath.caching,
-             AclTable.bucketed, Packet.memoize,
-             Link.burst, Datapath.batching, FiveTuple.memoize_key,
-             CpuResource.direct_dispatch, FlowRecordStore.enabled,
-             FluidMode.enabled) = saved
-
-    return wrapped
-
-
-def _pre_batching(fn: Callable[[], object]) -> Callable[[], object]:
-    """Run ``fn`` on the pre-burst path: PR-1 optimizations stay on, only
-    the burst-era switches flip off. The burst benches use this so their
-    recorded speedup isolates batching from the earlier cache work."""
-
-    def wrapped() -> object:
-        saved = (Link.burst, Datapath.batching, FiveTuple.memoize_key,
-                 CpuResource.direct_dispatch, FlowRecordStore.enabled,
-                 FluidMode.enabled)
-        Link.burst = False
-        Datapath.batching = False
-        FiveTuple.memoize_key = False
-        CpuResource.direct_dispatch = False
-        FlowRecordStore.enabled = False
-        FluidMode.enabled = False
-        try:
-            return fn()
-        finally:
-            (Link.burst, Datapath.batching, FiveTuple.memoize_key,
-             CpuResource.direct_dispatch, FlowRecordStore.enabled,
-             FluidMode.enabled) = saved
-
-    return wrapped
-
-
-def _pre_records(fn: Callable[[], object]) -> Callable[[], object]:
-    """Run ``fn`` on the pre-flow-records path: burst-era switches stay
-    on, only this PR's switches (array-backed records, direct CPU
-    dispatch, fluid runs) flip off — the recorded speedup isolates the
-    flow-record work from the earlier batching work."""
-
-    def wrapped() -> object:
-        saved = (CpuResource.direct_dispatch, FlowRecordStore.enabled,
-                 FluidMode.enabled)
-        CpuResource.direct_dispatch = False
-        FlowRecordStore.enabled = False
-        FluidMode.enabled = False
-        try:
-            return fn()
-        finally:
-            (CpuResource.direct_dispatch, FlowRecordStore.enabled,
-             FluidMode.enabled) = saved
-
-    return wrapped
-
-
-# -- workload builders -------------------------------------------------------
-
-
-def _dense_acl_rules(n_rules: int, seed: int = 7) -> List[AclRule]:
-    """Rules spread across (proto, direction) that no probe matches, so a
-    verdict pays the worst case: a full candidate scan to the default."""
-    rng = random.Random(seed)
-    rules = []
-    protos = (PROTO_TCP, PROTO_UDP, PROTO_ICMP)
-    directions = (Direction.TX, Direction.RX, None)
-    for i in range(n_rules):
-        rules.append(AclRule(
-            priority=i % 37,
-            verdict=Verdict.DROP,
-            direction=directions[i % 3],
-            proto=protos[i % 3],
-            src_prefix=IPv4Address(rng.getrandbits(32)),
-            src_prefix_len=30,
-            dst_port_range=(0, 0),      # probes use port 80: never matches
-        ))
-    return rules
-
-
-def _probe_tuples(count: int, seed: int = 11) -> List[FiveTuple]:
-    rng = random.Random(seed)
-    return [FiveTuple(IPv4Address(rng.getrandbits(32)),
-                      IPv4Address("10.0.0.2"),
-                      PROTO_TCP, rng.randrange(1024, 65536), 80)
-            for _ in range(count)]
-
-
-def _setup_slow_path_lookup():
-    cost_model = CostModel()
-    acl = AclTable(_dense_acl_rules(240))
-    chain = make_standard_chain(cost_model, acl=acl)
-    mapping = chain.table("vnic_server_mapping")
-    mapping.set_entry(7, IPv4Address("10.0.0.2"),
-                      MappingEntry(IPv4Address("172.16.0.2"), MacAddress(2),
-                                   vni=7))
-    contexts = [LookupContext(ft, vni=7, packet_bytes=64)
-                for ft in _probe_tuples(32)]
-
-    def op() -> object:
-        out = None
-        for ctx in contexts:
-            out = chain.lookup(ctx)
-        return out
-
-    return op, _legacy_flags(op), len(contexts)
-
-
-def _setup_acl_verdict():
-    acl = AclTable(_dense_acl_rules(240))
-    probes = _probe_tuples(32)
-
-    def optimized() -> object:
-        out = None
-        for ft in probes:
-            out = acl._verdict(ft, Direction.TX)
-            out = acl._verdict(ft.reversed(), Direction.RX)
-        return out
-
-    def legacy() -> object:
-        out = None
-        for ft in probes:
-            out = acl._verdict_scan(ft, Direction.TX)
-            out = acl._verdict_scan(ft.reversed(), Direction.RX)
-        return out
-
-    optimized()                      # build the buckets outside the clock
-    return optimized, legacy, len(probes) * 2
-
-
-def _setup_session_table():
-    cost_model = CostModel()
-    mem = MemoryBudget(64 * 1024 * 1024)
-    table = SessionTable(mem, cost_model)
-    tuples = _probe_tuples(256, seed=23)
-
-    def op() -> object:
-        for ft in tuples:
-            table.insert(7, ft, None, None, 0.0, EntryMode.FLOWS_ONLY)
-        hit = None
-        for ft in tuples:
-            hit = table.lookup(7, ft)
-        for ft in tuples:
-            table.remove(7, ft)
-        return hit
-
-    # Legacy twin: the uncached session key is rebuilt on every probe
-    # (three per tuple here), which is what the burst work memoized.
-    return op, _legacy_flags(op), len(tuples) * 3
-
-
-def _setup_engine_dispatch():
-    n_dispatch = 2000
-
-    def op() -> object:
-        engine = Engine()
-        # Background future work keeps the heap non-trivial, as in a real
-        # run where timers and links always have pending entries.
-        for i in range(64):
-            engine.call_at(1e6 + i, float)
-        state = {"count": 0}
-
-        def tick() -> None:
-            state["count"] += 1
-            if state["count"] < n_dispatch:
-                engine.call_soon(tick)
-
-        def proc():
-            for _ in range(50):
-                yield None           # cooperative yield -> call_soon
-
-        for _ in range(4):
-            engine.process(proc())
-        engine.call_soon(tick)
-        engine.run(until=1.0)
-        return state["count"]
-
-    return op, _legacy_flags(op), n_dispatch + 200
-
-
-def _setup_packet_codec():
-    inner = Packet.tcp(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"),
-                       1234, 80, payload=b"x" * 64)
-    wrapped = make_underlay_transport(
-        MacAddress(1), MacAddress(2), IPv4Address("172.16.0.1"),
-        IPv4Address("172.16.0.2"), inner, vni=7)
-    wire = wrapped.encode()
-    batch = 16
-
-    def op() -> object:
-        out = None
-        for _ in range(batch):
-            out = Packet.decode(wire, first_layer="ethernet").encode()
-        assert out == wire
-        return out
-
-    # Legacy twin: the same round trip with every switch (packet
-    # memoization included) off. The codec itself has no cached fast
-    # path, so the recorded speedup is ~1x — the committed baseline
-    # makes that visible and lets the smoke gate catch a real
-    # regression in either direction of the pair.
-    return op, _legacy_flags(op), batch
-
-
-def _setup_packet_copy_fivetuple():
-    inner = Packet.tcp(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"),
-                       1234, 80, payload=b"x" * 64)
-    wrapped = make_underlay_transport(
-        MacAddress(1), MacAddress(2), IPv4Address("172.16.0.1"),
-        IPv4Address("172.16.0.2"), inner, vni=7)
-    batch = 32
-
-    def op() -> object:
-        out = None
-        for _ in range(batch):
-            hop = wrapped.copy()
-            out = (hop.five_tuple(), hop.five_tuple(),
-                   hop.wire_length, hop.wire_length)
-        return out
-
-    return op, _legacy_flags(op), batch
-
-
-def _setup_link_burst_transmit():
-    engine = Engine()
-    sender = ServerNode(engine, "bench-a", IPv4Address("172.16.9.1"),
-                        MacAddress(0xA1))
-    receiver = ServerNode(engine, "bench-b", IPv4Address("172.16.9.2"),
-                          MacAddress(0xA2))
-    Link(engine, sender.free_port(), receiver.free_port())
-    inner = Packet.tcp(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"),
-                       1234, 80, payload=b"x" * 256)
-    wrapped = make_underlay_transport(
-        MacAddress(1), MacAddress(2), IPv4Address("172.16.9.1"),
-        IPv4Address("172.16.9.2"), inner, vni=7)
-    burst = [wrapped.copy() for _ in range(32)]
-
-    def op() -> object:
-        sender.send_to_fabric_burst(burst)
-        engine.run()
-        return receiver.rx_packets
-
-    return op, _pre_batching(op), len(burst)
-
-
-def _setup_datapath_burst_hit():
-    engine = Engine()
-    server = ServerNode(engine, "bench-s", IPv4Address("172.16.9.9"),
-                        MacAddress(0xA9))
-    cost_model = CostModel()
-    vswitch = VSwitch(engine, server, cost_model)
-    vnic = Vnic(1, 7, IPv4Address("10.0.0.2"), MacAddress(2),
-                make_standard_chain(cost_model))
-    vswitch.add_vnic(vnic)
-    vnic.attach_guest(lambda pkt: None)
-    datapath = vswitch.datapath_for(vnic)
-    # One UDP flow: the first packet walks the slow path and creates the
-    # session; every benched packet is then a pure fast-path hit with no
-    # TCP FSM to consult — the batchable steady state.
-    pkt = Packet.udp(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"),
-                     4242, 5353, payload=b"x" * 256)
-    datapath.handle_rx(vnic, pkt)
-    engine.run()
-    assert vswitch.stats.delivered == 1
-    burst = [pkt.copy() for _ in range(32)]
-
-    def op() -> object:
-        datapath.handle_rx_burst(vnic, burst)
-        engine.run()
-        return vswitch.stats.delivered
-
-    return op, _pre_batching(op), len(burst)
-
-
-def _setup_flow_record_hit():
-    engine = Engine()
-    server = ServerNode(engine, "bench-s", IPv4Address("172.16.9.9"),
-                        MacAddress(0xA9))
-    cost_model = CostModel()
-    vswitch = VSwitch(engine, server, cost_model)
-    vnic = Vnic(1, 7, IPv4Address("10.0.0.2"), MacAddress(2),
-                make_standard_chain(cost_model))
-    vswitch.add_vnic(vnic)
-    vnic.attach_guest(lambda pkt: None)
-    datapath = vswitch.datapath_for(vnic)
-    pkt = Packet.udp(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"),
-                     4242, 5353, payload=b"x" * 256)
-    datapath.handle_rx(vnic, pkt)
-    engine.run()
-    assert vswitch.stats.delivered == 1
-    burst = [pkt.copy() for _ in range(32)]
-
-    def op() -> object:
-        datapath.handle_rx_burst(vnic, burst)
-        engine.run()
-        return vswitch.stats.delivered
-
-    # Legacy twin keeps the burst machinery on and flips only this PR's
-    # switches: the classified run is charged per packet through
-    # SessionState objects instead of the array-backed store.
-    return op, _pre_records(op), len(burst)
-
-
-def _setup_fluid_fastforward():
-    engine = Engine()
-    server = ServerNode(engine, "bench-s", IPv4Address("172.16.9.9"),
-                        MacAddress(0xA9))
-    cost_model = CostModel()
-    vswitch = VSwitch(engine, server, cost_model)
-    vnic = Vnic(1, 7, IPv4Address("10.0.0.2"), MacAddress(2),
-                make_standard_chain(cost_model))
-    vswitch.add_vnic(vnic)
-    # A run-aware guest: fluid delivery stays one descriptor end-to-end.
-    vnic.attach_guest(lambda pkt: None, lambda pkt, n: None)
-    datapath = vswitch.datapath_for(vnic)
-    pkt = Packet.udp(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"),
-                     4242, 5353, payload=b"x" * 256)
-    datapath.handle_rx(vnic, pkt)
-    engine.run()
-    assert vswitch.stats.delivered == 1
-    run_len = 32
-
-    def op() -> object:
-        datapath.handle_rx_run(vnic, pkt, run_len)
-        engine.run()
-        return vswitch.stats.delivered
-
-    # Legacy twin: with the record store off the run materializes into
-    # 32 copies and replays the burst path — the speedup is the fluid
-    # fast-forward's alone.
-    return op, _pre_records(op), run_len
-
-
-def _legacy_percentile_summary(data) -> Dict[str, float]:
-    """The pre-overhaul implementation: one full sort per label."""
-    summary = {}
-    for label, q in STANDARD_LABELS:
-        if q < 0:
-            summary[label] = sum(data) / len(data) if data else 0.0
-        else:
-            summary[label] = percentile(data, q) if data else 0.0
-    return summary
-
-
-def _setup_percentile_summary():
-    rng = random.Random(5)
-    data = [rng.expovariate(1.0) for _ in range(4000)]
-
-    def optimized() -> object:
-        return percentile_summary(data)
-
-    def legacy() -> object:
-        return _legacy_percentile_summary(data)
-
-    assert optimized() == legacy()
-    return optimized, legacy, 1
-
-
-BENCHES: Tuple[MicroBench, ...] = (
-    MicroBench("slow_path_lookup",
-               "full 5-table chain lookup, 240 ACL rules (Table A1's op)",
-               _setup_slow_path_lookup),
-    MicroBench("acl_verdict",
-               "ACL verdict for both directions, 240 rules, worst-case miss",
-               _setup_acl_verdict),
-    MicroBench("session_table",
-               "session-table insert + exact-match hit + remove",
-               _setup_session_table),
-    MicroBench("engine_dispatch",
-               "same-time callback dispatch with a non-trivial heap",
-               _setup_engine_dispatch),
-    MicroBench("packet_codec",
-               "VXLAN overlay packet decode+encode round trip",
-               _setup_packet_codec),
-    MicroBench("packet_copy_fivetuple",
-               "per-hop packet copy + repeated flow-key/wire-length reads",
-               _setup_packet_copy_fivetuple),
-    MicroBench("percentile_summary",
-               "avg/P50..P9999 summary over 4000 samples",
-               _setup_percentile_summary),
-    MicroBench("link_burst_transmit",
-               "32-packet burst over one link vs per-packet transmits",
-               _setup_link_burst_transmit),
-    MicroBench("datapath_burst_hit",
-               "32-packet same-flow RX burst through the vSwitch fast path",
-               _setup_datapath_burst_hit),
-    MicroBench("flow_record_hit",
-               "32-packet burst charged to array-backed flow records "
-               "vs per-packet SessionState objects",
-               _setup_flow_record_hit),
-    MicroBench("fluid_fastforward",
-               "32-packet fluid run (one descriptor end-to-end) vs "
-               "materialized burst replay",
-               _setup_fluid_fastforward),
-)
-
-
-# -- measurement --------------------------------------------------------------
+from typing import Callable
 
 
 def _ops_per_sec(fn: Callable[[], object], ops_per_call: int,
@@ -489,30 +33,3 @@ def calibration_loop() -> int:
     for i in range(10_000):
         acc = (acc + i * i) & 0xFFFFFF
     return acc
-
-
-def run_bench(bench: MicroBench,
-              target_seconds: float = 0.25) -> Dict[str, Optional[float]]:
-    optimized, legacy, ops = bench.setup()
-    result: Dict[str, Optional[float]] = {
-        "description": bench.description,
-        "ops_per_sec": _ops_per_sec(optimized, ops, target_seconds),
-        "baseline_ops_per_sec": None,
-        "speedup": None,
-    }
-    if legacy is not None:
-        baseline = _ops_per_sec(legacy, ops, target_seconds)
-        result["baseline_ops_per_sec"] = baseline
-        result["speedup"] = result["ops_per_sec"] / baseline
-    return result
-
-
-def run_all(target_seconds: float = 0.25) -> Dict[str, Dict]:
-    calibration = _ops_per_sec(calibration_loop, 10_000, target_seconds)
-    results: Dict[str, Dict] = {}
-    for bench in BENCHES:
-        entry = run_bench(bench, target_seconds)
-        entry["normalized"] = entry["ops_per_sec"] / calibration
-        results[bench.name] = entry
-    results["_calibration_ops_per_sec"] = calibration
-    return results

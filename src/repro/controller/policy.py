@@ -15,9 +15,8 @@ module's :class:`LoadSharingPolicy` surface:
 
 Four policies compete behind the seam:
 
-* :class:`NezhaPolicy` — the paper's Fig 8 behavior, byte-identical to
-  the pre-extraction controller (the legacy-default idiom, like
-  ``Engine.micro_queue`` and ``FlowRecordStore.enabled``);
+* :class:`NezhaPolicy` — the paper's Fig 8 behavior and the default:
+  fig9 / fig12 / fleet tables under it are the golden ones;
 * :class:`PamPolicy` — PAM's push-neighbor-aside (arxiv/1805.10434): an
   overloaded FE host *migrates* its hosted FEs to the least-loaded
   neighbor instead of scaling the BE out or evicting its whole FE set;

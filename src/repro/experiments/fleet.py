@@ -34,6 +34,7 @@ import time
 from typing import Dict, Optional
 
 from repro import telemetry as _telemetry
+from repro.errors import SimulationError
 from repro.experiments.common import ExperimentResult
 from repro.experiments.fig13 import PAPER_MITIGATION
 from repro.experiments.parallel import ResidentPool, resolve_jobs
@@ -189,8 +190,10 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
     folded_pkts = sum(digest["pkts"] for digest in digests)
     folded_bytes = sum(digest["bytes"] for digest in digests)
     live_flows = sum(digest["live_flows"] for digest in digests)
-    assert folded_pkts == fluid_pkts and folded_bytes == fluid_bytes, \
-        "flyweight fold lost traffic"
+    if (folded_pkts, folded_bytes) != (fluid_pkts, fluid_bytes):
+        raise SimulationError(
+            f"flyweight fold lost traffic: folded {folded_pkts} pkts / "
+            f"{folded_bytes} B, fluid {fluid_pkts} pkts / {fluid_bytes} B")
 
     result = ExperimentResult(
         name="fleet",

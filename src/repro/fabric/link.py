@@ -66,12 +66,6 @@ class Link:
     are silently dropped, exactly like a dark fiber.
     """
 
-    #: Class-level switch for coalesced burst delivery. ``False`` restores
-    #: the per-packet transmit path (one heap entry per packet); the burst
-    #: determinism suite runs fig9/fig12 both ways and requires identical
-    #: tables.
-    burst: bool = True
-
     def __init__(self, engine: Engine, a: Port, b: Port,
                  latency: float = 5e-6, gbps: float = 100.0) -> None:
         if a.connected or b.connected:
@@ -142,10 +136,6 @@ class Link:
             return
         if not self.up:
             self.drops_down += len(packets)
-            return
-        if not self.burst:
-            for packet in packets:
-                self.transmit(from_port, packet)
             return
         engine = self.engine
         start = max(engine.now, self._busy_until[id(from_port)])

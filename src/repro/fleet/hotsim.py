@@ -30,7 +30,6 @@ from repro.host.vm import Vm
 from repro.net.addr import IPv4Address, MacAddress
 from repro.sim.engine import Engine
 from repro.vswitch import CostModel, Vnic, VSwitch
-from repro.vswitch.flow_records import FluidMode
 from repro.vswitch.rule_tables import MappingEntry
 from repro.vswitch.vswitch import make_standard_chain
 from repro.workloads.elephant import ElephantFlow
@@ -111,32 +110,24 @@ def simulate_hot_epoch(seed: int, demand_ratio: float, granted: bool,
     ``fluid`` (default on) runs the elephant train under the §5.5 fluid
     fast-forward — eligible packet runs advance analytically, anything
     ineligible re-materializes through the burst path — which is proven
-    output-identical to the per-packet run (the PR 6 determinism suite,
-    plus a hotsim-level regression pinning ``fluid=True`` ==
-    ``fluid=False`` here). The ~95 hot micro-sims per epoch at 10K are
-    the fleet's dominant wall-clock cost; the peer vNIC's guest is
-    run-aware and only counts, so a fluid run stays one descriptor from
-    the sender's kernel to the sink. The global :class:`FluidMode`
-    switch is restored on exit, so the surrounding process (fig9 and
-    friends default fluid-off) is unaffected.
+    output-identical to the burst form (a hotsim-level regression pins
+    ``fluid=True`` == ``fluid=False`` here). The ~95 hot micro-sims per
+    epoch at 10K are the fleet's dominant wall-clock cost; the peer
+    vNIC's guest is run-aware and only counts, so a fluid run stays one
+    descriptor from the sender's kernel to the sink.
     """
     retained = 1.0 if granted else demand_ratio
     rate_pps = min(BASE_PPS * retained, MAX_PPS)
-    prior_fluid = FluidMode.enabled
-    FluidMode.enabled = fluid
-    try:
-        engine = Engine()
-        vswitch_a, _vswitch_b, vnic_a, vnic_b = _build_pair(engine)
-        vnic_b.attach_guest(_discard, _discard)
-        vm = Vm(engine, f"hot-{seed & 0xffff}", vcpus=8)
-        vm.attach_vnic(vnic_a)
-        flow = ElephantFlow(engine, vm, vnic_a, PEER_IP, rate_pps=rate_pps,
-                            payload_bytes=payload_bytes,
-                            sport=5000 + (seed % 1000), burst=burst)
-        flow.run(duration=duration)
-        engine.run(until=duration + 0.05)  # drain the pipeline tail
-    finally:
-        FluidMode.enabled = prior_fluid
+    engine = Engine()
+    vswitch_a, _vswitch_b, vnic_a, vnic_b = _build_pair(engine)
+    vnic_b.attach_guest(_discard, _discard)
+    vm = Vm(engine, f"hot-{seed & 0xffff}", vcpus=8)
+    vm.attach_vnic(vnic_a)
+    flow = ElephantFlow(engine, vm, vnic_a, PEER_IP, rate_pps=rate_pps,
+                        payload_bytes=payload_bytes,
+                        sport=5000 + (seed % 1000), burst=burst, fluid=fluid)
+    flow.run(duration=duration)
+    engine.run(until=duration + 0.05)  # drain the pipeline tail
     stats = vswitch_a.stats
     tel = telemetry.current()
     if tel is not None:

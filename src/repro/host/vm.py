@@ -123,23 +123,10 @@ class Vm:
 
     def _rx(self, vnic: Vnic, packet: Packet) -> None:
         """Kernel receive: charge per-packet cost, then demux to the app."""
-        if CpuResource.direct_dispatch:
-            if not self.cpu.try_submit_call(self.cost_model.pkt_cycles,
-                                            self.cost_model.max_backlog,
-                                            self._rx_complete, vnic, packet):
-                self.kernel_drops += 1
-            return
-        job = self.cpu.try_submit(self.cost_model.pkt_cycles,
-                                  self.cost_model.max_backlog)
-        if job is None:
+        if not self.cpu.try_submit_call(self.cost_model.pkt_cycles,
+                                        self.cost_model.max_backlog,
+                                        self._rx_complete, vnic, packet):
             self.kernel_drops += 1
-            return
-
-        def deliver():
-            yield job
-            self._rx_complete(vnic, packet)
-
-        self.engine.process(deliver(), name=f"{self.name}.rx")
 
     def _rx_run(self, vnic: Vnic, packet: Packet, count: int) -> None:
         """Fluid kernel receive: one job covers the whole run; listener
@@ -154,21 +141,9 @@ class Vm:
                 for _ in range(count):
                     handler(packet.copy())
 
-        if CpuResource.direct_dispatch:
-            if not self.cpu.try_submit_call(cm.pkt_cycles * count,
-                                            cm.max_backlog, complete):
-                self.kernel_drops += count
-            return
-        job = self.cpu.try_submit(cm.pkt_cycles * count, cm.max_backlog)
-        if job is None:
+        if not self.cpu.try_submit_call(cm.pkt_cycles * count,
+                                        cm.max_backlog, complete):
             self.kernel_drops += count
-            return
-
-        def deliver():
-            yield job
-            complete()
-
-        self.engine.process(deliver(), name=f"{self.name}.rx")
 
     # -- transmission -----------------------------------------------------------------
 
@@ -180,17 +155,16 @@ class Vm:
 
     def _dispatch_conn(self, serial_cycles: float, parallel_cycles: float,
                        fn, *args) -> bool:
-        """Book the lock + vCPU slices of a connection burst and schedule
-        ``fn`` at the instant — and micro-queue position — the legacy
-        two-job generator would reach its body.
+        """Book the lock + vCPU slices of a connection burst and run
+        ``fn`` when both are done; False = drop-tail.
 
-        The legacy generator yields the lock job first: if it finishes
-        after the parallel job, completion resumes once off the lock pop
-        (one micro-hop), then finds the parallel event already succeeded
-        and hops once more; if the parallel job finishes later, its own
-        pop resumes the body in a single hop. The lock slice is booked
-        before the vCPU admission check, so a backlogged vCPU still
-        consumes lock time — the same booking leak the job path has.
+        A connection waits for the lock slice, then for the vCPU slice
+        (a process doing ``yield lock_job; yield par_job``): when the
+        vCPU slice ends last its completion runs ``fn`` one micro-queue
+        hop later; when the lock slice ends last the wait on the
+        already-finished vCPU slice costs one more hop — two in all.
+        The lock slice is booked before the vCPU admission check, so a
+        backlogged vCPU still consumes lock time.
         """
         cm = self.cost_model
         engine = self.engine
@@ -218,50 +192,17 @@ class Vm:
         if vnic.host is None:
             raise ConfigError(f"{vnic!r} is not hosted by any vSwitch")
         cm = self.cost_model
-        if CpuResource.direct_dispatch:
-            if new_connection:
-                self.conns_opened += 1
-                if not self._dispatch_conn(cm.conn_serial_cycles,
-                                           cm.conn_parallel_cycles,
-                                           self._tx_complete,
-                                           vnic, packet, on_sent):
-                    self.kernel_drops += 1
-            else:
-                if not self.cpu.try_submit_call(cm.pkt_cycles,
-                                                cm.max_backlog,
-                                                self._tx_complete,
-                                                vnic, packet, on_sent):
-                    self.kernel_drops += 1
-            return
-        jobs = []
         if new_connection:
             self.conns_opened += 1
-            lock_job = self.kernel_lock.try_submit(cm.conn_serial_cycles,
-                                                   cm.max_backlog)
-            if lock_job is None:
+            if not self._dispatch_conn(cm.conn_serial_cycles,
+                                       cm.conn_parallel_cycles,
+                                       self._tx_complete,
+                                       vnic, packet, on_sent):
                 self.kernel_drops += 1
-                return
-            par_job = self.cpu.try_submit(cm.conn_parallel_cycles,
-                                          cm.max_backlog)
-            if par_job is None:
-                self.kernel_drops += 1
-                return
-            jobs = [lock_job, par_job]
-        else:
-            pkt_job = self.cpu.try_submit(cm.pkt_cycles, cm.max_backlog)
-            if pkt_job is None:
-                self.kernel_drops += 1
-                return
-            jobs = [pkt_job]
-
-        def transmit():
-            for job in jobs:
-                yield job
-            vnic.host.send_from_vnic(vnic, packet)
-            if on_sent is not None:
-                on_sent()
-
-        self.engine.process(transmit(), name=f"{self.name}.tx")
+        elif not self.cpu.try_submit_call(cm.pkt_cycles, cm.max_backlog,
+                                          self._tx_complete,
+                                          vnic, packet, on_sent):
+            self.kernel_drops += 1
 
     def send_burst(self, vnic: Vnic, packets: List[Packet],
                    new_connection: bool = False,
@@ -278,49 +219,17 @@ class Vm:
             return
         n = len(packets)
         cm = self.cost_model
-        if CpuResource.direct_dispatch:
-            if new_connection:
-                self.conns_opened += n
-                if not self._dispatch_conn(cm.conn_serial_cycles * n,
-                                           cm.conn_parallel_cycles * n,
-                                           self._tx_burst_complete,
-                                           vnic, packets, on_sent):
-                    self.kernel_drops += n
-            else:
-                if not self.cpu.try_submit_call(cm.pkt_cycles * n,
-                                                cm.max_backlog,
-                                                self._tx_burst_complete,
-                                                vnic, packets, on_sent):
-                    self.kernel_drops += n
-            return
         if new_connection:
             self.conns_opened += n
-            lock_job = self.kernel_lock.try_submit(
-                cm.conn_serial_cycles * n, cm.max_backlog)
-            if lock_job is None:
+            if not self._dispatch_conn(cm.conn_serial_cycles * n,
+                                       cm.conn_parallel_cycles * n,
+                                       self._tx_burst_complete,
+                                       vnic, packets, on_sent):
                 self.kernel_drops += n
-                return
-            par_job = self.cpu.try_submit(cm.conn_parallel_cycles * n,
-                                          cm.max_backlog)
-            if par_job is None:
-                self.kernel_drops += n
-                return
-            jobs = [lock_job, par_job]
-        else:
-            pkt_job = self.cpu.try_submit(cm.pkt_cycles * n, cm.max_backlog)
-            if pkt_job is None:
-                self.kernel_drops += n
-                return
-            jobs = [pkt_job]
-
-        def transmit():
-            for job in jobs:
-                yield job
-            vnic.host.send_from_vnic_burst(vnic, packets)
-            if on_sent is not None:
-                on_sent()
-
-        self.engine.process(transmit(), name=f"{self.name}.tx")
+        elif not self.cpu.try_submit_call(cm.pkt_cycles * n, cm.max_backlog,
+                                          self._tx_burst_complete,
+                                          vnic, packets, on_sent):
+            self.kernel_drops += n
 
     def _tx_burst_complete(self, vnic: Vnic, packets: List[Packet],
                            on_sent: Optional[Callable[[], None]]) -> None:
@@ -342,21 +251,9 @@ class Vm:
             if on_sent is not None:
                 on_sent()
 
-        if CpuResource.direct_dispatch:
-            if not self.cpu.try_submit_call(cm.pkt_cycles * count,
-                                            cm.max_backlog, complete):
-                self.kernel_drops += count
-            return
-        job = self.cpu.try_submit(cm.pkt_cycles * count, cm.max_backlog)
-        if job is None:
+        if not self.cpu.try_submit_call(cm.pkt_cycles * count,
+                                        cm.max_backlog, complete):
             self.kernel_drops += count
-            return
-
-        def transmit():
-            yield job
-            complete()
-
-        self.engine.process(transmit(), name=f"{self.name}.tx")
 
     # -- telemetry ------------------------------------------------------------------------
 

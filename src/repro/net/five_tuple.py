@@ -24,11 +24,6 @@ _PROTO_NAMES = {PROTO_ICMP: "icmp", PROTO_TCP: "tcp", PROTO_UDP: "udp"}
 class FiveTuple:
     """(src ip, dst ip, protocol, src port, dst port) — the flow key."""
 
-    #: Class-level switch for the cached session key. ``False`` rebuilds
-    #: the tuple on every call (the pre-burst behavior); the burst
-    #: determinism suite runs both and requires identical outputs.
-    memoize_key: bool = True
-
     __slots__ = ("src_ip", "dst_ip", "proto", "src_port", "dst_port",
                  "_hash", "_session_key", "_hash64")
 
@@ -70,7 +65,7 @@ class FiveTuple:
         hot call.
         """
         key = self._session_key
-        if key is not None and FiveTuple.memoize_key:
+        if key is not None:
             return key
         a = (self.src_ip.value, self.src_port)
         b = (self.dst_ip.value, self.dst_port)
@@ -93,7 +88,7 @@ class FiveTuple:
         """
         if seed == 0:
             cached = self._hash64
-            if cached is not None and FiveTuple.memoize_key:
+            if cached is not None:
                 return cached
         blob = (
             seed.to_bytes(8, "big", signed=False)

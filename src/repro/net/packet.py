@@ -56,10 +56,6 @@ class Packet:
 
     __slots__ = ("layers", "payload", "meta", "_ft", "_wire", "_enc")
 
-    #: Class-level switch for the five_tuple/wire_length memo. Tests flip
-    #: it to prove memoization changes no simulation outputs.
-    memoize: bool = True
-
     def __init__(self, layers: List[Header], payload: bytes = b"",
                  meta: Optional[Dict[str, Any]] = None) -> None:
         if not layers:
@@ -140,7 +136,7 @@ class Packet:
     def five_tuple(self) -> FiveTuple:
         """The innermost flow key (the tenant's 5-tuple); memoized."""
         ft = self._ft
-        if ft is not None and self.memoize:
+        if ft is not None:
             return ft
         ip = self.inner_ipv4()
         l4 = self.inner_l4()
@@ -241,14 +237,9 @@ class Packet:
         new.layers = [_shallow_copy(layer) for layer in self.layers]
         new.payload = self.payload
         new.meta = dict(self.meta)
-        if Packet.memoize:
-            new._ft = self._ft
-            new._wire = self._wire
-            new._enc = self._enc
-        else:
-            new._ft = None
-            new._wire = None
-            new._enc = None
+        new._ft = self._ft
+        new._wire = self._wire
+        new._enc = self._enc
         return new
 
     # -- wire form --------------------------------------------------------------
@@ -256,7 +247,7 @@ class Packet:
     @property
     def wire_length(self) -> int:
         wire = self._wire
-        if wire is not None and self.memoize:
+        if wire is not None:
             return wire
         wire = sum(layer.wire_length
                    for layer in self.layers) + len(self.payload)
@@ -265,7 +256,7 @@ class Packet:
 
     def encode(self) -> bytes:
         enc = self._enc
-        if enc is not None and self.memoize:
+        if enc is not None:
             return enc
         enc = b"".join(layer.encode() for layer in self.layers) + self.payload
         self._enc = enc

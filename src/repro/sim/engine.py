@@ -238,14 +238,9 @@ class Engine:
     necessarily scheduled at an earlier time (lower sequence numbers than
     anything enqueued now), so draining the heap's current-time entries
     before the micro-queue reproduces the exact ``(time, seq)`` total
-    order of a pure-heap engine. ``Engine.micro_queue = False`` restores
-    the pure-heap path; the determinism regression tests run both and
-    require identical traces.
+    order of a pure-heap engine (``tests/test_perf_caches.py`` keeps a
+    ten-line pure-heap engine and requires identical traces).
     """
-
-    #: Class-level switch for the same-time FIFO micro-queue. Tests flip it
-    #: to prove the optimized scheduler changes no simulation outputs.
-    micro_queue: bool = True
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -275,7 +270,7 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at {when} before now={self._now}"
             )
-        if when == self._now and self.micro_queue:
+        if when == self._now:
             self._ready.append((fn, args))
             return
         heapq.heappush(self._heap, (when, self._seq, fn, args))
@@ -303,7 +298,6 @@ class Engine:
         any competitor the batch orders exactly as N consecutive pushes
         would (earlier pushes carry lower seqs, later pushes higher
         ones). :meth:`pending` counts an unfinished batch as one entry.
-        With ``micro_queue`` off this degrades to per-item ``call_at``.
         """
         items = tuple(items)
         if not items:
@@ -315,10 +309,6 @@ class Engine:
                 raise SimulationError(
                     f"batch items must be time-sorted and >= now={now}")
             prev = when
-        if not self.micro_queue:
-            for when, fn, args in items:
-                self.call_at(when, fn, *args)
-            return
         index = 0
         ready = self._ready
         while index < len(items) and items[index][0] == now:
@@ -372,10 +362,7 @@ class Engine:
 
     def call_soon(self, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` at the current time (after pending ties)."""
-        if self.micro_queue:
-            self._ready.append((fn, args))
-        else:
-            self.call_at(self._now, fn, *args)
+        self._ready.append((fn, args))
 
     # -- process / event construction ---------------------------------------
 

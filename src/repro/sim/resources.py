@@ -37,15 +37,6 @@ class CpuResource:
     does.
     """
 
-    #: Class-level switch for direct completion dispatch: booked jobs
-    #: schedule their completion callback straight onto the engine
-    #: (one micro-queue hop after the completion instant, exactly where
-    #: a process resumed by the job Event would run) instead of paying
-    #: an Event + generator Process per job. ``False`` restores the
-    #: event-driven path; the flow-records determinism suite runs
-    #: fig9/fig12 both ways and requires identical tables.
-    direct_dispatch: bool = True
-
     def __init__(
         self,
         engine: Engine,
@@ -130,11 +121,9 @@ class CpuResource:
         return self._event_at(self._admit(cycles, max_backlog))
 
     def try_book(self, cycles: float, max_backlog: float) -> Optional[float]:
-        """Drop-tail admission returning the bare completion time.
-
-        The direct-dispatch twin of :meth:`try_submit`: the caller
-        schedules its own completion callback, so no Event is built.
-        """
+        """Drop-tail admission returning the bare completion time: the
+        caller schedules its own completion callback, so no Event is
+        built."""
         return self._admit(cycles, max_backlog)
 
     def try_submit_call(self, cycles: float, max_backlog: float,
@@ -144,7 +133,8 @@ class CpuResource:
         The callback lands on the engine's micro-queue one hop after the
         completion instant's heap pop — the exact position a process
         resumed by the job's Event would run at — so schedules are
-        indistinguishable from the event-driven path.
+        indistinguishable from a process that yields :meth:`try_submit`'s
+        Event (the reference oracle charges that way, timestamps compared).
         """
         end = self._admit(cycles, max_backlog)
         if end is None:

@@ -1,4 +1,4 @@
-"""Struct-of-arrays flow records and the fluid fast-forward switch.
+"""Struct-of-arrays flow records.
 
 The steady-state hot loop — FULL-mode session-table hits on established,
 FSM-quiet flows — does not need Python objects per packet: a classified
@@ -23,14 +23,12 @@ Two deliberate deviations from a naive one-column-per-field layout:
   refreshed on every charge, never the source of truth: policy changes
   arrive through slow control paths (Nezha notify) that bypass slots.
 
-:class:`FluidMode` gates the second phase: long-lived elephant runs are
-advanced analytically — one descriptor (template packet + count)
-crosses the whole pipeline, charged with closed-form packet/byte/cycle
-deltas — and re-materialize into per-packet processing at event
-boundaries (FSM changes, QoS limits, NAT, mirrors, telemetry spans,
-offload demotion). Both switches follow the repo's legacy-switch
-pattern: the determinism suite runs fig9/fig12 with them on and off and
-requires byte-identical tables.
+The same columns carry fluid runs (``ElephantFlow(fluid=True)``): one
+descriptor (template packet + count) crosses the whole pipeline, charged
+with closed-form packet/byte/cycle deltas, and re-materializes into
+per-packet processing at event boundaries (FSM changes, NAT, mirrors,
+telemetry spans, offload demotion). ``tests/reference_datapath.py`` is
+the per-packet oracle both forms are differentially tested against.
 """
 
 from __future__ import annotations
@@ -44,25 +42,8 @@ FLAG_LIVE = 0x4
 POLICY_MASK = 0x3
 
 
-class FluidMode:
-    """Class-level switch for analytic (run-descriptor) fast-forward.
-
-    Off by default: fluid advancement coalesces a whole same-flow burst
-    into one event per pipeline stage, which preserves every aggregate
-    (counts, bytes, CPU cycles, link busy time) but not mid-burst
-    timestamps, so it is opt-in per experiment.
-    """
-
-    enabled: bool = False
-
-
 class FlowRecordStore:
     """Parallel-array flow records, one slot per stateful session entry."""
-
-    #: Class-level switch: ``False`` retires the slots — the datapath
-    #: falls back to per-packet updates of the boxed SessionState, the
-    #: pre-flow-records behavior.
-    enabled: bool = True
 
     __slots__ = ("packets_tx", "packets_rx", "bytes_tx", "bytes_rx",
                  "last_seen", "flags", "_free")

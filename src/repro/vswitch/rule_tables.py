@@ -139,10 +139,6 @@ class AclTable(RuleTable):
 
     name = "acl"
 
-    #: Class-level switch for the (proto, direction)-bucketed match path.
-    #: Tests flip it to prove bucketing changes no verdicts.
-    bucketed: bool = True
-
     def __init__(self, rules: List[AclRule] = None,
                  default_verdict: Verdict = Verdict.ACCEPT,
                  rule_bytes: int = 64) -> None:
@@ -184,8 +180,6 @@ class AclTable(RuleTable):
         self._buckets = buckets
 
     def _verdict(self, ft: FiveTuple, direction: Direction) -> Verdict:
-        if not self.bucketed:
-            return self._verdict_scan(ft, direction)
         if self._buckets is None:
             self._build_buckets()
         per = self._buckets[direction]
@@ -194,16 +188,6 @@ class AclTable(RuleTable):
             bucket = per[None]
         for rule in bucket:
             if rule._matches_addrs_ports(ft):
-                return rule.verdict
-        return self.default_verdict
-
-    def _verdict_scan(self, ft: FiveTuple, direction: Direction) -> Verdict:
-        """Reference full-scan matcher (the pre-bucketing implementation);
-        kept for the A/B equivalence tests and the benchmark baseline."""
-        for rule in self.rules:
-            if rule.direction is not None and rule.direction != direction:
-                continue
-            if rule.matches(ft):
                 return rule.verdict
         return self.default_verdict
 

@@ -45,7 +45,7 @@ class SessionEntry:
     """One bidirectional session.
 
     ``slot`` indexes the table's :class:`FlowRecordStore` column arrays
-    (-1 when the entry carries no state or the store is disabled);
+    (-1 when the entry carries no state or has been released);
     ``encap`` caches the entry's :class:`~repro.net.packet.EncapTemplate`
     and is dropped whenever the route may change (demotion, promotion,
     peer invalidation).
@@ -154,7 +154,7 @@ class SessionTable:
             state.created_at = now
             state.last_seen = now
         entry = SessionEntry(vni, five_tuple, pre_actions, state, mode, nbytes)
-        if FlowRecordStore.enabled and state is not None:
+        if state is not None:
             entry.slot = self.records.alloc()
         self._entries[key] = entry
         self.inserts += 1

@@ -85,10 +85,6 @@ class _ChainTables(list):
 class SlowPath:
     """An ordered rule-table chain with cost accounting."""
 
-    #: Class-level switch for the chain-level caches. Tests flip it to
-    #: prove caching changes no lookup results or costs.
-    caching: bool = True
-
     def __init__(self, tables: List[RuleTable], cost_model: CostModel) -> None:
         self.tables = _ChainTables(tables, self)
         self.cost_model = cost_model
@@ -106,7 +102,7 @@ class SlowPath:
             if self not in table._chains:
                 table._attach(self)
         # First occurrence wins on duplicate names (the advanced 12-table
-        # chain repeats table types), matching the original linear scan.
+        # chain repeats table types).
         self._by_name = {t.name: t for t in reversed(self.tables)}
         self.invalidate_caches()
 
@@ -117,17 +113,9 @@ class SlowPath:
         self._static_cycles = None
 
     def table(self, name: str) -> Optional[RuleTable]:
-        if self.caching:
-            return self._by_name.get(name)
-        for table in self.tables:
-            if table.name == name:
-                return table
-        return None
+        return self._by_name.get(name)
 
     def acl_rule_count(self) -> int:
-        if not self.caching:
-            return sum(t.rule_count() for t in self.tables
-                       if isinstance(t, AclTable))
         count = self._acl_rule_count
         if count is None:
             count = sum(t.rule_count() for t in self.tables
@@ -137,12 +125,6 @@ class SlowPath:
 
     def lookup_cost(self, packet_bytes: int) -> float:
         """Cycle cost of one lookup, chargeable before running it."""
-        if not self.caching:
-            return self.cost_model.lookup_cycles(
-                n_tables=len(self.tables),
-                n_acl_rules=self.acl_rule_count(),
-                packet_bytes=packet_bytes,
-            )
         static = self._static_cycles
         if static is None:
             static = self.cost_model.lookup_cycles_static(
@@ -160,8 +142,6 @@ class SlowPath:
 
     def memory_bytes(self) -> int:
         """Total rule-table memory this chain pins on its host."""
-        if not self.caching:
-            return sum(table.memory_bytes() for table in self.tables)
         total = self._memory_bytes
         if total is None:
             total = sum(table.memory_bytes() for table in self.tables)

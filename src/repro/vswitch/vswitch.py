@@ -41,7 +41,6 @@ from repro.vswitch.actions import (ActionKind, Direction, FinalAction,
                                    PreActions, Verdict, process_pkt,
                                    resolve_verdict)
 from repro.vswitch.costs import CostModel
-from repro.vswitch.flow_records import FlowRecordStore, FluidMode
 from repro.vswitch.rule_tables import (AclTable, FlowLogTable, LookupContext,
                                        MappingTable, MirrorTable,
                                        PolicyRouteTable, QosTable, RouteTable)
@@ -84,12 +83,6 @@ class VSwitchStats:
 class Datapath:
     """Per-vNIC packet-processing strategy (local / Nezha BE / Nezha FE)."""
 
-    #: Class-level switch for the vectorized burst path. ``False`` forces
-    #: per-packet processing everywhere (the pre-burst behavior); the
-    #: burst determinism suite runs fig9/fig12 both ways and requires
-    #: identical tables.
-    batching: bool = True
-
     def handle_tx(self, vnic: Vnic, packet: Packet) -> None:
         raise NotImplementedError
 
@@ -111,7 +104,7 @@ class Datapath:
             self.handle_rx(vnic, packet, overlay_src)
 
     # Fluid entry points: one template packet standing for ``count``
-    # identical packets (FluidMode). The default materializes copies and
+    # identical packets. The default materializes copies and
     # takes the burst path, so every datapath accepts runs; strategies
     # with a real analytic path override these.
 
@@ -265,58 +258,26 @@ class VSwitch:
     # -- CPU-charged execution helper -------------------------------------------------------
 
     def charge(self, cycles: float, fn: Callable[[], None]) -> bool:
-        """Run ``fn`` after ``cycles`` of CPU time; False = drop-tail.
-
-        Under :attr:`CpuResource.direct_dispatch` the completion callback
-        is scheduled straight on the engine — same completion instant and
-        micro-queue position as the event-driven path, minus one Event,
-        one Process, and one generator per packet."""
-        if CpuResource.direct_dispatch:
-            if self.cpu.try_submit_call(cycles, self.cost_model.max_cpu_backlog,
-                                        fn):
-                return True
-            self.stats.cpu_drops += 1
-            self.trace.emit("pkt.cpu_drop", vswitch=self.name)
-            return False
-        job = self.cpu.try_submit(cycles, self.cost_model.max_cpu_backlog)
-        if job is None:
-            self.stats.cpu_drops += 1
-            self.trace.emit("pkt.cpu_drop", vswitch=self.name)
-            return False
-
-        def runner():
-            yield job
-            fn()
-
-        self.engine.process(runner(), name=f"{self.name}.job")
-        return True
+        """Run ``fn`` after ``cycles`` of CPU time; False = drop-tail."""
+        if self.cpu.try_submit_call(cycles, self.cost_model.max_cpu_backlog,
+                                    fn):
+            return True
+        self.stats.cpu_drops += 1
+        self.trace.emit("pkt.cpu_drop", vswitch=self.name)
+        return False
 
     def charge_batch(self, cycles: float, n_packets: int,
                      fn: Callable[[], None]) -> bool:
         """Run ``fn`` after ``cycles`` of CPU time charged as *one* job
         covering a burst of ``n_packets``; drop-tail rejects the whole
         burst (``cpu_drops`` still counts every packet)."""
-        if CpuResource.direct_dispatch:
-            if self.cpu.try_submit_call(cycles, self.cost_model.max_cpu_backlog,
-                                        fn):
-                return True
-            self.stats.cpu_drops += n_packets
-            for _ in range(n_packets):
-                self.trace.emit("pkt.cpu_drop", vswitch=self.name)
-            return False
-        job = self.cpu.try_submit(cycles, self.cost_model.max_cpu_backlog)
-        if job is None:
-            self.stats.cpu_drops += n_packets
-            for _ in range(n_packets):
-                self.trace.emit("pkt.cpu_drop", vswitch=self.name)
-            return False
-
-        def runner():
-            yield job
-            fn()
-
-        self.engine.process(runner(), name=f"{self.name}.job")
-        return True
+        if self.cpu.try_submit_call(cycles, self.cost_model.max_cpu_backlog,
+                                    fn):
+            return True
+        self.stats.cpu_drops += n_packets
+        for _ in range(n_packets):
+            self.trace.emit("pkt.cpu_drop", vswitch=self.name)
+        return False
 
     # -- packet entry points ---------------------------------------------------------------
 
@@ -525,12 +486,10 @@ class VSwitch:
         """Encapsulate a burst of (packet, action) pairs and emit them to
         the fabric as one serialized train. Per-packet encapsulation,
         entropy, and mirror handling match :meth:`forward_overlay`
-        exactly; only the uplink scheduling is coalesced. When the
-        caller's session ``entry`` is given (and flow records are on),
-        the constant outer headers come from its cached
-        :class:`EncapTemplate` instead of being rebuilt per packet."""
+        exactly; only the uplink scheduling is coalesced. The constant
+        outer headers come from the session ``entry``'s cached
+        :class:`EncapTemplate` (a one-off template without an entry)."""
         out: List[Packet] = []
-        use_template = FlowRecordStore.enabled
         for packet, action in routed:
             if action.next_hop_ip is None:
                 self.stats.no_route_drops += 1
@@ -539,20 +498,12 @@ class VSwitch:
             if _spans.ACTIVE:
                 _spans.hop(packet, "fabric_tx", self.engine.now)
             entropy = 49152 + (packet.five_tuple().hash() & 0x3FFF)
-            if use_template:
-                tmpl = self.encap_template(
-                    entry, action.next_hop_ip,
-                    action.next_hop_mac or MacAddress.broadcast(),
-                    action.vni, entropy)
-                wrapped = tmpl.wrap(packet)
-            else:
-                wrapped = make_underlay_transport(
-                    self.server.mac,
-                    action.next_hop_mac or MacAddress.broadcast(),
-                    self.server.underlay_ip, action.next_hop_ip,
-                    packet, vni=action.vni, src_port=entropy)
+            tmpl = self.encap_template(
+                entry, action.next_hop_ip,
+                action.next_hop_mac or MacAddress.broadcast(),
+                action.vni, entropy)
             self.stats.forwarded += 1
-            out.append(wrapped)
+            out.append(tmpl.wrap(packet))
             if action.mirror_to is not None:
                 self.stats.mirrored += 1
                 out.append(make_underlay_transport(
@@ -737,19 +688,12 @@ class LocalDatapath(Datapath):
     # -- TX ------------------------------------------------------------------------
 
     def handle_tx(self, vnic: Vnic, packet: Packet) -> None:
-        if Datapath.batching:
-            self.handle_tx_burst(vnic, [packet])
-        else:
-            self._tx_single(vnic, packet)
+        self.handle_tx_burst(vnic, [packet])
 
     def handle_tx_burst(self, vnic: Vnic, packets: List[Packet]) -> None:
         """Vectorized TX: batchable runs pay one lookup and one CPU
         transaction; everything else falls back to the per-packet slow
         path at its position in the burst."""
-        if not Datapath.batching:
-            for packet in packets:
-                self._tx_single(vnic, packet)
-            return
         vs = self.vswitch
         encap = vs.cost_model.encap_cycles
         index = 0
@@ -770,7 +714,7 @@ class LocalDatapath(Datapath):
         path? Requires a live slot, an unmoved TCP FSM (every packet was
         verified quiet against ``fsm_snap`` at classify time), and no
         per-packet header work (NAT rewrite, mirroring)."""
-        if not FlowRecordStore.enabled or entry.slot < 0:
+        if entry.slot < 0:
             return False
         if fsm_snap is not None and entry.state.tcp_state is not fsm_snap:
             return False
@@ -863,7 +807,7 @@ class LocalDatapath(Datapath):
         vs.stats.forwarded += len(out)
         vs.server.send_to_fabric_burst([tmpl.wrap(p) for p in out])
 
-    # -- fluid TX (FluidMode) ------------------------------------------------------
+    # -- fluid TX -----------------------------------------------------------------
 
     def handle_tx_run(self, vnic: Vnic, packet: Packet, count: int) -> None:
         """Fluid TX: one template packet stands for ``count`` identical
@@ -873,10 +817,8 @@ class LocalDatapath(Datapath):
         burst path."""
         vs = self.vswitch
         entry = vs.session_table.lookup(vnic.vni, packet.five_tuple())
-        if (not Datapath.batching
-                or entry is None or entry.pre_actions is None
-                or entry.state is None or entry.slot < 0
-                or not FlowRecordStore.enabled
+        if (entry is None or entry.pre_actions is None
+                or entry.state is None
                 or not self._fsm_quiet(entry, Direction.TX, packet)
                 or entry.pre_actions.tx.nat_src is not None
                 or entry.pre_actions.tx.mirror_to is not None):
@@ -971,18 +913,11 @@ class LocalDatapath(Datapath):
 
     def handle_rx(self, vnic: Vnic, packet: Packet,
                   overlay_src: Optional[IPv4Address] = None) -> None:
-        if Datapath.batching:
-            self.handle_rx_burst(vnic, [packet], overlay_src)
-        else:
-            self._rx_single(vnic, packet, overlay_src)
+        self.handle_rx_burst(vnic, [packet], overlay_src)
 
     def handle_rx_burst(self, vnic: Vnic, packets: List[Packet],
                         overlay_src: Optional[IPv4Address] = None) -> None:
         """Vectorized RX: mirror of :meth:`handle_tx_burst`."""
-        if not Datapath.batching:
-            for packet in packets:
-                self._rx_single(vnic, packet, overlay_src)
-            return
         vs = self.vswitch
         index = 0
         n = len(packets)
@@ -1005,8 +940,7 @@ class LocalDatapath(Datapath):
         if entry.pre_actions is None or entry.state is None:
             vs.stats.cpu_drops += len(packets)
             return
-        if (run_bytes >= 0 and not _spans.ACTIVE
-                and FlowRecordStore.enabled and entry.slot >= 0
+        if (run_bytes >= 0 and not _spans.ACTIVE and entry.slot >= 0
                 and (fsm_snap is None
                      or entry.state.tcp_state is fsm_snap)):
             self._complete_rx_run(vnic, entry, packets, run_bytes)
@@ -1047,17 +981,15 @@ class LocalDatapath(Datapath):
         vs.stats.delivered += n
         vnic.deliver_burst(packets)
 
-    # -- fluid RX (FluidMode) ------------------------------------------------------
+    # -- fluid RX -----------------------------------------------------------------
 
     def handle_rx_run(self, vnic: Vnic, packet: Packet, count: int,
                       overlay_src: Optional[IPv4Address] = None) -> None:
         """Fluid RX: mirror of :meth:`handle_tx_run` (no QoS/NAT stage)."""
         vs = self.vswitch
         entry = vs.session_table.lookup(vnic.vni, packet.five_tuple())
-        if (not Datapath.batching
-                or entry is None or entry.pre_actions is None
-                or entry.state is None or entry.slot < 0
-                or not FlowRecordStore.enabled
+        if (entry is None or entry.pre_actions is None
+                or entry.state is None
                 or not self._fsm_quiet(entry, Direction.RX, packet)):
             Datapath.handle_rx_run(self, vnic, packet, count, overlay_src)
             return
@@ -1080,8 +1012,7 @@ class LocalDatapath(Datapath):
             vs.stats.cpu_drops += count
             return
         state = entry.state
-        if (not FlowRecordStore.enabled or entry.slot < 0
-                or state.tcp_state is not fsm_snap):
+        if entry.slot < 0 or state.tcp_state is not fsm_snap:
             self._complete_rx_batch(vnic, entry,
                                     [packet.copy() for _ in range(count)])
             return

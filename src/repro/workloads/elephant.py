@@ -8,7 +8,6 @@ from repro.net.five_tuple import FiveTuple, PROTO_TCP
 from repro.net.packet import Packet
 from repro.net.tcp import TcpFlags
 from repro.sim.engine import Engine
-from repro.vswitch.flow_records import FluidMode
 from repro.vswitch.vnic import Vnic
 
 
@@ -20,12 +19,19 @@ class ElephantFlow:
     burst) while keeping the average rate: each burst is followed by
     ``burst`` inter-packet gaps. The opening SYN always travels alone —
     it has to take the slow path and create the session.
+
+    ``fluid=True`` sends each burst as one run descriptor — a template
+    packet plus a count, advanced analytically, copies materialized only
+    at event boundaries. Every aggregate (counts, bytes, CPU cycles, link
+    busy time) equals the burst form's; mid-burst timestamps collapse,
+    which is why a caller has to ask for it.
     """
 
     def __init__(self, engine: Engine, vm: Vm, vnic: Vnic,
                  dst_ip: IPv4Address, rate_pps: float,
                  payload_bytes: int = 1400, sport: int = 5001,
-                 dport: int = 5201, burst: int = 1) -> None:
+                 dport: int = 5201, burst: int = 1,
+                 fluid: bool = False) -> None:
         self.engine = engine
         self.vm = vm
         self.vnic = vnic
@@ -35,6 +41,7 @@ class ElephantFlow:
         self.sport = sport
         self.dport = dport
         self.burst = max(1, int(burst))
+        self.fluid = fluid
         self.sent = 0
         self._stop_at = None
 
@@ -66,9 +73,7 @@ class ElephantFlow:
                 self.vm.send(self.vnic, self._data_packet())
                 self.sent += 1
                 yield self.engine.timeout(gap)
-            elif FluidMode.enabled:
-                # One template packet stands in for the whole run; the
-                # datapath only materializes copies at event boundaries.
+            elif self.fluid:
                 self.vm.send_run(self.vnic, self._data_packet(), self.burst)
                 self.sent += self.burst
                 yield self.engine.timeout(gap * self.burst)

@@ -1,51 +1,24 @@
 """Edge cases of burst run classification against per-packet replay.
 
-Each scenario drives the same burst through (a) the array-backed
-flow-record datapath and (b) the legacy per-packet path with every
-switch of this PR (and batching itself) off, then requires identical
-vSwitch counters on both ends *and* identical flow statistics after the
-records are materialized back into the boxed SessionState.
+Each scenario drives the same burst through the pipeline and through
+the per-packet reference datapath (``tests/reference_datapath.py``),
+then requires identical vSwitch counters on both ends *and* identical
+flow statistics after the records are materialized back into the boxed
+SessionState. Hand-picked where ``test_reference_oracle.py`` generates:
+these three interleavings are the ones a run classifier gets wrong.
 """
 
 from dataclasses import asdict
 
 import pytest
 
-from repro.net import IPv4Address, Packet, TcpFlags
-from repro.sim.resources import CpuResource
+from repro.net import Packet, TcpFlags
 from repro.vswitch import TcpState
-from repro.vswitch.flow_records import FlowRecordStore, FluidMode
 from repro.vswitch.session_table import EntryMode
 from repro.vswitch.state import StatsPolicy
-from repro.vswitch.vswitch import Datapath
 
 from tests.conftest import TENANT_A, TENANT_B, VNI, build_cloud
-
-_SWITCHES = (
-    (Datapath, "batching"),
-    (FlowRecordStore, "enabled"),
-    (CpuResource, "direct_dispatch"),
-)
-
-
-@pytest.fixture
-def run_mode():
-    """Callable selecting the datapath configuration: ``records`` (this
-    PR's switches on), ``burst`` (batching on, this PR's switches off) or
-    ``per_packet`` (everything off, queued CPU jobs)."""
-    saved = [(cls, name, getattr(cls, name)) for cls, name in _SWITCHES]
-    saved.append((FluidMode, "enabled", FluidMode.enabled))
-
-    def enable(mode: str) -> None:
-        on = mode == "records"
-        for cls, name in _SWITCHES:
-            setattr(cls, name, on)
-        Datapath.batching = mode != "per_packet"
-        FluidMode.enabled = False
-
-    yield enable
-    for cls, name, value in saved:
-        setattr(cls, name, value)
+from tests.reference_datapath import install_reference
 
 
 def ack(flags=("ack",), payload=b"d" * 100):
@@ -57,13 +30,11 @@ def udp(sport=4242):
     return Packet.udp(TENANT_A, TENANT_B, sport, 5353, payload=b"x" * 64)
 
 
-def _flow_counters(vswitch, ft, timestamps=True):
+def _flow_counters(vswitch, ft):
     """Flow statistics with any slot residue materialized first.
 
-    ``last_seen`` is only comparable between configurations that share
-    the CPU charging shape: a batched run completes as one serialized
-    transaction while per-packet jobs spread across cores, so against
-    the fully per-packet replay the timestamp is excluded (counters and
+    ``last_seen`` is left out: a batched run completes as one serialized
+    transaction while per-packet jobs spread across cores (counters and
     FSM must still match exactly)."""
     entry = vswitch.session_table.lookup(VNI, ft)
     if entry is None:
@@ -71,15 +42,16 @@ def _flow_counters(vswitch, ft, timestamps=True):
     state = entry.state
     if entry.slot >= 0:
         vswitch.session_table.records.flush(entry.slot, state)
-    stats = (state.packets_tx, state.packets_rx, state.bytes_tx,
-             state.bytes_rx, state.tcp_state)
-    return stats + (state.last_seen,) if timestamps else stats
+    return (state.packets_tx, state.packets_rx, state.bytes_tx,
+            state.bytes_rx, state.tcp_state)
 
 
-def _established_cloud():
+def _established_cloud(reference):
     """A cloud with flow A's TCP session established end to end and a
     FULL stats policy installed on the initiator side."""
     cloud = build_cloud()
+    if reference:
+        install_reference(cloud)
     cloud.vnic_b.attach_guest(lambda pkt: None)
     cloud.vnic_a.attach_guest(lambda pkt: None)
     cloud.vswitch_a.send_from_vnic(
@@ -98,24 +70,24 @@ def _established_cloud():
     return cloud
 
 
-def _scenario_fsm_split(timestamps):
+def _scenario_fsm_split(reference):
     """A run split exactly at an FSM-advancing packet: the FIN must leave
     the batch, advance the FSM once, in order, and the trailing ACKs must
     be classified against the post-FIN state."""
-    cloud = _established_cloud()
+    cloud = _established_cloud(reference)
     burst = [ack(), ack(), ack(flags=("fin", "ack")), ack(), ack()]
     cloud.vswitch_a.send_from_vnic_burst(cloud.vnic_a, burst)
     cloud.engine.run(until=cloud.engine.now + 0.2)
     return (asdict(cloud.vswitch_a.stats), asdict(cloud.vswitch_b.stats),
-            _flow_counters(cloud.vswitch_a, ack().five_tuple(), timestamps),
-            _flow_counters(cloud.vswitch_b, ack().five_tuple(), timestamps))
+            _flow_counters(cloud.vswitch_a, ack().five_tuple()),
+            _flow_counters(cloud.vswitch_b, ack().five_tuple()))
 
 
-def _scenario_state_only_mid_run(timestamps):
+def _scenario_state_only_mid_run(reference):
     """A STATE_ONLY residue hit in the middle of a burst: the packet must
     take the per-packet promote path while the runs around it stay
     aggregated."""
-    cloud = _established_cloud()
+    cloud = _established_cloud(reference)
     # Prime the UDP flow, then demote the tenant: every FULL entry (the
     # TCP flow included) becomes a STATE_ONLY residue with its record
     # slot flushed.
@@ -128,15 +100,15 @@ def _scenario_state_only_mid_run(timestamps):
     cloud.vswitch_a.send_from_vnic_burst(cloud.vnic_a, burst)
     cloud.engine.run(until=cloud.engine.now + 0.2)
     return (asdict(cloud.vswitch_a.stats), asdict(cloud.vswitch_b.stats),
-            _flow_counters(cloud.vswitch_a, ack().five_tuple(), timestamps),
-            _flow_counters(cloud.vswitch_a, udp().five_tuple(), timestamps))
+            _flow_counters(cloud.vswitch_a, ack().five_tuple()),
+            _flow_counters(cloud.vswitch_a, udp().five_tuple()))
 
 
-def _scenario_demotion_between_runs(timestamps):
+def _scenario_demotion_between_runs(reference):
     """Demotion landing between two runs of one burst: the first run
     forwards, the second was charged against the old entry and must be
     dropped at completion — the same fate its packets meet per-packet."""
-    cloud = _established_cloud()
+    cloud = _established_cloud(reference)
     vs = cloud.vswitch_a
     orig_burst = vs.server.send_to_fabric_burst
     orig_single = vs.server.send_to_fabric
@@ -166,7 +138,7 @@ def _scenario_demotion_between_runs(timestamps):
     cloud.engine.run(until=cloud.engine.now + 0.2)
     assert progress["tripped"]
     return (asdict(vs.stats), asdict(cloud.vswitch_b.stats),
-            _flow_counters(vs, ack().five_tuple(), timestamps))
+            _flow_counters(vs, ack().five_tuple()))
 
 
 _SCENARIOS = [
@@ -178,24 +150,7 @@ _IDS = ["fsm_split", "state_only_mid_run", "demotion_between_runs"]
 
 
 @pytest.mark.parametrize("scenario", _SCENARIOS, ids=_IDS)
-def test_edge_case_identical_to_burst_replay(run_mode, scenario):
-    """Same burst machinery, flow records on vs off: everything matches,
-    completion timestamps included."""
-    run_mode("records")
-    records = scenario(timestamps=True)
-    run_mode("burst")
-    replay = scenario(timestamps=True)
-    assert records == replay
-
-
-@pytest.mark.parametrize("scenario", _SCENARIOS, ids=_IDS)
-def test_edge_case_identical_to_per_packet_replay(run_mode, scenario):
-    """Against the fully per-packet path: counters, drops and FSM match
-    exactly; completion timestamps follow the CPU charging shape (one
-    serialized transaction per run vs per-packet jobs across cores) and
-    are excluded — that difference predates the flow records."""
-    run_mode("records")
-    records = scenario(timestamps=False)
-    run_mode("per_packet")
-    replay = scenario(timestamps=False)
-    assert records == replay
+def test_edge_case_identical_to_per_packet_replay(scenario):
+    """Against the per-packet reference: counters, drops and FSM match
+    exactly."""
+    assert scenario(reference=False) == scenario(reference=True)

@@ -1,69 +1,11 @@
-"""Seeded end-to-end determinism: the fast-path optimizations must not
-change a single simulation output.
-
-Every optimization added by the performance overhaul ships with a legacy
-switch (pure-heap engine, uncached slow path, unbucketed ACL, unmemoized
-packets). These tests run scaled-down fig9/fig12 experiments with the
-optimizations on and off and require *identical* result tables — the
-strongest possible statement that the caches are semantically invisible.
+"""Seeded end-to-end determinism: the same seed renders the same table,
+run to run. (Across ``--jobs`` it is ``test_parallel_determinism.py``,
+across commits ``test_golden_tables.py``.)
 """
 
-import pytest
 
-from repro.net.packet import Packet
-from repro.sim.engine import Engine
-from repro.vswitch.rule_tables import AclTable
-from repro.vswitch.slow_path import SlowPath
-
-_SWITCHES = (
-    (Engine, "micro_queue"),
-    (SlowPath, "caching"),
-    (AclTable, "bucketed"),
-    (Packet, "memoize"),
-)
-
-
-@pytest.fixture
-def legacy_mode():
-    """Context manager flipping every optimization to its legacy path."""
-    saved = [(cls, name, getattr(cls, name)) for cls, name in _SWITCHES]
-
-    def enable(optimized: bool) -> None:
-        for cls, name in _SWITCHES:
-            setattr(cls, name, optimized)
-
-    yield enable
-    for cls, name, value in saved:
-        setattr(cls, name, value)
-
-
-def test_fig9_table_identical_with_and_without_optimizations(legacy_mode):
-    from repro.experiments import fig9
-    kwargs = dict(fe_counts=(0, 2), duration=0.4, warmup=0.2,
-                  concurrency_per_client=8, seed=3)
-    legacy_mode(True)
-    optimized = fig9.run(**kwargs)
-    legacy_mode(False)
-    legacy = fig9.run(**kwargs)
-    assert optimized.rows == legacy.rows
-
-
-def test_fig12_table_identical_with_and_without_optimizations(legacy_mode):
-    from repro.experiments import fig12
-    kwargs = dict(load_levels=(8,), seed=2)
-    legacy_mode(True)
-    optimized = fig12.run(**kwargs)
-    legacy_mode(False)
-    legacy = fig12.run(**kwargs)
-    assert optimized.rows == legacy.rows
-
-
-def test_same_seed_same_table_twice(legacy_mode):
-    """The optimized pipeline itself is run-to-run deterministic."""
+def test_same_seed_same_table_twice():
     from repro.experiments import fig9
     kwargs = dict(fe_counts=(2,), duration=0.3, warmup=0.1,
                   concurrency_per_client=8, seed=11)
-    legacy_mode(True)
-    first = fig9.run(**kwargs)
-    second = fig9.run(**kwargs)
-    assert first.rows == second.rows
+    assert fig9.run(**kwargs).rows == fig9.run(**kwargs).rows

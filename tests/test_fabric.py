@@ -84,30 +84,34 @@ def test_send_on_disconnected_port_returns_false():
 # -- Link bursts ---------------------------------------------------------------
 
 
-def _burst_arrivals(burst_on, n=4):
-    """Arrival times of an n-packet train, with Link.burst on or off."""
-    saved = Link.burst
-    Link.burst = burst_on
-    try:
-        engine = Engine()
-        a = mk_server(engine, "a", "10.0.0.1")
-        b = mk_server(engine, "b", "10.0.0.2", mac=2)
-        connect(engine, a, b, latency=10e-6, gbps=1.0)
-        arrivals = []
-        b.attach_sink(lambda pkt: arrivals.append((engine.now, pkt)))
-        a.send_to_fabric_burst([mk_packet(sport=1000 + i) for i in range(n)])
-        engine.run()
-        return arrivals
-    finally:
-        Link.burst = saved
+def _burst_arrivals(as_burst, n=4):
+    """Arrival times of an n-packet train of mixed sizes, sent as one
+    ``transmit_burst`` or as n ``transmit`` calls at the same instant."""
+    engine = Engine()
+    a = mk_server(engine, "a", "10.0.0.1")
+    b = mk_server(engine, "b", "10.0.0.2", mac=2)
+    link = connect(engine, a, b, latency=10e-6, gbps=1.0)
+    arrivals = []
+    b.attach_sink(lambda pkt: arrivals.append((engine.now, pkt)))
+    train = [Packet.tcp(IPv4Address("10.0.0.1"), IPv4Address("10.1.0.1"),
+                        1000 + i, 80, TcpFlags.of("syn"), b"x" * (300 * (i % 2)))
+             for i in range(n)]
+    if as_burst:
+        a.send_to_fabric_burst(train)
+    else:
+        for packet in train:
+            a.send_to_fabric(packet)
+    engine.run()
+    return arrivals, (link.packets_carried, link.bytes_carried)
 
 
 def test_burst_arrival_times_match_per_packet_transmits():
     """The exact-timing guarantee: one coalesced heap entry delivers each
     packet at precisely the serialization+latency instant N separate
     transmits would."""
-    coalesced = _burst_arrivals(burst_on=True)
-    per_packet = _burst_arrivals(burst_on=False)
+    coalesced, carried = _burst_arrivals(as_burst=True)
+    per_packet, carried_singly = _burst_arrivals(as_burst=False)
+    assert carried == carried_singly
     assert [t for t, _ in coalesced] == [t for t, _ in per_packet]
     assert ([p.five_tuple() for _, p in coalesced]
             == [p.five_tuple() for _, p in per_packet])

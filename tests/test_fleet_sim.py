@@ -494,22 +494,23 @@ def test_vnic_run_delivery_materializes_distinct_packets_under_spans():
     assert all(pkt == template for pkt in got)
 
 
-def test_hot_sim_restores_global_fluid_mode():
-    from repro.vswitch.flow_records import FluidMode
-    prior = FluidMode.enabled
-    try:
-        FluidMode.enabled = False
-        simulate_hot_epoch(seed=7, demand_ratio=2.0, granted=False)
-        assert FluidMode.enabled is False
-        FluidMode.enabled = True
-        simulate_hot_epoch(seed=7, demand_ratio=2.0, granted=False,
-                           fluid=False)
-        assert FluidMode.enabled is True
-    finally:
-        FluidMode.enabled = prior
-
-
 # -- the experiment: byte-identity across shard counts ----------------------
+
+def test_fleet_conservation_check_raises_not_asserts(monkeypatch):
+    """Folded totals == fluid totals is checked by a raise, so it is
+    still there under ``python -O``."""
+    from repro.errors import SimulationError
+    from repro.experiments import fleet
+
+    def lossy(state, digest=fleet._shard_digest):
+        out = digest(state)
+        out["pkts"] -= 1
+        return out
+
+    monkeypatch.setattr(fleet, "_shard_digest", lossy)
+    with pytest.raises(SimulationError, match="lost traffic"):
+        fleet.run(shards=1, jobs=1, **FLEET_KWARGS)
+
 
 def test_fleet_experiment_identical_across_shard_counts():
     from repro.experiments import fleet

@@ -1,122 +1,14 @@
-"""Seeded end-to-end determinism for the flow-record datapath.
-
-This PR's switches — array-backed flow records, direct CPU dispatch and
-the fluid fast-forward — must be invisible to every observable result:
-scaled-down fig9/fig12 runs with the switches on and off must produce
-*identical* tables, composed with the process-pool sweep (``--jobs 2``)
-and with the full telemetry stack installed. The fluid mode additionally
-must preserve every traffic aggregate of an elephant-burst pipeline even
-though it collapses per-packet events into run descriptors.
+"""The fluid fast-forward must preserve every traffic aggregate of an
+elephant-burst pipeline even though it collapses per-packet events into
+run descriptors.
 """
 
 from dataclasses import asdict
 
-import pytest
-
-from repro import telemetry
 from repro.host.vm import Vm
-from repro.sim.resources import CpuResource
-from repro.vswitch.flow_records import FlowRecordStore, FluidMode
 from repro.workloads.elephant import ElephantFlow
 
 from tests.conftest import TENANT_B, build_cloud
-
-_SWITCHES = (
-    (FlowRecordStore, "enabled"),
-    (CpuResource, "direct_dispatch"),
-)
-
-
-@pytest.fixture
-def record_mode():
-    """Callable flipping the flow-record datapath between on and legacy;
-    ``fluid=True`` additionally enables analytic fast-forward."""
-    saved = [(cls, name, getattr(cls, name)) for cls, name in _SWITCHES]
-    saved.append((FluidMode, "enabled", FluidMode.enabled))
-
-    def enable(records: bool, fluid: bool = False) -> None:
-        for cls, name in _SWITCHES:
-            setattr(cls, name, records)
-        FluidMode.enabled = fluid
-
-    yield enable
-    for cls, name, value in saved:
-        setattr(cls, name, value)
-
-
-FIG9_KWARGS = dict(fe_counts=(0, 2), duration=0.4, warmup=0.2,
-                   concurrency_per_client=8, seed=3)
-FIG12_KWARGS = dict(load_levels=(8,), seed=2)
-
-
-def test_fig9_table_identical_with_and_without_flow_records(record_mode):
-    from repro.experiments import fig9
-    record_mode(True)
-    records = fig9.run(**FIG9_KWARGS)
-    record_mode(False)
-    legacy = fig9.run(**FIG9_KWARGS)
-    assert records.rows == legacy.rows
-
-
-def test_fig12_table_identical_with_and_without_flow_records(record_mode):
-    from repro.experiments import fig12
-    record_mode(True)
-    records = fig12.run(**FIG12_KWARGS)
-    record_mode(False)
-    legacy = fig12.run(**FIG12_KWARGS)
-    assert records.rows == legacy.rows
-
-
-def test_fig9_table_identical_with_fluid_mode(record_mode):
-    """CRR traffic never forms runs, so fluid mode must be a no-op on
-    fig9 — byte-identical rows, not merely statistically close."""
-    from repro.experiments import fig9
-    record_mode(True, fluid=True)
-    fluid = fig9.run(**FIG9_KWARGS)
-    record_mode(True, fluid=False)
-    plain = fig9.run(**FIG9_KWARGS)
-    record_mode(False)
-    legacy = fig9.run(**FIG9_KWARGS)
-    assert fluid.rows == plain.rows == legacy.rows
-
-
-def test_fig9_flow_records_compose_with_parallel_sweep(record_mode):
-    """Workers re-import the modules and run with the default (records
-    on) switches; their rows must match both an in-process records run
-    and an in-process legacy run."""
-    from repro.experiments import fig9
-    record_mode(True)
-    fanned_out = fig9.run(jobs=2, **FIG9_KWARGS)
-    in_process = fig9.run(jobs=1, **FIG9_KWARGS)
-    assert fanned_out.rows == in_process.rows
-    record_mode(False)
-    legacy = fig9.run(jobs=1, **FIG9_KWARGS)
-    assert fanned_out.rows == legacy.rows
-
-
-def test_fig12_identical_with_telemetry_installed(record_mode):
-    """Observation purity composed with the new datapath: the telemetry
-    stack forces span materialization boundaries, which must change
-    nothing measurable."""
-    from repro.experiments import fig12
-    record_mode(True)
-    bare = fig12.run(**FIG12_KWARGS)
-    telemetry.install(profile=True)
-    try:
-        observed = fig12.run(**FIG12_KWARGS)
-    finally:
-        telemetry.uninstall()
-    record_mode(False)
-    legacy = fig12.run(**FIG12_KWARGS)
-    assert observed.rows == bare.rows == legacy.rows
-
-
-def test_flow_records_run_to_run_deterministic(record_mode):
-    from repro.experiments import fig12
-    record_mode(True)
-    first = fig12.run(**FIG12_KWARGS)
-    second = fig12.run(**FIG12_KWARGS)
-    assert first.rows == second.rows
 
 
 def _elephant_totals(fluid: bool):
@@ -130,7 +22,8 @@ def _elephant_totals(fluid: bool):
     delivered = []
     cloud.vnic_b.attach_guest(delivered.append)
     elephant = ElephantFlow(cloud.engine, vm, cloud.vnic_a, TENANT_B,
-                            rate_pps=2000, burst=16).run(duration=0.5)
+                            rate_pps=2000, burst=16,
+                            fluid=fluid).run(duration=0.5)
     cloud.engine.run(until=1.0)
     # Materialize any slot residue so session counters are comparable.
     for table in (cloud.vswitch_a.session_table,
@@ -152,10 +45,8 @@ def _elephant_totals(fluid: bool):
     }
 
 
-def test_elephant_fluid_totals_identical(record_mode):
-    record_mode(True, fluid=True)
+def test_elephant_fluid_totals_identical():
     fluid = _elephant_totals(fluid=True)
-    record_mode(True, fluid=False)
     burst = _elephant_totals(fluid=False)
     assert fluid == burst
     assert fluid["sent"] > 200  # the pipeline actually pumped

@@ -6,6 +6,7 @@ Every cache must be invisible: mutating the underlying data must be
 reflected by the very next read.
 """
 
+import heapq
 import random
 
 import pytest
@@ -51,16 +52,15 @@ def test_lookup_cost_reflects_acl_mutation():
 
 
 def test_lookup_cost_matches_uncached_path_exactly():
-    chain, acl, _cm = make_chain()
-    acl.add_rule(AclRule(priority=1, verdict=Verdict.DROP, proto=PROTO_TCP))
-    for nbytes in (64, 512, 1500):
-        cached = chain.lookup_cost(nbytes)
-        try:
-            type(chain).caching = False
-            uncached = chain.lookup_cost(nbytes)
-        finally:
-            type(chain).caching = True
-        assert cached == uncached
+    """The cached static term plus the byte term is the cost model's own
+    formula, bit for bit, before and after a mutation re-derives it."""
+    chain, acl, cm = make_chain()
+    for n_rules in (1, 2):
+        acl.add_rule(AclRule(priority=1, verdict=Verdict.DROP,
+                             proto=PROTO_TCP))
+        for nbytes in (64, 512, 1500):
+            assert chain.lookup_cost(nbytes) == cm.lookup_cycles(
+                len(chain.tables), n_rules, nbytes)
 
 
 def test_memory_bytes_reflects_table_mutation():
@@ -131,6 +131,14 @@ def _random_tuple(rng):
                      rng.randrange(0, 65536), rng.randrange(0, 65536))
 
 
+def _priority_scan(acl, ft, direction):
+    """The ACL's meaning, longhand: first match in priority order."""
+    for rule in acl.rules:
+        if rule.direction in (None, direction) and rule.matches(ft):
+            return rule.verdict
+    return acl.default_verdict
+
+
 def test_bucketed_verdicts_match_full_scan():
     rng = random.Random(1234)
     acl = AclTable([_random_rule(rng) for _ in range(80)])
@@ -138,14 +146,14 @@ def test_bucketed_verdicts_match_full_scan():
     for ft in probes:
         for direction in (Direction.TX, Direction.RX):
             assert (acl._verdict(ft, direction)
-                    == acl._verdict_scan(ft, direction))
+                    == _priority_scan(acl, ft, direction))
     # Buckets must also stay correct across incremental mutation.
     for _ in range(20):
         acl.add_rule(_random_rule(rng))
         ft = _random_tuple(rng)
         for direction in (Direction.TX, Direction.RX):
             assert (acl._verdict(ft, direction)
-                    == acl._verdict_scan(ft, direction))
+                    == _priority_scan(acl, ft, direction))
 
 
 def test_add_rule_keeps_stable_priority_order():
@@ -275,54 +283,72 @@ def test_call_after_zero_and_call_soon_interleave_fifo():
     assert order == ["a", "b", "c"]
 
 
-def _run_scrambled_schedule(micro_queue):
-    previous = Engine.micro_queue
-    Engine.micro_queue = micro_queue
-    try:
-        engine = Engine()
-        trace = []
-        rng = random.Random(4242)
+class PureHeapEngine(Engine):
+    """The textbook scheduler: every callback is a ``(time, seq)`` heap
+    entry, same-instant ones included, and a batch is N pushes."""
 
-        def worker(tag, depth):
-            if depth > 3:
-                return
-            trace.append((tag, engine.now))
-            choice = rng.random()
-            if choice < 0.35:
-                engine.call_soon(worker, f"{tag}.s", depth + 1)
-            elif choice < 0.6:
-                engine.call_after(0.0, worker, f"{tag}.z", depth + 1)
-            elif choice < 0.85:
-                engine.call_after(0.25, worker, f"{tag}.d", depth + 1)
+    def call_at(self, when, fn, *args):
+        assert when >= self._now
+        heapq.heappush(self._heap, (when, self._seq, fn, args))
+        self._seq += 1
 
-        def proc(tag):
-            trace.append((f"{tag}:start", engine.now))
-            yield None                        # cooperative yield
-            trace.append((f"{tag}:mid", engine.now))
-            yield engine.timeout(0.5)
-            trace.append((f"{tag}:end", engine.now))
+    def call_soon(self, fn, *args):
+        self.call_at(self._now, fn, *args)
 
-        for i in range(6):
-            engine.call_at(float(i % 3) * 0.5, worker, f"w{i}", 0)
-        for i in range(4):
-            engine.process(proc(f"p{i}"))
-        event = engine.event("tie")
+    def call_at_batch(self, items):
+        for when, fn, args in items:
+            self.call_at(when, fn, *args)
 
-        def waiter(idx):
-            yield event
-            trace.append((f"waiter{idx}", engine.now))
 
-        for i in range(3):
-            engine.process(waiter(i))
-        engine.call_at(0.5, event.succeed, None)
-        engine.run(until=10.0)
-        return trace
-    finally:
-        Engine.micro_queue = previous
+def _run_scrambled_schedule(engine):
+    trace = []
+    rng = random.Random(4242)
+
+    def worker(tag, depth):
+        if depth > 3:
+            return
+        trace.append((tag, engine.now))
+        choice = rng.random()
+        if choice < 0.3:
+            engine.call_soon(worker, f"{tag}.s", depth + 1)
+        elif choice < 0.5:
+            engine.call_after(0.0, worker, f"{tag}.z", depth + 1)
+        elif choice < 0.7:
+            engine.call_after(0.25, worker, f"{tag}.d", depth + 1)
+        elif choice < 0.85:
+            now = engine.now
+            engine.call_at_batch(
+                [(now + dt, worker, (f"{tag}.b{dt}", depth + 1))
+                 for dt in (0.0, 0.0, 0.25, 0.5)])
+
+    def proc(tag):
+        trace.append((f"{tag}:start", engine.now))
+        yield None                        # cooperative yield
+        trace.append((f"{tag}:mid", engine.now))
+        yield engine.timeout(0.5)
+        trace.append((f"{tag}:end", engine.now))
+
+    for i in range(6):
+        engine.call_at(float(i % 3) * 0.5, worker, f"w{i}", 0)
+    for i in range(4):
+        engine.process(proc(f"p{i}"))
+    event = engine.event("tie")
+
+    def waiter(idx):
+        yield event
+        trace.append((f"waiter{idx}", engine.now))
+
+    for i in range(3):
+        engine.process(waiter(i))
+    engine.call_at(0.5, event.succeed, None)
+    engine.run(until=10.0)
+    return trace
 
 
 def test_micro_queue_trace_identical_to_pure_heap():
-    assert _run_scrambled_schedule(True) == _run_scrambled_schedule(False)
+    trace = _run_scrambled_schedule(Engine())
+    assert trace == _run_scrambled_schedule(PureHeapEngine())
+    assert any(".b" in tag for tag, _now in trace)       # batches unfolded
 
 
 def test_pending_counts_micro_queue():

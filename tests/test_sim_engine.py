@@ -388,16 +388,3 @@ def test_batch_empty_is_noop():
     engine = Engine()
     engine.call_at_batch([])
     assert engine.pending == 0
-
-
-def test_batch_with_micro_queue_off_falls_back_to_per_item():
-    saved = Engine.micro_queue
-    Engine.micro_queue = False
-    try:
-        engine = Engine()
-        order = []
-        engine.call_at_batch([(t, order.append, (t,)) for t in (1.0, 2.0)])
-        engine.run()
-        assert order == [1.0, 2.0]
-    finally:
-        Engine.micro_queue = saved

@@ -357,43 +357,38 @@ def test_nat44_table_lookups():
 from dataclasses import asdict
 
 from repro.host.vm import Vm
-from repro.vswitch.vswitch import Datapath
+
+from tests.reference_datapath import install_reference
 
 
 def udp(sport=4242, dport=5353):
     return Packet.udp(TENANT_A, TENANT_B, sport, dport, payload=b"x" * 64)
 
 
-def _mixed_burst_stats(batching):
+def _mixed_burst_stats(cloud):
     """Drive a burst mixing fast hits, a mid-burst miss, and an
     FSM-advancing FIN; return both vSwitches' full counter dicts."""
-    saved = Datapath.batching
-    Datapath.batching = batching
-    try:
-        cloud = build_cloud()
-        cloud.vnic_b.attach_guest(lambda pkt: None)
-        cloud.vswitch_a.send_from_vnic(cloud.vnic_a, syn())
-        run(cloud)
+    cloud.vnic_b.attach_guest(lambda pkt: None)
+    cloud.vswitch_a.send_from_vnic(cloud.vnic_a, syn())
+    run(cloud)
 
-        def ack():
-            return Packet.tcp(TENANT_A, TENANT_B, 1000, 80,
-                              TcpFlags.of("ack"))
+    def ack():
+        return Packet.tcp(TENANT_A, TENANT_B, 1000, 80, TcpFlags.of("ack"))
 
-        burst = [ack(), ack(), udp(sport=7), ack(),
-                 Packet.tcp(TENANT_A, TENANT_B, 1000, 80,
-                            TcpFlags.of("fin", "ack")), ack()]
-        cloud.vswitch_a.send_from_vnic_burst(cloud.vnic_a, burst)
-        run(cloud)
-        return asdict(cloud.vswitch_a.stats), asdict(cloud.vswitch_b.stats)
-    finally:
-        Datapath.batching = saved
+    burst = [ack(), ack(), udp(sport=7), ack(),
+             Packet.tcp(TENANT_A, TENANT_B, 1000, 80,
+                        TcpFlags.of("fin", "ack")), ack()]
+    cloud.vswitch_a.send_from_vnic_burst(cloud.vnic_a, burst)
+    run(cloud)
+    return asdict(cloud.vswitch_a.stats), asdict(cloud.vswitch_b.stats)
 
 
 def test_burst_stats_identical_to_per_packet_path():
-    """Every counter on both ends must match the legacy per-packet path,
-    including for a burst with a miss and an FSM transition inside."""
-    assert _mixed_burst_stats(batching=True) == _mixed_burst_stats(
-        batching=False)
+    """Every counter on both ends must match the per-packet reference
+    datapath, including for a burst with a miss and an FSM transition
+    inside."""
+    assert _mixed_burst_stats(build_cloud()) == _mixed_burst_stats(
+        install_reference(build_cloud()))
 
 
 def test_warm_burst_is_one_lookup_all_fast_hits(cloud):

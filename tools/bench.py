@@ -1,21 +1,7 @@
 #!/usr/bin/env python
-"""Run the tracked benchmarks: fast-path micro and experiment macro.
-
-Micro — full run (regenerates the tracked BENCH_fastpath.json)::
-
-    PYTHONPATH=src python tools/bench.py
-
-Micro — CI smoke (quick pass + regression gate against the committed
-JSON)::
-
-    PYTHONPATH=src python tools/bench.py --smoke
-
-The smoke gate is machine-robust: raw ops/sec moves with the host, so it
-never compares ops/sec across runs directly. For benches with a legacy
-twin it compares *speedups* (optimized vs legacy on the same machine in
-the same run); for the rest it compares throughput normalized by a fixed
-pure-python calibration loop. Either dropping more than ``--tolerance``
-(default 30%) below the committed baseline fails the run.
+"""Run the tracked macro benchmarks (``perfbench/`` is the perf ledger;
+these gate memory, telemetry-off cost and parallel identity). A mode
+flag is required.
 
 Macro — per-experiment sequential-vs-parallel wall clocks (regenerates
 BENCH_experiments.json)::
@@ -27,6 +13,13 @@ gated — the speedup depends on the recorded ``cpu_count`` — but each
 entry also re-checks that ``jobs=1`` and ``jobs=N`` rendered identical
 tables, and a mismatch *does* fail the run (determinism is a
 correctness property, not a performance one).
+
+Telemetry — fig9 wall clock with telemetry installed vs not (merges a
+``telemetry_overhead`` block into BENCH_experiments.json; with
+``--smoke``: gate the calibration-normalized tracing-off cost, 10%)::
+
+    PYTHONPATH=src python tools/bench.py --telemetry
+    PYTHONPATH=src python tools/bench.py --telemetry --smoke
 
 Fleet — wall clock + tracemalloc peak per fleet scale point, with the
 peak-vs-naive-sessions memory ratio (regenerates BENCH_fleet.json; with
@@ -61,24 +54,14 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.bench import (run_all, run_fleet_smoke, run_fleet_suite,  # noqa: E402
+from repro.bench import (run_fleet_smoke, run_fleet_suite,  # noqa: E402
                          run_fleet_telemetry_overhead, run_macro,
                          run_telemetry_overhead)
 
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_fastpath.json"
 DEFAULT_MACRO_OUTPUT = REPO_ROOT / "BENCH_experiments.json"
 DEFAULT_FLEET_OUTPUT = REPO_ROOT / "BENCH_fleet.json"
-SCHEMA = "bench_fastpath/v1"
 MACRO_SCHEMA = "bench_experiments/v1"
 FLEET_SCHEMA = "bench_fleet/v1"
-
-# Per-bench smoke-gate overrides, recorded into the committed JSON so the
-# gate travels with the baseline. The flow-record benches headline this
-# PR's claims, so they get a tighter leash than the default 30%.
-GATE_TOLERANCES = {
-    "flow_record_hit": 0.20,
-    "fluid_fastforward": 0.20,
-}
 
 
 def _git_commit() -> str:
@@ -91,53 +74,6 @@ def _git_commit() -> str:
         return None
     commit = out.stdout.strip()
     return commit if out.returncode == 0 and commit else None
-
-
-def _fmt(value) -> str:
-    return f"{value:,.0f}" if value is not None else "-"
-
-
-def print_table(results: dict) -> None:
-    print(f"{'bench':<24} {'ops/sec':>14} {'legacy ops/sec':>14} "
-          f"{'speedup':>8} {'normalized':>10}")
-    for name, entry in results.items():
-        if name.startswith("_"):
-            continue
-        speedup = entry["speedup"]
-        print(f"{name:<24} {_fmt(entry['ops_per_sec']):>14} "
-              f"{_fmt(entry['baseline_ops_per_sec']):>14} "
-              f"{speedup and format(speedup, '.2f') or '-':>8} "
-              f"{entry['normalized']:>10.5f}")
-    print(f"calibration: {_fmt(results['_calibration_ops_per_sec'])} ops/sec")
-
-
-def check_regressions(current: dict, baseline_doc: dict,
-                      tolerance: float) -> list:
-    """Compare a fresh run against the committed baseline; returns a list
-    of human-readable failures (empty = pass)."""
-    failures = []
-    for name, base in baseline_doc.get("benches", {}).items():
-        entry = current.get(name)
-        if entry is None:
-            failures.append(f"{name}: bench disappeared from the suite")
-            continue
-        # A baseline entry may carry its own, usually tighter, gate.
-        bench_tol = base.get("gate_tolerance", tolerance)
-        floor = 1.0 - bench_tol
-        if base.get("speedup") is not None:
-            if entry["speedup"] is None:
-                failures.append(f"{name}: lost its legacy twin")
-            elif entry["speedup"] < base["speedup"] * floor:
-                failures.append(
-                    f"{name}: speedup {entry['speedup']:.2f}x fell >"
-                    f"{bench_tol:.0%} below baseline {base['speedup']:.2f}x")
-        else:
-            if entry["normalized"] < base["normalized"] * floor:
-                failures.append(
-                    f"{name}: normalized throughput {entry['normalized']:.5f}"
-                    f" fell >{bench_tol:.0%} below baseline "
-                    f"{base['normalized']:.5f}")
-    return failures
 
 
 def print_macro_table(results: dict) -> None:
@@ -167,13 +103,12 @@ def run_experiments_mode(args) -> int:
               f"{', '.join(broken)}", file=sys.stderr)
         return 1
 
-    output = args.output if args.output != DEFAULT_OUTPUT \
-        else DEFAULT_MACRO_OUTPUT
+    output = args.output or DEFAULT_MACRO_OUTPUT
     experiments = results
-    if names and output.exists():
+    previous = json.loads(output.read_text()) if output.exists() else {}
+    if names:
         # Partial run: refresh only the selected entries, keep the rest
         # of the committed file intact.
-        previous = json.loads(output.read_text())
         experiments = previous.get("experiments", {})
         experiments.update(results)
     doc = {
@@ -188,6 +123,9 @@ def run_experiments_mode(args) -> int:
         },
         "experiments": experiments,
     }
+    if "telemetry_overhead" in previous:
+        # Tracked separately (regenerated via --telemetry).
+        doc["telemetry_overhead"] = previous["telemetry_overhead"]
     output.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote {output}")
     return 0
@@ -227,8 +165,7 @@ def run_fleet_mode(args) -> int:
     gates its peak memory against the committed baseline (per-entry
     ``gate_tolerance``).
     """
-    output = args.output if args.output != DEFAULT_OUTPUT \
-        else DEFAULT_FLEET_OUTPUT
+    output = args.output or DEFAULT_FLEET_OUTPUT
 
     if args.smoke:
         entry = run_fleet_smoke()
@@ -303,8 +240,7 @@ def run_fleet_telemetry_mode(args) -> int:
     more than the block's ``gate_tolerance`` (the ISSUE 10 2% bar), and
     the telemetry-on run must render a byte-identical fleet table.
     """
-    output = args.output if args.output != DEFAULT_OUTPUT \
-        else DEFAULT_FLEET_OUTPUT
+    output = args.output or DEFAULT_FLEET_OUTPUT
     entry = run_fleet_telemetry_overhead(repeats=3)
     print(f"fleet (quick):  telemetry off {entry['off_s']:.2f}s  "
           f"on {entry['on_s']:.2f}s  "
@@ -352,7 +288,7 @@ def run_telemetry_mode(args) -> int:
     """Measure telemetry overhead on the fig9 macro bench.
 
     Without ``--smoke``: merges a ``telemetry_overhead`` block into the
-    committed BENCH_fastpath.json (leaving the micro benches alone).
+    committed BENCH_experiments.json (beside the fig9 macro entry).
     With ``--smoke``: gates against that block — the tracing-off wall
     clock (calibration-normalized, so it transfers across machines) may
     not regress more than ``--tolerance`` (default 10% here — single
@@ -360,6 +296,7 @@ def run_telemetry_mode(args) -> int:
     the warm-up and best-of-N sampling in the measurement), and the
     telemetry-on run must render a byte-identical result table.
     """
+    output = args.output or DEFAULT_MACRO_OUTPUT
     tolerance = 0.10 if args.tolerance is None else args.tolerance
     repeats = 2 if args.smoke else 3
     entry = run_telemetry_overhead(repeats=repeats)
@@ -374,14 +311,13 @@ def run_telemetry_mode(args) -> int:
         return 1
 
     if args.smoke:
-        if not args.output.exists():
-            print(f"error: no baseline at {args.output}; run "
+        if not output.exists():
+            print(f"error: no baseline at {output}; run "
                   f"--telemetry without --smoke first", file=sys.stderr)
             return 2
-        baseline = json.loads(args.output.read_text()) \
-            .get("telemetry_overhead")
+        baseline = json.loads(output.read_text()).get("telemetry_overhead")
         if baseline is None:
-            print(f"error: {args.output.name} has no telemetry_overhead "
+            print(f"error: {output.name} has no telemetry_overhead "
                   f"block; run --telemetry without --smoke first",
                   file=sys.stderr)
             return 2
@@ -393,14 +329,14 @@ def run_telemetry_mode(args) -> int:
                   f"{tolerance:.0%}", file=sys.stderr)
             return 1
         print(f"\ntelemetry smoke OK: tracing-off cost within "
-              f"{tolerance:.0%} of {args.output.name}")
+              f"{tolerance:.0%} of {output.name}")
         return 0
 
-    doc = json.loads(args.output.read_text()) if args.output.exists() \
-        else {"schema": SCHEMA}
+    doc = json.loads(output.read_text()) if output.exists() \
+        else {"schema": MACRO_SCHEMA}
     doc["telemetry_overhead"] = entry
-    args.output.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {args.output}")
+    output.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    print(f"\nwrote {output}")
     return 0
 
 
@@ -425,7 +361,7 @@ def main(argv=None) -> int:
                         help="telemetry mode: fig9 wall clock with the "
                              "telemetry stack installed vs not; merges a "
                              "telemetry_overhead block into "
-                             "BENCH_fastpath.json (with --smoke: gate "
+                             "BENCH_experiments.json (with --smoke: gate "
                              "only, default tolerance 10%%). Combined "
                              "with --fleet: same measurement on the "
                              "fleet epoch loop -> BENCH_fleet.json "
@@ -441,16 +377,14 @@ def main(argv=None) -> int:
                         help="with --experiments: run only these macro "
                              "benches and merge them into the existing "
                              "JSON instead of rewriting it")
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
+    parser.add_argument("--output", type=Path, default=None,
                         help="baseline JSON path (default: "
-                             "BENCH_fastpath.json, or "
-                             "BENCH_experiments.json with --experiments)")
-    parser.add_argument("--target-seconds", type=float, default=None,
-                        help="min measured wall time per bench "
-                             "(default: 0.25, or 0.05 with --smoke)")
+                             "BENCH_fleet.json with --fleet, else "
+                             "BENCH_experiments.json)")
     parser.add_argument("--tolerance", type=float, default=None,
                         help="allowed fractional regression for --smoke "
-                             "(default: 0.30, or 0.10 with --telemetry)")
+                             "(default: the baseline's gate_tolerance, "
+                             "or 0.10 with --telemetry)")
     args = parser.parse_args(argv)
 
     if args.arena:
@@ -465,55 +399,8 @@ def main(argv=None) -> int:
     if args.telemetry:
         return run_telemetry_mode(args)
 
-    target = args.target_seconds
-    if target is None:
-        target = 0.05 if args.smoke else 0.25
-
-    results = run_all(target_seconds=target)
-    print_table(results)
-
-    if args.smoke:
-        if not args.output.exists():
-            print(f"error: no baseline at {args.output}; run without "
-                  f"--smoke first", file=sys.stderr)
-            return 2
-        tolerance = 0.30 if args.tolerance is None else args.tolerance
-        baseline_doc = json.loads(args.output.read_text())
-        failures = check_regressions(results, baseline_doc, tolerance)
-        if failures:
-            print("\nREGRESSIONS:", file=sys.stderr)
-            for failure in failures:
-                print(f"  - {failure}", file=sys.stderr)
-            return 1
-        print(f"\nsmoke OK: no bench regressed >{tolerance:.0%} "
-              f"vs {args.output.name}")
-        return 0
-
-    calibration = results.pop("_calibration_ops_per_sec")
-    for name, tol in GATE_TOLERANCES.items():
-        if name in results:
-            results[name]["gate_tolerance"] = tol
-    doc = {
-        "schema": SCHEMA,
-        "config": {
-            "target_seconds": target,
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "cpu_count": os.cpu_count(),
-            "git_commit": _git_commit(),
-        },
-        "calibration_ops_per_sec": calibration,
-        "benches": results,
-    }
-    if args.output.exists():
-        # A full micro regen must not drop the separately-tracked
-        # telemetry overhead block (regenerated via --telemetry).
-        previous = json.loads(args.output.read_text())
-        if "telemetry_overhead" in previous:
-            doc["telemetry_overhead"] = previous["telemetry_overhead"]
-    args.output.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {args.output}")
-    return 0
+    parser.error("pick a mode: --experiments, --arena, --telemetry, "
+                 "--fleet [--telemetry]")
 
 
 if __name__ == "__main__":

@@ -109,6 +109,9 @@ class NezhaController:
         if monitor is not None:
             monitor.on_down = self._on_target_down
             monitor.on_up = self._on_target_up
+            # The monitor owns its host's fabric sink, so the vSwitch
+            # there hears nothing: an FE placed on it black-holes flows.
+            placement.excluded.add(monitor.server.name)
         tel = _telemetry.current()
         if tel is not None:
             tel.register_controller(self)

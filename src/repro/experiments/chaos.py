@@ -49,8 +49,9 @@ def run_soak(seed: int = 0, horizon: float = DEFAULT_HORIZON,
     engine = testbed.engine
 
     # §4.4 machinery on a dedicated monitor host (the last server). Its
-    # vSwitch never hosts FEs and is not a probe target, so partitioning
-    # the monitor is a pure monitoring failure, not a data-plane one.
+    # vSwitch never hosts FEs (the controller keeps its monitor's host
+    # out of placement) and is not a probe target, so partitioning the
+    # monitor is a pure monitoring failure, not a data-plane one.
     monitor_host = testbed.topo.servers[-1]
     monitor = HealthMonitor(engine, monitor_host,
                             interval=monitor_interval, miss_threshold=3)
@@ -65,7 +66,6 @@ def run_soak(seed: int = 0, horizon: float = DEFAULT_HORIZON,
                                  config=config, monitor=monitor)
     for vswitch in testbed.vswitches:
         controller.register(vswitch)
-    placement.exclude(testbed.vswitches[-1])
     for server in testbed.topo.servers[:-1]:
         monitor.add_target(server)
 

@@ -98,9 +98,10 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
     into one fleet-wide snapshot (``stats["fleet_metrics"]``, and the
     installed telemetry's capture). The snapshots are derived from the
     reports, so every rendered value is byte-identical either way.
-    ``stats``, if given, receives phase timings and IPC accounting
-    (``seed_epoch_s``, ``steady_epoch_s``, ``ipc_bytes_per_epoch``, ...)
-    for the fleet benchmarks.
+    ``stats``, if given, receives phase timings and state size
+    (``seed_epoch_s``, ``steady_epoch_s``, ``state_nbytes``, ...) and,
+    on the pool path, ``ResidentPool.runtime_stats()`` under ``"pool"``
+    — what perfbench and the tests read.
     """
     if shards is None:
         shards = max(1, jobs)
@@ -167,15 +168,11 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
 
     if stats is not None:
         stats["jobs"] = pool.jobs if pool is not None else 1
-        stats["epoch_walls_s"] = epoch_walls
         stats["seed_epoch_s"] = epoch_walls[0] if epoch_walls else 0.0
         steady = epoch_walls[1:]
         stats["steady_epoch_s"] = (sum(steady) / len(steady)) if steady \
             else 0.0
         if pool is not None:
-            stats["ipc_bytes_init"] = pool.init_ipc_bytes
-            stats["ipc_bytes_collect"] = pool.collect_ipc_bytes
-            stats["ipc_bytes_per_epoch"] = pool.ipc_bytes_per_step()
             stats["pool"] = pool.runtime_stats()
         stats["state_nbytes"] = sum(digest["nbytes"] for digest in digests)
         stats["store_stats"] = [digest["store"] for digest in digests]

@@ -38,18 +38,22 @@ SLOW_EXPERIMENTS = ["fig2", "fig9", "fig10", "fig11", "fig12", "fig14",
 ALL_EXPERIMENTS = FAST_EXPERIMENTS + SLOW_EXPERIMENTS
 
 
-def _quick_kwargs(name: str) -> dict:
-    """Scaled-down parameters for ``--fast`` single-experiment runs.
-
-    Reuses the macro-bench registry's "quick" profiles so the CI
-    telemetry smoke and the wall-clock benchmarks exercise the exact
-    same configuration.
-    """
-    from repro.bench.macro import MACRO_BENCHES
-    for bench in MACRO_BENCHES:
-        if bench.module == name:
-            return dict(bench.quick_kwargs)
-    return {}
+#: Scaled-down parameters for ``--fast`` single-experiment runs: each
+#: finishes in seconds on one core (CI's smoke jobs run these).
+QUICK_KWARGS = {
+    "fig2": dict(n_vms=4, duration=0.6, concurrency_per_client=16),
+    "fig9": dict(fe_counts=(0, 1, 2, 4), duration=0.5, warmup=0.3,
+                 concurrency_per_client=16),
+    "fig10": dict(vcpu_counts=(16, 32, 64), duration=0.5, warmup=0.3,
+                  concurrency_per_client=16),
+    "fig12": dict(load_levels=(0, 16, 48)),
+    "tablea1": dict(lookups_per_cell=100),
+    "chaos": dict(horizon=4.0, settle=2.5),
+    "fleet": dict(n_vswitches=400, epochs=2),
+    "policy_arena": dict(duration=0.4, warmup=0.2,
+                         concurrency_per_client=16,
+                         fleet_vswitches=300, fleet_epochs=2),
+}
 
 
 def _run_kwargs(run_fn, seed: int, jobs: int,
@@ -86,7 +90,7 @@ def run_experiment(name: str, seed: int = 0, jobs: int = 1,
     module = importlib.import_module(f"repro.experiments.{name}")
     kwargs = _run_kwargs(module.run, seed, jobs, shards, policy)
     if fast:
-        kwargs.update(_quick_kwargs(name))
+        kwargs.update(QUICK_KWARGS.get(name, {}))
     started = time.perf_counter()
     result = module.run(**kwargs)
     return result, time.perf_counter() - started
@@ -134,7 +138,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--fast", action="store_true",
                         help="with 'all': skip the packet-level experiments; "
                              "with a single experiment: use its scaled-down "
-                             "quick parameters (same as the macro benches)")
+                             "quick parameters (QUICK_KWARGS)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes (default: one per CPU core; "
                              "1 = sequential in-process)")

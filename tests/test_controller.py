@@ -292,6 +292,29 @@ def test_controller_failover_path():
     assert victim not in handle.fe_vswitches
 
 
+def test_controller_never_places_fes_on_its_monitor_host():
+    """Fig 14's wiring: every vSwitch registered, monitor on the last
+    server. The monitor owns that host's fabric sink, so a replacement
+    FE placed there black-holes its share of the flows for good."""
+    from repro.experiments.testbed import build_testbed
+    testbed = build_testbed(n_clients=4, n_idle=6)
+    monitor = HealthMonitor(testbed.engine, testbed.topo.servers[-1])
+    placement = FePlacement(testbed.topo, {})
+    controller = NezhaController(testbed.engine, testbed.gateway,
+                                 testbed.orchestrator, placement,
+                                 monitor=monitor)
+    for vswitch in testbed.vswitches:
+        controller.register(vswitch)
+    be, deaf = testbed.server_vswitch, testbed.vswitches[-1]
+    everyone = len(testbed.vswitches)
+    assert deaf not in placement.select(be, everyone)
+    controller._on_target_down(testbed.idle_vswitches[0].server)
+    controller._on_target_up(testbed.idle_vswitches[0].server)
+    picked = placement.select(be, everyone)
+    assert testbed.idle_vswitches[0] in picked      # readmitted
+    assert deaf not in picked
+
+
 # -- BE-FE link watching (Appendix C.1) ----------------------------------------------
 
 def test_watch_links_removes_unreachable_fe():

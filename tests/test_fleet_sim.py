@@ -9,6 +9,7 @@ repo's determinism contract.
 """
 
 import sys
+import tracemalloc
 from array import array
 from collections import Counter
 
@@ -587,14 +588,15 @@ def test_fleet_pool_collects_digests_not_state():
     # Same shard layout => same slot recycling => same occupancy.
     assert pooled["store_stats"] == inline["store_stats"]
     assert len(pooled["store_stats"]) == 2
-    assert "ipc_bytes_collect" not in inline        # no pool, no IPC
-    assert 0 < pooled["ipc_bytes_collect"] < 4096
+    assert "pool" not in inline                     # no pool, no IPC
+    collect_bytes = pooled["pool"]["ipc"]["collect_bytes"]
+    assert 0 < collect_bytes < 4096
     # 4x the fleet adds megabytes of state and moves collect only by
     # pickle's integer widths (the digests' 16 counters, <= 4 B each).
     _text, larger = _digest_run(1600, jobs=2)
     assert larger["state_nbytes"] > 3 * pooled["state_nbytes"]
-    assert abs(larger["ipc_bytes_collect"]
-               - pooled["ipc_bytes_collect"]) <= 64
+    assert abs(larger["pool"]["ipc"]["collect_bytes"]
+               - collect_bytes) <= 64
 
 
 def test_shard_digest_materializes_once():
@@ -617,6 +619,35 @@ def test_fleet_experiment_seed_sensitivity():
     a = fleet.run(n_vswitches=200, epochs=2, seed=0, shards=1, jobs=1)
     b = fleet.run(n_vswitches=200, epochs=2, seed=1, shards=1, jobs=1)
     assert a.to_text() != b.to_text()
+
+
+def _traced_peak(fn):
+    """``fn()`` and the tracemalloc high-water mark it reached."""
+    tracemalloc.start()
+    try:
+        value = fn()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, peak
+
+
+def test_fleet_peak_memory_quarter_of_naive_sessions():
+    """ISSUE 7's bar, measured not assumed: the whole run's peak stays
+    under 25% of what its live flows would cost as one boxed
+    ``SessionState`` per flow in a dict — the representation the
+    flyweight store replaces (and a conservative one: the naive layout
+    would also pay a FiveTuple key per flow). ~0.10 today."""
+    from repro.experiments import fleet
+    from repro.vswitch.state import SessionState
+    sample = 20_000
+    _table, naive = _traced_peak(
+        lambda: {index: SessionState() for index in range(sample)})
+    result, peak = _traced_peak(lambda: fleet.run(
+        n_vswitches=500, epochs=3, seed=0, shards=1, jobs=1))
+    live_flows = result.row_where("metric", "live flows")["value"]
+    assert live_flows > 100_000
+    assert peak <= 0.25 * live_flows * naive / sample
 
 
 # -- runner plumbing --------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from repro.errors import DecodeError
@@ -50,7 +51,11 @@ def encode_pre_actions(pre: PreActions) -> bytes:
                              rx.stats_policy.value, rx.qos_class & 0xFF)
 
 
+@lru_cache(maxsize=4096)
 def decode_pre_actions(data: bytes) -> PreActions:
+    """Interned by blob: a vNIC carries a handful of distinct values and
+    nothing downstream mutates a decoded ``PreActions``, so every hop
+    with the same 8 bytes shares one (read-only) object."""
     if len(data) < _PRE_ACTIONS.size:
         raise DecodeError(f"pre-actions blob needs 8B, got {len(data)}")
     tx_verdict, rx_verdict, tx_stateful, rx_stateful, policy, qos = (

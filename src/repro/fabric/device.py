@@ -57,10 +57,7 @@ class ServerNode(Device):
         self._run_sink: Optional[Callable[[Packet, int], None]] = None
         self.rx_packets = 0
         self.tx_packets = 0
-
-    @property
-    def uplink(self) -> Port:
-        return self.ports[0]
+        self.uplink: Port = self.ports[0]
 
     def attach_sink(self, sink: Callable[[Packet], None]) -> None:
         """Register the function that consumes packets arriving from the
@@ -88,14 +85,26 @@ class ServerNode(Device):
     def send_to_fabric(self, packet: Packet) -> bool:
         """Emit a packet onto the underlay; False when disconnected."""
         self.tx_packets += 1
-        return self.uplink.send(packet)
+        port = self.uplink
+        if port.link is None:
+            return False
+        port.link.transmit(port, packet)
+        return True
 
     def send_to_fabric_burst(self, packets: List[Packet]) -> bool:
         """Emit a burst onto the underlay as one back-to-back train."""
         self.tx_packets += len(packets)
-        return self.uplink.send_burst(packets)
+        port = self.uplink
+        if port.link is None:
+            return False
+        port.link.transmit_burst(port, packets)
+        return True
 
     def send_to_fabric_run(self, packet: Packet, count: int) -> bool:
         """Emit a fluid run onto the underlay as one descriptor."""
         self.tx_packets += count
-        return self.uplink.send_run(packet, count)
+        port = self.uplink
+        if port.link is None:
+            return False
+        port.link.transmit_run(port, packet, count)
+        return True

@@ -15,39 +15,20 @@ if TYPE_CHECKING:  # pragma: no cover
 class Port:
     """One end of a link, attached to a device."""
 
-    __slots__ = ("device", "index", "link", "peer")
+    __slots__ = ("device", "index", "link", "peer", "busy_until")
 
     def __init__(self, device: "Device", index: int) -> None:
         self.device = device
         self.index = index
         self.link: Optional[Link] = None
         self.peer: Optional[Port] = None
+        # When this end's transmit direction finishes serializing what
+        # has been booked on it so far.
+        self.busy_until = 0.0
 
     @property
     def connected(self) -> bool:
         return self.link is not None
-
-    def send(self, packet: "Packet") -> bool:
-        """Transmit out this port; False if the port is disconnected."""
-        if self.link is None or self.peer is None:
-            return False
-        self.link.transmit(self, packet)
-        return True
-
-    def send_burst(self, packets: Sequence["Packet"]) -> bool:
-        """Transmit a burst out this port; False if disconnected."""
-        if self.link is None or self.peer is None:
-            return False
-        self.link.transmit_burst(self, packets)
-        return True
-
-    def send_run(self, packet: "Packet", count: int) -> bool:
-        """Transmit a fluid run (``count`` identical packets behind one
-        template) out this port; False if disconnected."""
-        if self.link is None or self.peer is None:
-            return False
-        self.link.transmit_run(self, packet, count)
-        return True
 
     def __repr__(self) -> str:
         return f"Port({self.device.name}[{self.index}])"
@@ -58,8 +39,12 @@ class Link:
 
     Delivery time for a packet entering at ``t`` is::
 
-        start = max(t, direction_busy_until)
+        start = max(t + delay, from_port.busy_until)
         arrive = start + wire_length*8/bps + latency
+
+    ``delay`` is the sender's own fixed latency before the packet
+    reaches the wire (a switch's forwarding delay; 0 for a server NIC),
+    booked at arrival instead of through a timed relay of its own.
 
     ``up`` (True) lets experiments take a link down to exercise the
     BE↔FE mutual-ping path (Appendix C.1): transmissions on a downed link
@@ -81,7 +66,6 @@ class Link:
         self.packets_carried = 0
         self.bytes_carried = 0
         self.drops_down = 0
-        self._busy_until = {id(a): 0.0, id(b): 0.0}
         self._created_at = engine.now
         a.link = b.link = self
         a.peer, b.peer = b, a
@@ -96,8 +80,8 @@ class Link:
 
     def queue_depth(self) -> float:
         """Worst-direction backlog (seconds of queued serialization)."""
-        now = self.engine.now
-        return max(0.0, max(self._busy_until.values()) - now)
+        return max(0.0, max(self.a.busy_until, self.b.busy_until)
+                   - self.engine.now)
 
     def utilization(self) -> float:
         """Lifetime carried bits over the link's one-direction capacity."""
@@ -106,20 +90,23 @@ class Link:
             return 0.0
         return (self.bytes_carried * 8) / (self.bits_per_second * elapsed)
 
-    def transmit(self, from_port: Port, packet: "Packet") -> None:
+    def transmit(self, from_port: Port, packet: "Packet",
+                 delay: float = 0.0) -> None:
         if not self.up:
             self.drops_down += 1
             return
-        now = self.engine.now
-        start = max(now, self._busy_until[id(from_port)])
+        engine = self.engine
+        start = engine.now + delay
+        if from_port.busy_until > start:
+            start = from_port.busy_until
         wire = packet.wire_length
         tx_time = wire * 8 / self.bits_per_second
-        self._busy_until[id(from_port)] = start + tx_time
-        arrive = start + tx_time + self.latency
+        from_port.busy_until = start + tx_time
         self.packets_carried += 1
         self.bytes_carried += wire
         to_port = from_port.peer
-        self.engine.call_at(arrive, to_port.device.receive, packet, to_port)
+        engine.call_at(start + tx_time + self.latency,
+                       to_port.device.receive, packet, to_port)
 
     def transmit_burst(self, from_port: Port,
                        packets: Sequence["Packet"]) -> None:
@@ -138,7 +125,7 @@ class Link:
             self.drops_down += len(packets)
             return
         engine = self.engine
-        start = max(engine.now, self._busy_until[id(from_port)])
+        start = max(engine.now, from_port.busy_until)
         to_port = from_port.peer
         receive = to_port.device.receive
         bps = self.bits_per_second
@@ -150,13 +137,13 @@ class Link:
             start += wire * 8 / bps
             nbytes += wire
             items.append((start + latency, receive, (packet, to_port)))
-        self._busy_until[id(from_port)] = start
+        from_port.busy_until = start
         self.packets_carried += len(packets)
         self.bytes_carried += nbytes
         engine.call_at_batch(items)
 
     def transmit_run(self, from_port: Port, packet: "Packet",
-                     count: int) -> None:
+                     count: int, delay: float = 0.0) -> None:
         """Fluid transmit: ``count`` identical packets back-to-back.
 
         The direction's busy time and the byte/packet counters are
@@ -170,10 +157,10 @@ class Link:
             self.drops_down += count
             return
         engine = self.engine
-        start = max(engine.now, self._busy_until[id(from_port)])
+        start = max(engine.now + delay, from_port.busy_until)
         tx_time = packet.wire_length * 8 / self.bits_per_second
         end = start + count * tx_time
-        self._busy_until[id(from_port)] = end
+        from_port.busy_until = end
         self.packets_carried += count
         self.bytes_carried += count * packet.wire_length
         to_port = from_port.peer

@@ -73,8 +73,13 @@ class UnderlaySwitch(Device):
         else:
             egress = next_hops[self._ecmp_hash(packet) % len(next_hops)]
         self.forwarded += 1
-        self.engine.call_after(self.forwarding_delay,
-                               self.ports[egress].send, packet)
+        # Book the egress link now for ``now + forwarding_delay``: this
+        # switch is the only sender on its egress directions and the
+        # delay is one constant, so booking order = arrival order = the
+        # order a timed relay per packet would send in.
+        port = self.ports[egress]
+        if port.link is not None:
+            port.link.transmit(port, packet, self.forwarding_delay)
 
     def receive_run(self, packet: Packet, count: int, in_port: Port) -> None:
         """Fluid arrival: route once for the whole run (identical
@@ -97,5 +102,7 @@ class UnderlaySwitch(Device):
         else:
             egress = next_hops[self._ecmp_hash(packet) % len(next_hops)]
         self.forwarded += count
-        self.engine.call_after(self.forwarding_delay,
-                               self.ports[egress].send_run, packet, count)
+        port = self.ports[egress]
+        if port.link is not None:
+            port.link.transmit_run(port, packet, count,
+                                   self.forwarding_delay)

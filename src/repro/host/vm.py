@@ -161,8 +161,9 @@ class Vm:
         A connection waits for the lock slice, then for the vCPU slice
         (a process doing ``yield lock_job; yield par_job``): when the
         vCPU slice ends last its completion runs ``fn`` one micro-queue
-        hop later; when the lock slice ends last the wait on the
-        already-finished vCPU slice costs one more hop — two in all.
+        hop later (a settled entry, one event); when the lock slice ends
+        last the wait on the already-finished vCPU slice costs one more
+        hop — a genuine ``call_soon``, two hops in all.
         The lock slice is booked before the vCPU admission check, so a
         backlogged vCPU still consumes lock time.
         """
@@ -175,10 +176,9 @@ class Vm:
         if end_par is None:
             return False
         if end_par > end_lock:
-            engine.call_at(end_par, engine.call_soon, fn, *args)
+            engine.call_settled(end_par, fn, *args)
         else:
-            engine.call_at(end_lock, engine.call_soon,
-                           engine.call_soon, fn, *args)
+            engine.call_settled(end_lock, engine.call_soon, fn, *args)
         return True
 
     def send(self, vnic: Vnic, packet: Packet,

@@ -243,8 +243,10 @@ class Engine:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
-        self._heap: List[Tuple[float, int, Callable[..., None], tuple]] = []
+        #: Current virtual time in seconds (read-only outside the engine).
+        self.now = 0.0
+        self._heap: List[Tuple[float, int, Optional[Callable[..., None]],
+                               tuple]] = []
         self._ready: Deque[Tuple[Callable[..., None], tuple]] = deque()
         self._seq = 0
         self._run_until: Optional[float] = None
@@ -255,22 +257,15 @@ class Engine:
         # check per event, cached in a local by the run loop.
         self.profiler = None
 
-    # -- time ---------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
     # -- scheduling ---------------------------------------------------------
 
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute virtual time ``when``."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at {when} before now={self._now}"
+                f"cannot schedule at {when} before now={self.now}"
             )
-        if when == self._now:
+        if when == self.now:
             self._ready.append((fn, args))
             return
         heapq.heappush(self._heap, (when, self._seq, fn, args))
@@ -278,7 +273,26 @@ class Engine:
 
     def call_after(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` after ``delay`` seconds of virtual time."""
-        self.call_at(self._now + delay, fn, *args)
+        self.call_at(self.now + delay, fn, *args)
+
+    def call_settled(self, when: float, fn: Callable[..., None],
+                     *args: Any) -> None:
+        """Schedule ``fn(*args)`` one micro-queue hop after ``when``'s
+        heap pop — *defined as* ``call_at(when, self.call_soon, fn,
+        *args)``, the position a process resumed by an Event fired at
+        ``when`` runs at — as one event instead of two.
+
+        The entry (``fn`` slot None) settles inside its own pop: the hop
+        would put ``fn`` behind whatever the micro-queue already holds
+        and behind every heap entry due at the same instant, so when
+        there is neither, ``fn`` is the very next callback and runs in
+        place; otherwise it is appended exactly as the relay would.
+        """
+        if when <= self.now:
+            self.call_at(when, self.call_soon, fn, *args)
+            return
+        heapq.heappush(self._heap, (when, self._seq, None, (fn, args)))
+        self._seq += 1
 
     def call_at_batch(
         self,
@@ -302,7 +316,7 @@ class Engine:
         items = tuple(items)
         if not items:
             return
-        now = self._now
+        now = self.now
         prev = now
         for when, _fn, _args in items:
             if when < prev:
@@ -339,7 +353,7 @@ class Engine:
         last = len(items) - 1
         while True:
             when, fn, args = items[index]
-            self._now = when
+            self.now = when
             if profiler is None:
                 fn(*args)
             else:
@@ -350,7 +364,7 @@ class Engine:
             next_when = items[index][0]
             if bound is not None and next_when > bound:
                 break
-            if ready and next_when > self._now:
+            if ready and next_when > self.now:
                 break
             if heap:
                 head = heap[0]
@@ -410,6 +424,7 @@ class Engine:
         heap = self._heap
         ready = self._ready
         profiler = self.profiler
+        heappop = heapq.heappop
         # Published so batch entries (call_at_batch) stop unfolding at the
         # bound instead of running items past ``until``.
         self._run_until = until
@@ -418,47 +433,68 @@ class Engine:
                 # Heap entries for the current instant carry lower sequence
                 # numbers than anything in the micro-queue (they predate the
                 # clock reaching this instant), so they go first.
-                take_heap = bool(heap) and (not ready
-                                            or heap[0][0] == self._now)
-                when = heap[0][0] if take_heap else self._now
-                if until is not None and when > until:
-                    self._now = until
+                if heap and (not ready or heap[0][0] == self.now):
+                    if until is not None and heap[0][0] > until:
+                        self.now = until
+                        break
+                    when, _seq, fn, args = heappop(heap)
+                    self.now = when
+                    if fn is None:      # call_settled: run in place or hop
+                        fn, args = args
+                        if ready or (heap and heap[0][0] == when):
+                            ready.append((fn, args))
+                            continue
+                elif until is not None and self.now > until:
+                    self.now = until
                     break
-                if take_heap:
-                    when, _seq, fn, args = heapq.heappop(heap)
-                    self._now = when
                 else:
                     fn, args = ready.popleft()
                 if profiler is None:
                     fn(*args)
                 else:
-                    profiler.dispatch(fn, args, self._now)
+                    profiler.dispatch(fn, args, self.now)
             else:
-                if until is not None and until > self._now:
-                    self._now = until
+                if until is not None and until > self.now:
+                    self.now = until
         finally:
             self._run_until = None
         if self._crashes and self.strict:
             proc, exc = self._crashes[0]
             raise SimulationError(
-                f"process {proc.name!r} crashed at t={self._now:.6f}: {exc!r}"
+                f"process {proc.name!r} crashed at t={self.now:.6f}: {exc!r}"
             ) from exc
-        return self._now
+        return self.now
 
     def step(self) -> bool:
-        """Execute exactly one pending callback. Returns False if none left."""
-        if self._heap and (not self._ready
-                           or self._heap[0][0] == self._now):
-            when, _seq, fn, args = heapq.heappop(self._heap)
-            self._now = when
-        elif self._ready:
-            fn, args = self._ready.popleft()
-        else:
-            return False
-        if self.profiler is None:
-            fn(*args)
-        else:
-            self.profiler.dispatch(fn, args, self._now)
+        """Execute exactly one pending callback. Returns False if none left.
+
+        A settled entry that must hop (see :meth:`call_settled`) is
+        moved to the micro-queue and the step goes on to the callback
+        that runs before it; a batch entry unfolds one item per step."""
+        heap = self._heap
+        ready = self._ready
+        while True:
+            if heap and (not ready or heap[0][0] == self.now):
+                when, _seq, fn, args = heapq.heappop(heap)
+                self.now = when
+                if fn is None:
+                    fn, args = args
+                    if ready or (heap and heap[0][0] == when):
+                        ready.append((fn, args))
+                        continue
+            elif ready:
+                fn, args = ready.popleft()
+            else:
+                return False
+            break
+        self._run_until = float("-inf")     # stops a batch after one item
+        try:
+            if self.profiler is None:
+                fn(*args)
+            else:
+                self.profiler.dispatch(fn, args, self.now)
+        finally:
+            self._run_until = None
         return True
 
     @property

@@ -92,7 +92,14 @@ class CpuResource:
             start = now
         end = start + cycles / self.hz
         free[core] = end
-        self._busy.append((start, end))
+        busy = self._busy
+        busy.append((start, end))
+        # Amortised prune (the interval just booked ends >= now, so the
+        # deque never empties): ``utilization`` would drop the same
+        # intervals, and they contribute 0 to it.
+        lo = now - self.util_window
+        while busy[0][1] < lo:
+            busy.popleft()
         self.total_cycles += cycles
         self.jobs_done += 1
         return end
@@ -130,17 +137,17 @@ class CpuResource:
                         fn: Callable[..., None], *args: Any) -> bool:
         """Book a job and run ``fn(*args)`` at its completion (drop-tail).
 
-        The callback lands on the engine's micro-queue one hop after the
-        completion instant's heap pop — the exact position a process
-        resumed by the job's Event would run at — so schedules are
-        indistinguishable from a process that yields :meth:`try_submit`'s
-        Event (the reference oracle charges that way, timestamps compared).
+        The callback runs one micro-queue hop after the completion
+        instant's heap pop (:meth:`Engine.call_settled`, one event) — the
+        exact position a process resumed by the job's Event would run
+        at — so schedules are indistinguishable from a process that
+        yields :meth:`try_submit`'s Event (the reference oracle charges
+        that way, timestamps compared).
         """
         end = self._admit(cycles, max_backlog)
         if end is None:
             return False
-        engine = self.engine
-        engine.call_at(end, engine.call_soon, fn, *args)
+        self.engine.call_settled(end, fn, *args)
         return True
 
     # -- telemetry ----------------------------------------------------------
@@ -154,17 +161,14 @@ class CpuResource:
         """Fraction of capacity busy over the trailing window, in [0, 1]."""
         now = self.engine.now
         lo = now - self.util_window
-        self._prune(lo)
+        while self._busy and self._busy[0][1] < lo:
+            self._busy.popleft()
         busy = 0.0
         for start, end in self._busy:
             # Booked intervals may lie (partly) in the future when the core
             # has a backlog; only the portion inside [lo, now] counts.
             busy += max(0.0, min(end, now) - max(start, lo))
         return min(1.0, busy / (self.util_window * self.cores))
-
-    def _prune(self, lo: float) -> None:
-        while self._busy and self._busy[0][1] < lo:
-            self._busy.popleft()
 
 
 class MemoryBudget:

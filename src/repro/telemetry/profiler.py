@@ -8,10 +8,11 @@ buckets it by owner.
 
 Attribution: bound methods bucket under ``TypeName.method`` — and when
 the receiver has a ``name`` (``Process``, ``Event``), under that name —
-so "which process is hot" falls straight out of :meth:`top`. Relay
-dispatches (``engine.call_soon`` scheduled as the callback itself, the
-direct-dispatch CPU completion path) are unwrapped to the relayed
-callback's owner so they don't pile up under the engine.
+so "which process is hot" falls straight out of :meth:`top`. A CPU
+completion is one event on its real owner (``Engine.call_settled``); the
+one genuine ``engine.call_soon`` still scheduled as a callback itself
+(``Vm._dispatch_conn``'s lock-ends-last hop) is billed to the callback
+it relays, never to the engine.
 """
 
 from __future__ import annotations
@@ -41,12 +42,9 @@ class EngineProfiler:
 
     def _owner_of(self, fn: Callable[..., Any],
                   args: Tuple[Any, ...] = ()) -> str:
-        # Relay unwrap: the direct-dispatch CPU path schedules its
-        # completion as ``engine.call_at(end, engine.call_soon, fn,
-        # *args)`` (resources.try_submit_call), so the heap pop hands the
+        # ``call_settled(end, engine.call_soon, fn, *args)`` hands the
         # profiler the bound ``Engine.call_soon`` with the real callback
-        # in ``args[0]``. That cost belongs to the relayed callback's
-        # owner, not the engine's enqueue helper.
+        # in ``args[0]``: the hop belongs to that callback's owner.
         while (getattr(fn, "__name__", None) == "call_soon"
                and getattr(fn, "__self__", None) is not None
                and args and callable(args[0])):

@@ -1,11 +1,13 @@
 """Tests for the underlay fabric: links, switches, topology, ECMP."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import TopologyError
 from repro.fabric import Link, ServerNode, Topology, UnderlaySwitch
 from repro.fabric.topology import connect
 from repro.net import IPv4Address, MacAddress, Packet, TcpFlags
+from repro.net.ipv4 import IPv4Header
 from repro.sim import Engine
 
 
@@ -203,6 +205,77 @@ def test_switch_drops_on_ttl_expiry():
     a.send_to_fabric(pkt)
     engine.run()
     assert sw.ttl_drops == 1
+
+
+class RelaySwitch(UnderlaySwitch):
+    """The longhand switch: route at arrival, then relay every packet
+    through its own ``forwarding_delay`` timer and book the egress link
+    when the timer fires."""
+
+    def _relay(self, packet, transmit, *count):
+        ip = packet.find(IPv4Header)
+        if not ip.decrement_ttl():
+            return
+        port = self.ports[self.routes[ip.dst.value][0]]
+        self.engine.call_after(self.forwarding_delay,
+                               getattr(port.link, transmit), port, packet,
+                               *count)
+
+    def receive(self, packet, in_port):
+        self._relay(packet, "transmit")
+
+    def receive_run(self, packet, count, in_port):
+        self._relay(packet, "transmit_run", count)
+
+
+def _star_arrivals(switch_cls, n_hosts, sends):
+    """Arrival trace of ``sends`` — (tick, src, dst, payload bytes, run
+    count or 0) — over a star of equal-latency 1 Gbps links."""
+    engine = Engine()
+    sw = switch_cls(engine, "sw", num_ports=n_hosts)
+    trace = []
+    hosts = []
+    for i in range(n_hosts):
+        host = mk_server(engine, f"h{i}", f"10.0.0.{i + 1}", mac=i + 1)
+        connect(engine, host, sw, latency=2e-6, gbps=1.0)
+        sw.install_route(host.underlay_ip.value, [i])
+        host.attach_sink(lambda pkt, name=host.name: trace.append(
+            (engine.now, name, pkt.meta["id"])))
+        host.attach_run_sink(lambda pkt, count, name=host.name: trace.append(
+            (engine.now, name, pkt.meta["id"], count)))
+        hosts.append(host)
+    for ident, (tick, src, dst, size, count) in enumerate(sends):
+        packet = mk_packet(src=f"10.0.0.{src % n_hosts + 1}",
+                           dst=f"10.0.0.{dst % n_hosts + 1}")
+        packet.payload = b"x" * size
+        packet.meta["id"] = ident
+        sender = hosts[src % n_hosts]
+        if count:
+            engine.call_at(tick * 5e-7, sender.send_to_fabric_run,
+                           packet, count)
+        else:
+            engine.call_at(tick * 5e-7, sender.send_to_fabric, packet)
+    engine.run()
+    return trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5),
+       st.lists(st.tuples(st.integers(0, 40), st.integers(0, 4),
+                          st.integers(0, 4), st.sampled_from([0, 100, 1400]),
+                          st.sampled_from([0, 0, 0, 2, 3])),
+                min_size=1, max_size=25))
+def test_switch_egress_at_arrival_matches_timed_relay(n_hosts, sends):
+    """Booking the egress link at arrival for ``now + forwarding_delay``
+    gives every (time, host, packet) arrival the longhand relay gives —
+    bit-identical floats, same order — with queued egress links, ties
+    and fluid runs in the mix.
+
+    Recorded mutant: booking at ``now`` (dropping the delay argument in
+    ``UnderlaySwitch.receive``) moves every arrival 1 µs earlier."""
+    got = _star_arrivals(UnderlaySwitch, n_hosts, sends)
+    assert got == _star_arrivals(RelaySwitch, n_hosts, sends)
+    assert len(got) == len(sends)
 
 
 def test_switch_rejects_bad_route_install():

@@ -341,10 +341,11 @@ class _Sink:
 
 
 def test_profiler_attributes_direct_dispatch_to_owner():
-    """Regression: ``CpuResource.try_submit_call`` schedules its
-    completion as ``engine.call_at(end, engine.call_soon, fn, *args)``;
-    the relay dispatch must bucket under the callback's owner, not
-    ``Engine.call_soon``."""
+    """``CpuResource.try_submit_call`` schedules its completion as one
+    settled entry (``Engine.call_settled``): exactly one event, billed
+    to the callback's owner — nothing to ``Engine.call_soon``, also for
+    the one relay left (a ``call_soon`` handed over as the callback, as
+    ``Vm._dispatch_conn``'s lock-ends-last hop does)."""
     from repro.sim import Engine
     from repro.sim.resources import CpuResource
 
@@ -359,5 +360,12 @@ def test_profiler_attributes_direct_dispatch_to_owner():
     owners = set(profiler.buckets)
     assert "Engine.call_soon" not in owners
     assert "_Sink.on_done" in owners
-    # Both the relay pop and the real invocation land on the owner.
-    assert profiler.buckets["_Sink.on_done"].events == 2
+    assert profiler.buckets["_Sink.on_done"].events == 1
+    assert profiler.total_events == 1
+
+    engine.call_settled(engine.now + 1.0, engine.call_soon, sink.on_done, 3)
+    engine.run()
+    assert sink.hits == 5
+    assert "Engine.call_soon" not in profiler.buckets
+    # The relay pop and the real invocation both land on the owner.
+    assert profiler.buckets["_Sink.on_done"].events == 3

@@ -10,6 +10,7 @@ import heapq
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import PacketError
 from repro.net.addr import IPv4Address, MacAddress
@@ -288,16 +289,20 @@ class PureHeapEngine(Engine):
     entry, same-instant ones included, and a batch is N pushes."""
 
     def call_at(self, when, fn, *args):
-        assert when >= self._now
+        assert when >= self.now
         heapq.heappush(self._heap, (when, self._seq, fn, args))
         self._seq += 1
 
     def call_soon(self, fn, *args):
-        self.call_at(self._now, fn, *args)
+        self.call_at(self.now, fn, *args)
 
     def call_at_batch(self, items):
         for when, fn, args in items:
             self.call_at(when, fn, *args)
+
+    def call_settled(self, when, fn, *args):
+        # The settled entry written longhand: its definition.
+        self.call_at(when, self.call_soon, fn, *args)
 
 
 def _run_scrambled_schedule(engine):
@@ -351,6 +356,94 @@ def test_micro_queue_trace_identical_to_pure_heap():
     assert any(".b" in tag for tag, _now in trace)       # batches unfolded
 
 
+# Random schedules over a three-value dyadic time grid, so same-instant
+# ties (settled vs heap vs batch vs micro-queue) are the common case and
+# every sum is exact. An op is (kind, delay(s), children run by it).
+_DELAYS = st.sampled_from([0.0, 0.25, 0.5])
+_OPS = st.recursive(
+    st.just([]),
+    lambda children: st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(["at", "soon", "settled"]),
+                      _DELAYS, children),
+            st.tuples(st.just("batch"),
+                      st.lists(_DELAYS, min_size=1, max_size=3).map(sorted),
+                      children)),
+        max_size=3),
+    max_leaves=12)
+_CUT = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
+
+
+def _trace_schedule(engine, phases):
+    """Drive ``phases`` — (ops, run-until cut, labels to single-step) —
+    and return the (time, label) trace. Stepping is by *labels*, not
+    ``step()`` calls: a longhand settled entry spends one extra, silent
+    step on its relay."""
+    trace = []
+
+    def fire(label, ops):
+        trace.append((engine.now, label))
+        schedule(label, ops)
+
+    def schedule(parent, ops):
+        now = engine.now
+        for index, (kind, delay, children) in enumerate(ops):
+            label = f"{parent}.{kind}{index}"
+            if kind == "at":
+                engine.call_at(now + delay, fire, label, children)
+            elif kind == "soon":
+                engine.call_soon(fire, label, children)
+            elif kind == "settled":
+                engine.call_settled(now + delay, fire, label, children)
+            else:
+                engine.call_at_batch(
+                    [(now + dt, fire, (f"{label}/{i}", children))
+                     for i, dt in enumerate(delay)])
+
+    for number, (ops, cut, steps) in enumerate(phases):
+        schedule(f"p{number}", ops)
+        engine.run(until=engine.now + cut)
+        target = len(trace) + steps
+        while len(trace) < target and engine.step():
+            pass
+    engine.run()
+    return trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_OPS, _CUT, st.integers(0, 4)),
+                min_size=1, max_size=3))
+def test_settled_entries_trace_identical_to_longhand_relay(phases):
+    """``call_settled`` is *defined as* ``call_at(when, call_soon, fn)``;
+    run, ``run(until=...)`` cuts and ``step()`` must all honour that
+    against a pure heap running the longhand form.
+
+    Recorded mutant: dropping ``heap[0][0] == when`` from the in-place
+    condition (a settled callback runs before a same-instant heap entry
+    scheduled after it) fails this property and the example below."""
+    assert (_trace_schedule(Engine(), phases)
+            == _trace_schedule(PureHeapEngine(), phases))
+
+
+def test_settled_entry_is_one_event_unless_it_must_hop():
+    engine = Engine()
+    order = []
+    engine.call_settled(1.0, order.append, "alone")
+    assert engine.step() and order == ["alone"] and engine.pending == 0
+    # Same instant: the heap entry pushed later still precedes the hop;
+    # what that entry puts on the micro-queue lands behind it.
+    engine.call_settled(2.0, order.append, "settled")
+    engine.call_at(2.0, lambda: (order.append("heap"),
+                                 engine.call_soon(order.append, "soon")))
+    engine.run()
+    assert order == ["alone", "heap", "settled", "soon"]
+    # when == now is the relay itself: two micro-queue hops.
+    engine.call_settled(engine.now, order.append, "now")
+    engine.call_soon(order.append, "after")
+    engine.run()
+    assert order[-2:] == ["after", "now"]
+
+
 def test_pending_counts_micro_queue():
     engine = Engine()
     engine.call_soon(lambda: None)
@@ -366,10 +459,14 @@ def test_step_drains_in_order():
     engine.call_soon(order.append, "a")
     engine.call_at(0.0, order.append, "b")     # same instant -> micro-queue
     engine.call_at(1.0, order.append, "c")
+    engine.call_at_batch([(2.0, order.append, ("d",)),
+                          (3.0, order.append, ("e",))])
+    steps = 0
     while engine.step():
-        pass
-    assert order == ["a", "b", "c"]
-    assert engine.now == 1.0
+        steps += 1
+        assert len(order) == steps      # one callback per step, batch too
+    assert order == ["a", "b", "c", "d", "e"]
+    assert engine.now == 3.0
 
 
 def test_past_schedule_still_rejected():

@@ -75,6 +75,58 @@ def test_cpu_utilization_idle_is_zero():
     assert cpu.utilization() == 0.0
 
 
+def test_cpu_busy_intervals_are_pruned_without_polling():
+    """Nobody polls ``utilization()`` on most CPUs (``Vm.cpu``, the
+    kernel lock, a CRR vSwitch): admission itself must keep ``_busy`` to
+    about one window of jobs, not one tuple per job for the whole run."""
+    engine = Engine()
+    cpu = CpuResource(engine, cores=2, hz=1000.0, util_window=1.0)
+    per_window, windows = 100, 100
+    high_water = 0
+
+    def submit():
+        nonlocal high_water
+        assert cpu.try_submit_call(1.0, 10.0, lambda: None)
+        high_water = max(high_water, len(cpu._busy))
+
+    for job in range(per_window * windows):
+        engine.call_at(job / per_window, submit)
+    engine.run()
+    assert cpu.jobs_done == per_window * windows
+    assert high_water <= per_window + 2
+
+
+def test_cpu_utilization_equals_longhand_sum_on_out_of_order_ends():
+    """Pruning at admission is exact: on a multi-core schedule whose
+    intervals end out of booking order, ``utilization()`` still equals
+    the longhand overlap sum over *every* job ever booked."""
+    engine = Engine()
+    cpu = CpuResource(engine, cores=3, hz=100.0, util_window=2.0)
+    booked = []
+
+    def submit(cycles):
+        now = engine.now
+        start = max(now, min(cpu._free_at))
+        cpu.try_book(cycles, 100.0)
+        booked.append((start, start + cycles / 100.0))
+
+    def check():
+        now, lo = engine.now, engine.now - 2.0
+        busy = sum(max(0.0, min(end, now) - max(start, lo))
+                   for start, end in booked)
+        assert cpu.utilization() == pytest.approx(min(1.0, busy / 6.0))
+        assert busy > 0.0
+
+    # Long and short jobs interleaved: core 0's 300-cycle job outlives
+    # the short ones booked after it on cores 1 and 2.
+    for tick, cycles in enumerate([300, 20, 50, 10, 250, 5, 40, 120, 15,
+                                   90, 30, 200, 10, 60, 25, 180, 35]):
+        engine.call_at(tick * 0.4, submit, cycles)
+        engine.call_at(tick * 0.4 + 0.3, check)
+    engine.run()
+    assert len(cpu._busy) < len(booked)       # something was pruned
+
+
 def test_cpu_try_submit_rejects_over_backlog():
     engine = Engine()
     cpu = CpuResource(engine, cores=1, hz=100.0)

@@ -65,6 +65,20 @@ def test_fig14_fe_crash_loss_surge(run_experiment):
     assert total_loss < 0.25
 
 
+def test_failover_drill_example_recovers(capsys):
+    """``examples/failover_drill.py`` is Fig 14 as a walkthrough; it was
+    broken for the same six PRs and nothing ran it."""
+    import re
+
+    from tests.test_examples import load_example
+    load_example("failover_drill").main()
+    out = capsys.readouterr().out
+    losses = [float(pct) for pct in re.findall(r"loss +([\d.]+)%", out)]
+    assert max(losses) > 2.0, "the crash must cause visible loss"
+    assert len(losses) >= 8 and max(losses[-4:]) <= 2.0
+    assert "(4 FEs — minimum of 4 restored)" in out
+
+
 def test_appb2_scale_out_ratio(run_experiment):
     result = run_experiment(appb2.run)
     rows = {row["quantity"]: row["measured"] for row in result.rows}

@@ -114,7 +114,8 @@ def simulate_hot_epoch(seed: int, demand_ratio: float, granted: bool,
     ``fluid=True`` == ``fluid=False`` here). The ~95 hot micro-sims per
     epoch at 10K are the fleet's dominant wall-clock cost; the peer
     vNIC's guest is run-aware and only counts, so a fluid run stays one
-    descriptor from the sender's kernel to the sink.
+    descriptor from the sender's kernel to the sink — telemetry
+    installed or not: no template here carries a span.
     """
     retained = 1.0 if granted else demand_ratio
     rate_pps = min(BASE_PPS * retained, MAX_PPS)

@@ -17,7 +17,8 @@ installed:
   :class:`~repro.sim.trace.Trace` (via :func:`active_trace`), so faults,
   controller decisions, and monitor verdicts interleave in one stream —
   the chaos post-mortem timeline;
-* span call sites in the datapath go live (``spans.ACTIVE``);
+* span call sites in the datapath go live (``spans.ACTIVE``): they record
+  on span-carrying packets; the datapath is the uninstalled one, call for call;
 * engines bound to the telemetry get the profiler attached.
 
 While *not* installed, every hook degrades to a single attribute or

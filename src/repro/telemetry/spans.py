@@ -8,10 +8,13 @@ and final guest delivery all append to one hop list, and the finished
 span lands in the recorder exactly once.
 
 The hot-path contract: every instrumentation site in the datapath is
-guarded by ``if _spans.ACTIVE:`` — a module attribute read, no function
-call — so runs without telemetry pay one truthiness check per site.
-Sites then call :func:`hop`, which is a no-op for packets without a span,
-so background traffic stays cheap even while probes are being traced.
+``if _spans.ACTIVE:`` in front of one :func:`hop` / :func:`begin` /
+:func:`finish` call — a module attribute read with telemetry off, a
+no-op call for a packet without a span with it on. ``ACTIVE`` never
+selects a code path, so the program observed is the program that runs
+unobserved (a call census and an AST walk in the tests pin it). Only a
+*carried* span changes handling: a fluid ``(template, count)`` run
+materializes iff ``META_KEY in template.meta`` — one probe per run.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.metrics.percentiles import percentile_summary
 
-# Module-level fast gate. Checked at call sites before any function call;
-# flipped only by SpanRecorder.install()/uninstall().
+# Module-level fast gate. Guards a hop/begin/finish call, never a code
+# path; flipped only by SpanRecorder.install()/uninstall().
 ACTIVE = False
 
 _recorder: Optional["SpanRecorder"] = None

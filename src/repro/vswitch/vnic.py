@@ -90,24 +90,29 @@ class Vnic:
 
     def deliver_burst(self, packets) -> None:
         """Burst delivery: per-packet semantics of :meth:`deliver`, kept
-        as the one loop the aggregated RX completion drives. With no
-        spans recording and a guest attached directly, the per-packet
-        branchwork collapses to one counter add and the callback loop."""
+        as the one loop the aggregated RX completion drives. With a
+        guest attached directly, the per-packet branchwork collapses to
+        one counter add and the callback loop."""
         rx = self._guest_rx
-        if _spans.ACTIVE or rx is None:
+        if rx is None:
             for packet in packets:
                 self.deliver(packet)
             return
         self.rx_delivered += len(packets)
+        if _spans.ACTIVE and self.host is not None:
+            now = self.host.engine.now
+            for packet in packets:
+                _spans.hop(packet, "deliver", now)
         for packet in packets:
             rx(packet)
 
     def deliver_run(self, packet: Packet, count: int) -> None:
         """Fluid delivery: one call, no copies, when the guest is
-        run-aware; ``count`` materialized copies otherwise (spans active,
-        a bare callback, a child vNIC delivering through its parent)."""
-        if (_spans.ACTIVE or self._guest_rx_run is None
-                or self._guest_rx is None):
+        run-aware; ``count`` materialized copies otherwise (a template
+        carrying a span, a bare callback, a child vNIC delivering
+        through its parent)."""
+        if (self._guest_rx_run is None or self._guest_rx is None
+                or _spans.META_KEY in packet.meta):
             for _ in range(count):
                 self.deliver(packet.copy())
             return

@@ -313,15 +313,16 @@ class VSwitch:
     def send_from_vnic_run(self, vnic: Vnic, packet: Packet,
                            count: int) -> None:
         """Guest egress (TX), fluid variant: ``packet`` is a template
-        standing for ``count`` identical packets. With telemetry spans
-        active the run re-materializes immediately — spans annotate
-        individual packets, and observation purity beats speed."""
+        standing for ``count`` identical packets. A template that
+        carries a span re-materializes here — a span annotates one
+        packet's journey; any other run stays a run, recorder installed
+        or not."""
         if self.crashed:
             self.stats.crashed_drops += count
             return
         if vnic.host is not self:
             raise ConfigError(f"{vnic!r} is not hosted by {self.name}")
-        if _spans.ACTIVE:
+        if _spans.META_KEY in packet.meta:
             self.send_from_vnic_burst(
                 vnic, [packet.copy() for _ in range(count)])
             return
@@ -401,13 +402,13 @@ class VSwitch:
         """Fluid underlay arrival: one template for ``count`` packets.
 
         Only VXLAN overlay traffic rides runs (the fluid TX path emits
-        nothing else); spans active or any non-overlay template falls
+        nothing else); a span-carrying or non-overlay template falls
         back to per-packet sinking of materialized copies."""
         if self.crashed:
             self.stats.crashed_drops += count
             return
         _udp, vxlan = _underlay_frame(packet)
-        if type(vxlan) is not VxlanHeader or _spans.ACTIVE:
+        if type(vxlan) is not VxlanHeader or _spans.META_KEY in packet.meta:
             for _ in range(count):
                 self._fabric_sink(packet.copy())
             return
@@ -685,6 +686,28 @@ class LocalDatapath(Datapath):
         vs.stats.fast_path_hits += len(run)
         return entry, run, cycles, j, entry.state.tcp_state, nbytes
 
+    def _account_run(self, entry, direction: Direction, pre, n: int,
+                     nbytes: int) -> bool:
+        """Verdict and flow-record accounting of one run, shared by the
+        four run completions: an ACL drop counts and traces all ``n``
+        packets and only touches the record; otherwise ``n`` packets /
+        ``nbytes`` land in the entry's record columns. False = dropped."""
+        vs = self.vswitch
+        state = entry.state
+        now = vs.engine.now
+        records = vs.session_table.records
+        if resolve_verdict(direction, pre, state) is Verdict.DROP:
+            vs.stats.acl_drops += n
+            name = direction.value
+            for _ in range(n):
+                vs.trace.emit("pkt.acl_drop", vswitch=vs.name,
+                              direction=name)
+            records.touch(entry.slot, now)
+            return False
+        records.charge(entry.slot, direction is Direction.TX, n, nbytes,
+                       state.stats_policy.value, now)
+        return True
+
     # -- TX ------------------------------------------------------------------------
 
     def handle_tx(self, vnic: Vnic, packet: Packet) -> None:
@@ -730,8 +753,7 @@ class LocalDatapath(Datapath):
             # a reconfiguration.
             vs.stats.cpu_drops += len(packets)
             return
-        if (run_bytes >= 0 and not _spans.ACTIVE
-                and self._tx_run_eligible(entry, fsm_snap)):
+        if run_bytes >= 0 and self._tx_run_eligible(entry, fsm_snap):
             self._complete_tx_run(vnic, entry, packets, run_bytes)
             return
         routed = []
@@ -768,21 +790,10 @@ class LocalDatapath(Datapath):
         observables (acl/qos/no-route traces, admitted prefixes) are
         identical to the per-packet loop."""
         vs = self.vswitch
-        state = entry.state
         pre = entry.pre_actions.tx
-        n = len(packets)
-        now = vs.engine.now
-        records = vs.session_table.records
-        slot = entry.slot
-        if resolve_verdict(Direction.TX, pre, state) is Verdict.DROP:
-            vs.stats.acl_drops += n
-            for _ in range(n):
-                vs.trace.emit("pkt.acl_drop", vswitch=vs.name,
-                              direction="tx")
-            records.touch(slot, now)
+        if not self._account_run(entry, Direction.TX, pre, len(packets),
+                                 run_bytes):
             return
-        records.charge(slot, True, n, run_bytes, state.stats_policy.value,
-                       now)
         if (vnic.rate_limit_bps is not None
                 or pre.rate_limit_bps is not None):
             out = [p for p in packets
@@ -791,15 +802,16 @@ class LocalDatapath(Datapath):
                 return
         else:
             out = packets
-        if vnic.stateful_decap and state.decap_overlay_src is not None:
-            next_hop_ip, next_hop_mac = state.decap_overlay_src, None
-        else:
-            next_hop_ip, next_hop_mac = pre.next_hop_ip, pre.next_hop_mac
+        next_hop_ip, next_hop_mac = _tx_next_hop(vnic, entry.state, pre)
         if next_hop_ip is None:
             vs.stats.no_route_drops += len(out)
             for _ in range(len(out)):
                 vs.trace.emit("pkt.no_route", vswitch=vs.name)
             return
+        if _spans.ACTIVE:
+            now = vs.engine.now
+            for packet in out:
+                _spans.hop(packet, "fabric_tx", now)
         entropy = 49152 + (out[0].five_tuple().hash() & 0x3FFF)
         tmpl = vs.encap_template(entry, next_hop_ip,
                                  next_hop_mac or MacAddress.broadcast(),
@@ -848,29 +860,17 @@ class LocalDatapath(Datapath):
             self._complete_tx_batch(vnic, entry,
                                     [packet.copy() for _ in range(count)])
             return
-        state = entry.state
         pre = entry.pre_actions.tx
-        now = vs.engine.now
-        records = vs.session_table.records
-        if resolve_verdict(Direction.TX, pre, state) is Verdict.DROP:
-            vs.stats.acl_drops += count
-            for _ in range(count):
-                vs.trace.emit("pkt.acl_drop", vswitch=vs.name,
-                              direction="tx")
-            records.touch(entry.slot, now)
+        if not self._account_run(entry, Direction.TX, pre, count,
+                                 count * wire):
             return
-        records.charge(entry.slot, True, count, count * wire,
-                       state.stats_policy.value, now)
         k = count
         if (vnic.rate_limit_bps is not None
                 or pre.rate_limit_bps is not None):
             k = _qos_admits_run(vs, vnic, pre, wire, count)
             if k == 0:
                 return
-        if vnic.stateful_decap and state.decap_overlay_src is not None:
-            next_hop_ip, next_hop_mac = state.decap_overlay_src, None
-        else:
-            next_hop_ip, next_hop_mac = pre.next_hop_ip, pre.next_hop_mac
+        next_hop_ip, next_hop_mac = _tx_next_hop(vnic, entry.state, pre)
         vs.forward_overlay_run(entry, packet, k, next_hop_ip, next_hop_mac,
                                pre.vni)
 
@@ -940,7 +940,7 @@ class LocalDatapath(Datapath):
         if entry.pre_actions is None or entry.state is None:
             vs.stats.cpu_drops += len(packets)
             return
-        if (run_bytes >= 0 and not _spans.ACTIVE and entry.slot >= 0
+        if (run_bytes >= 0 and entry.slot >= 0
                 and (fsm_snap is None
                      or entry.state.tcp_state is fsm_snap)):
             self._complete_rx_run(vnic, entry, packets, run_bytes)
@@ -962,24 +962,11 @@ class LocalDatapath(Datapath):
                          run_bytes: int) -> None:
         """Aggregate RX completion: mirror of :meth:`_complete_tx_run`
         (the RX pipeline has no QoS or NAT stage)."""
-        vs = self.vswitch
-        state = entry.state
-        pre = entry.pre_actions.rx
         n = len(packets)
-        now = vs.engine.now
-        records = vs.session_table.records
-        slot = entry.slot
-        if resolve_verdict(Direction.RX, pre, state) is Verdict.DROP:
-            vs.stats.acl_drops += n
-            for _ in range(n):
-                vs.trace.emit("pkt.acl_drop", vswitch=vs.name,
-                              direction="rx")
-            records.touch(slot, now)
-            return
-        records.charge(slot, False, n, run_bytes, state.stats_policy.value,
-                       now)
-        vs.stats.delivered += n
-        vnic.deliver_burst(packets)
+        if self._account_run(entry, Direction.RX, entry.pre_actions.rx, n,
+                             run_bytes):
+            self.vswitch.stats.delivered += n
+            vnic.deliver_burst(packets)
 
     # -- fluid RX -----------------------------------------------------------------
 
@@ -1011,25 +998,14 @@ class LocalDatapath(Datapath):
         if entry.pre_actions is None or entry.state is None:
             vs.stats.cpu_drops += count
             return
-        state = entry.state
-        if entry.slot < 0 or state.tcp_state is not fsm_snap:
+        if entry.slot < 0 or entry.state.tcp_state is not fsm_snap:
             self._complete_rx_batch(vnic, entry,
                                     [packet.copy() for _ in range(count)])
             return
-        pre = entry.pre_actions.rx
-        now = vs.engine.now
-        records = vs.session_table.records
-        if resolve_verdict(Direction.RX, pre, state) is Verdict.DROP:
-            vs.stats.acl_drops += count
-            for _ in range(count):
-                vs.trace.emit("pkt.acl_drop", vswitch=vs.name,
-                              direction="rx")
-            records.touch(entry.slot, now)
-            return
-        records.charge(entry.slot, False, count, count * wire,
-                       state.stats_policy.value, now)
-        vs.stats.delivered += count
-        vnic.deliver_run(packet, count)
+        if self._account_run(entry, Direction.RX, entry.pre_actions.rx,
+                             count, count * wire):
+            vs.stats.delivered += count
+            vnic.deliver_run(packet, count)
 
     def _rx_single(self, vnic: Vnic, packet: Packet,
                    overlay_src: Optional[IPv4Address] = None) -> None:
@@ -1058,6 +1034,14 @@ class LocalDatapath(Datapath):
             vnic.deliver(packet)
 
         vs.charge(cycles, complete)
+
+
+def _tx_next_hop(vnic: Vnic, state, pre):
+    """Where a TX run goes: back through the recorded overlay source
+    under stateful decap (§5.2), else the pre-action's route."""
+    if vnic.stateful_decap and state.decap_overlay_src is not None:
+        return state.decap_overlay_src, None
+    return pre.next_hop_ip, pre.next_hop_mac
 
 
 def _qos_admits(vs: "VSwitch", vnic: Vnic, pre, nbytes: int,

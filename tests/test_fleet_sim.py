@@ -462,39 +462,6 @@ def test_hot_sim_fluid_sink_copies_nothing_on_delivery(monkeypatch):
     assert fast == slow and fast["sim_delivered"] > 0
 
 
-def test_hot_sim_under_spans_materializes_and_stays_pure(monkeypatch):
-    """With a span recorder active every packet needs its own hop list,
-    so runs are materialized where they enter the vSwitch — and the
-    measurements are the ones the unobserved run returns."""
-    bare = simulate_hot_epoch(seed=7, demand_ratio=1.0, granted=False)
-    copies = _count_packet_copies(monkeypatch)
-    with telemetry.span_session():
-        observed = simulate_hot_epoch(seed=7, demand_ratio=1.0,
-                                      granted=False)
-    assert observed == bare
-    assert sum(copies.values()) > bare["sim_delivered"] // 2 > 0
-
-
-def test_vnic_run_delivery_materializes_distinct_packets_under_spans():
-    from repro.net.addr import IPv4Address, MacAddress
-    from repro.net.packet import Packet
-    from repro.vswitch import CostModel, Vnic
-    from repro.vswitch.vswitch import make_standard_chain
-    vnic = Vnic(1, 400, IPv4Address("10.40.0.2"), MacAddress(0x42),
-                make_standard_chain(CostModel.testbed()))
-    got, runs = [], []
-    vnic.attach_guest(got.append, lambda pkt, n: runs.append(n))
-    template = Packet.udp(IPv4Address("10.40.0.1"), IPv4Address("10.40.0.2"),
-                          5000, 9, payload=b"x" * 8)
-    vnic.deliver_run(template, 5)            # run-aware guest: no copies
-    assert (got, runs, vnic.rx_delivered) == ([], [5], 5)
-    with telemetry.span_session():
-        vnic.deliver_run(template, 5)
-    assert runs == [5] and vnic.rx_delivered == 10
-    assert len({id(pkt) for pkt in got} - {id(template)}) == 5
-    assert all(pkt == template for pkt in got)
-
-
 # -- the experiment: byte-identity across shard counts ----------------------
 
 def test_fleet_conservation_check_raises_not_asserts(monkeypatch):

@@ -1,8 +1,10 @@
 """Telemetry wired into the real stack: component self-registration,
 fig12 span reconciliation, the experiment/chaos CLI export paths, the
-post-mortem CLI, and the telemetry-off cost contract."""
+post-mortem CLI, the telemetry-off cost contract, and the telemetry-on
+one: an installed recorder observes the datapath, it never selects it."""
 
 import cProfile
+import gc
 import importlib.util
 import os
 import sys
@@ -12,13 +14,23 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro import telemetry
 from repro.experiments import fig9, fig12, fleet
 from repro.telemetry.export import load, validate_report
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
 TELEMETRY_DIR = os.path.join("repro", "telemetry") + os.sep
 CONSTRUCTOR_LOOKUPS = {"current", "active_trace"}
+# The only functions of the package outside ``repro/telemetry/`` whose
+# call counts may depend on whether telemetry is installed — construction
+# and per-epoch plumbing, none per packet.
+CONSTRUCTOR_TIME = {
+    ("trace.py", "Trace.__init__"),       # components share tel.trace
+    ("link.py", "Link.name"),             # gauge names, at registration
+    ("fleet.py", "run.<locals>.<genexpr>"),   # per-epoch snapshot fold
+}
 
 
 @pytest.fixture(autouse=True)
@@ -30,6 +42,10 @@ def _clean_telemetry():
 def _offloaded_fig9(duration=0.2):
     """A small fig9 point on 2 FEs: every packet takes the BE<->FE hop."""
     return fig9.run_point((2, duration, 0.1, 8, 3))
+
+
+def _quick_fleet():
+    return fleet.run(n_vswitches=400, epochs=2, seed=0, shards=1, jobs=1)
 
 
 def _load_cli():
@@ -256,17 +272,46 @@ def test_cli_aggregate_matches_recorder(capture):
 # -- telemetry-off cost ------------------------------------------------------
 
 
-def _telemetry_calls(fn) -> Counter:
-    """Python calls into ``repro/telemetry/`` while ``fn`` runs, by
-    function name."""
+def _python_calls(fn):
+    """Calls into the ``repro`` package while ``fn`` runs, split ``(into
+    repro/telemetry/ by function name, the rest by (file, qualified
+    name))``. The collector is parked meanwhile: a suspended generator
+    counts one more call when it is collected, whenever that is."""
     profile = cProfile.Profile()
-    profile.runcall(fn)
-    calls = Counter()
+    gc.collect()
+    gc.disable()
+    try:
+        profile.runcall(fn)
+    finally:
+        gc.enable()
+    inside, outside = Counter(), Counter()
     for entry in profile.getstats():
         code = entry.code
-        if not isinstance(code, str) and TELEMETRY_DIR in code.co_filename:
-            calls[code.co_name] += entry.callcount
-    return calls
+        if isinstance(code, str) or REPRO_DIR not in code.co_filename:
+            continue
+        if TELEMETRY_DIR in code.co_filename:
+            inside[code.co_name] += entry.callcount
+        else:
+            outside[os.path.basename(code.co_filename),
+                    code.co_qualname] += entry.callcount
+    return inside, outside
+
+
+def _telemetry_calls(fn) -> Counter:
+    return _python_calls(fn)[0]
+
+
+_off_profiles = {}
+
+
+def _off_calls(workload):
+    """``_python_calls`` of a workload with nothing installed, after one
+    warm-up pass (lazy imports, interned decodes); taken once and shared
+    by the off-cost and on-cost tests."""
+    if workload not in _off_profiles:
+        workload()
+        _off_profiles[workload] = _python_calls(workload)
+    return _off_profiles[workload]
 
 
 def test_telemetry_off_cost_is_per_object_not_per_packet():
@@ -275,7 +320,7 @@ def test_telemetry_off_cost_is_per_object_not_per_packet():
     ``current()`` / ``active_trace()`` lookups, so simulating twice as
     long (1.7x the calls overall) adds none. A hook that calls in per
     packet shows up as a new name or a count that grows."""
-    short = _telemetry_calls(_offloaded_fig9)
+    short = _off_calls(_offloaded_fig9)[0]
     longer = _telemetry_calls(lambda: _offloaded_fig9(duration=0.4))
     assert short and set(short) <= CONSTRUCTOR_LOOKUPS
     assert longer == short
@@ -284,6 +329,104 @@ def test_telemetry_off_cost_is_per_object_not_per_packet():
 def test_telemetry_off_fleet_calls_only_constructor_lookups():
     """The fleet instance: metric collection, the fold and the decision
     journal stay uncalled unless telemetry is installed."""
-    calls = _telemetry_calls(lambda: fleet.run(
-        n_vswitches=400, epochs=2, seed=0, shards=1, jobs=1))
+    calls = _off_calls(_quick_fleet)[0]
     assert calls and set(calls) <= CONSTRUCTOR_LOOKUPS
+
+
+# -- telemetry-on cost: one datapath, observed or not ------------------------
+
+
+@pytest.mark.parametrize("workload", [_quick_fleet, _offloaded_fig9],
+                         ids=["fleet", "fig9"])
+def test_telemetry_on_runs_the_program_users_run(workload):
+    """The on-budget, clock-free: with the stack installed and no probe
+    in flight, every function of the package outside ``repro/telemetry/``
+    is called exactly as often as with it off (construction aside), so
+    a profile taken with telemetry on is a profile of the unobserved
+    program. At PR 21 an installed recorder turned every run back into
+    packets: the fleet read 54 300 -> 495 887 calls here."""
+    _, off = _off_calls(workload)
+    telemetry.install()
+    inside, on = _python_calls(workload)
+    assert inside                   # the instruments did run
+    moved = {name: (off[name], on[name])
+             for name in set(off) | set(on) if off[name] != on[name]}
+    assert set(moved) <= CONSTRUCTOR_TIME, moved
+
+
+def _established_cloud():
+    """The conftest cloud with a run-aware guest on B and one A->B UDP
+    flow already through the slow path on both vSwitches."""
+    from repro.net.packet import Packet
+    from tests.conftest import build_cloud
+
+    cloud = build_cloud()
+    got, runs = [], []
+    cloud.vnic_b.attach_guest(
+        lambda pkt: got.append((cloud.engine.now, pkt)),
+        lambda pkt, n: runs.append(n))
+
+    def make():
+        return Packet.udp(cloud.vnic_a.tenant_ip, cloud.vnic_b.tenant_ip,
+                          5000, 9, payload=b"x" * 64)
+
+    cloud.vswitch_a.send_from_vnic(cloud.vnic_a, make())
+    cloud.engine.run()
+    assert len(got) == 1
+    del got[:]
+    return cloud, make, got, runs
+
+
+def test_span_carrying_burst_records_every_hop_on_the_run_path():
+    """A burst on an established flow completes as a run; the packets in
+    it that carry a span still collect the per-packet loop's hops, at
+    the instants the run is processed."""
+    from repro.telemetry import spans as span_hooks
+
+    cloud, make, got, _runs = _established_cloud()
+    with telemetry.span_session():
+        packets = [make() for _ in range(4)]
+        sent = cloud.engine.now
+        spans = [span_hooks.begin(pkt, "probe", sent) for pkt in packets]
+        cloud.vswitch_a.send_from_vnic_burst(cloud.vnic_a, packets)
+        cloud.engine.run()
+    assert len(got) == 4
+    for span, (delivered_at, pkt) in zip(spans, got):
+        assert pkt.meta["span"] is span
+        assert [name for name, _ in span.hops] == [
+            "vswitch_in", "fabric_tx", "vswitch_rx", "deliver"]
+        times = [t for _, t in span.hops]
+        assert times == sorted(times) and times[0] == sent
+        assert times[-1] == delivered_at
+    # One TX run: the four left the vSwitch at one instant, after its CPU.
+    assert len({span.hops[1][1] for span in spans}) == 1
+    assert spans[0].hops[1][1] > sent
+
+
+def test_only_a_span_carrying_template_materializes(monkeypatch):
+    """A fluid run stays a run with a recorder installed; it becomes
+    ``count`` distinct packets only when its template carries a span."""
+    from repro.net.packet import Packet
+    from repro.telemetry import spans as span_hooks
+
+    cloud, make, got, runs = _established_cloud()
+    copies = []
+    real_copy = Packet.copy
+    monkeypatch.setattr(
+        Packet, "copy", lambda self: copies.append(1) or real_copy(self))
+    with telemetry.span_session():
+        cloud.vswitch_a.send_from_vnic_run(cloud.vnic_a, make(), 5)
+        cloud.engine.run()
+        assert (got, runs, copies) == ([], [5], [])
+        assert cloud.vnic_b.rx_delivered == 6
+        template = make()
+        span_hooks.begin(template, "probe", cloud.engine.now)
+        cloud.vswitch_a.send_from_vnic_run(cloud.vnic_a, template, 5)
+        cloud.engine.run()
+    assert runs == [5] and cloud.vnic_b.rx_delivered == 11
+    assert len({id(pkt) for _, pkt in got}) == 5
+    assert all("span" in pkt.meta for _, pkt in got)
+    # The same gate at the far end of a run, vNIC delivery itself.
+    cloud.vnic_b.deliver_run(template, 3)
+    cloud.vnic_b.deliver_run(make(), 3)
+    assert runs == [5, 3] and len(got) == 8

@@ -17,11 +17,12 @@ per flow + O(extents) per vSwitch) and no per-flow Python: blocks grow,
 shrink and fold an extent at a time, the per-slot work done in C. Epoch
 traffic is *not* written per flow at all. Each vSwitch carries two
 pending integers (packets, bytes) that the shard advances per epoch in
-O(1); the columns are touched only at flow churn (bounded per epoch) and
-at the final *materialization boundary*, where :meth:`fold` distributes
-the pending aggregate uniformly across the vSwitch's live slots with
-exact integer remainder bookkeeping — the same flush-at-boundary
-discipline DESIGN.md §5.5 established for the hot datapath.
+O(1); the columns are touched only at flow churn (bounded per epoch; the
+seed epoch grows them once, :meth:`reserve`) and at the final
+*materialization boundary*, where :meth:`fold` writes the pending
+aggregate uniformly across the vSwitch's live slots with exact integer
+remainder bookkeeping — the same flush-at-boundary discipline DESIGN.md
+§5.5 established for the hot datapath.
 
 Nothing output-visible may depend on slot numbering: freed extents are
 recycled across vSwitches within a shard, so slot ids differ between
@@ -81,12 +82,25 @@ class FleetFlowStore:
 
     # -- slot lifecycle -----------------------------------------------------
 
+    def reserve(self, n: int) -> None:
+        """Grow both columns by ``n`` zeroed slots at once and push them
+        onto the free stack as one extent: on an empty stack the next
+        allocations pop its head, the ascending slot numbers ``n``
+        appends would give, with no realloc chain. The second column
+        grows from the first one's zeroed tail, not from a zero buffer."""
+        start = len(self.packets)
+        self.packets.frombytes(bytes(8 * n))
+        with memoryview(self.packets).cast("B") as raw:
+            self.bytes.frombytes(raw[8 * start:])
+        if n:
+            self._free.extend((start, n))
+
     def alloc_block(self, block: "array[int]", n: int) -> None:
-        """Append ``n`` zeroed slots to ``block`` — recycled extents
-        first (the top of the free stack is split when it is longer than
-        needed), then one ``frombytes`` extension of both columns for the
-        rest. An extent that starts where the block's last one ends is
-        merged into it."""
+        """Append ``n`` zeroed slots to ``block`` — recycled or reserved
+        extents first (the top of the free stack is split when it is
+        longer than needed), then one ``frombytes`` extension of both
+        columns for the rest. An extent that starts where the block's
+        last one ends is merged into it."""
         free = self._free
         while n > 0:
             if free:
@@ -133,13 +147,18 @@ class FleetFlowStore:
         Returns the (packets, bytes) actually folded; with no live slots
         the pending amounts stay with the caller.
 
-        The add runs an extent at a time in C: an extent's bytes are one
-        little-endian integer whose 64-bit lanes are its counters, so
-        adding ``share`` times the repunit (a 1 in every lane) adds
-        ``share`` to each. Lanes and shares are below 2**63, so no sum
-        carries into a neighbour; one with bit 63 set no longer fits a
-        signed ``'q'`` and raises ``OverflowError`` before its extent is
-        written back, as ``column[slot] += share`` would (DESIGN §5.6)."""
+        The fold runs an extent at a time in C. An all-zero extent (in
+        a run, every one: its single fold finds the slots as allocation
+        zeroed them) is *written* — bumped lanes, then share lanes, by
+        one slice assignment; exact, as ``0 + x = x``. Otherwise the
+        extent's bytes are one little-endian integer whose 64-bit lanes
+        are its counters, and adding ``share`` times the repunit (a 1 in
+        every lane) adds ``share`` to each. Lanes and shares are below
+        2**63, so no sum carries into a neighbour; one with bit 63 set
+        no longer fits a signed ``'q'`` and raises ``OverflowError``
+        before its extent is written back, as ``column[slot] += share``
+        would — so a bumped lane of ``2**63`` takes the add even over
+        zeros (DESIGN §5.6)."""
         n = sum(block[1::2])
         if n == 0 or (pending_packets == 0 and pending_bytes == 0):
             return (0, 0)
@@ -149,21 +168,28 @@ class FleetFlowStore:
             raise OverflowError("per-slot share outside [0, 2**63)")
         with memoryview(self.packets).cast("B") as raw_packets, \
                 memoryview(self.bytes).cast("B") as raw_bytes:
-            columns = ((raw_packets, packets_share, packets_extra),
-                       (raw_bytes, bytes_share, bytes_extra))
+            columns = [(raw, share, extra, share.to_bytes(8, "little"),
+                        (share + 1).to_bytes(8, "little"))
+                       for raw, share, extra in (
+                           (raw_packets, packets_share, packets_extra),
+                           (raw_bytes, bytes_share, bytes_extra))]
             done = 0  # slots of the block already folded
             for k in range(0, len(block), 2):
                 length = block[k + 1]
                 lo = 8 * block[k]
                 hi = lo + 8 * length
-                ones = int.from_bytes(_LANE_ONE * length, "little")
-                sign_bits = ones << 63
-                for raw, share, extra in columns:
+                for raw, share, extra, lane, bumped_lane in columns:
                     bumped = min(max(extra - done, 0), length)
-                    lanes = (int.from_bytes(raw[lo:hi], "little")
-                             + share * ones
-                             + (ones >> 64 * (length - bumped)))
-                    if lanes & sign_bits:
+                    extent = raw[lo:hi]
+                    if (extent.tobytes() == bytes(hi - lo)
+                            and not (bumped and (share + 1) >> 63)):
+                        raw[lo:hi] = (bumped_lane * bumped
+                                      + lane * (length - bumped))
+                        continue
+                    ones = int.from_bytes(_LANE_ONE * length, "little")
+                    lanes = (int.from_bytes(extent, "little")
+                             + share * ones + (ones >> 64 * (length - bumped)))
+                    if lanes & ones << 63:
                         raise OverflowError("flow counter exceeds 63 bits")
                     raw[lo:hi] = lanes.to_bytes(8 * length, "little")
                 done += length

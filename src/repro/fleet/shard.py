@@ -31,9 +31,9 @@ The epoch step itself is **vectorized over the cold tail**: per-vSwitch
 epoch streams are drawn into plain columns first (one reused
 ``random.Random`` reseeded per vSwitch with the exact
 ``SeededRng(vswitch_seed(seed, g), f"e{epoch}")`` mix, so every draw
-value is bit-identical to the scalar path — :func:`_epoch_demand` stays
-as the reference implementation the regression tests compare against),
-the Table 1 inversions run bisect-per-element over those columns, and
+value is bit-identical to one boxed ``SeededRng`` per vSwitch — the
+longhand the regression tests compare against), the Table 1 inversions
+run bisect-per-element over those columns, and
 one tight pass does churn, pending-aggregate, and hot/cold
 classification with zero per-vSwitch object construction. Only the ~1%
 hot vSwitches drop into the per-index Python path.
@@ -49,7 +49,7 @@ from random import Random
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.sim.rng import SeededRng, derive_seed
+from repro.sim.rng import derive_seed
 from repro.telemetry.fleet import snapshot_shard
 from repro.workloads.fleet import (FleetCapacity, HotspotKind, VSwitchDemand,
                                    usage_dist)
@@ -210,21 +210,6 @@ def make_shards(params: FleetParams, shards: int) -> List[ShardState]:
             for lo, hi in partition(params.n_vswitches, shards)]
 
 
-def _epoch_demand(seed: int, index: int, epoch: int,
-                  dists) -> VSwitchDemand:
-    """One vSwitch's demand redraw for one epoch: three uniforms in the
-    cps/flows/vnics order ``FleetModel.sample_demands`` established.
-
-    This is the scalar *reference implementation* of the stream the
-    vectorized :func:`_epoch_uniform_columns` path must reproduce
-    bit-for-bit; the RNG-identity tests compare the two directly."""
-    rng = SeededRng(vswitch_seed(seed, index), f"e{epoch}")
-    cps_dist, flows_dist, vnics_dist = dists
-    return VSwitchDemand(cps=cps_dist._invert(rng.random()),
-                         flows=flows_dist._invert(rng.random()),
-                         vnics=vnics_dist._invert(rng.random()))
-
-
 def _epoch_uniform_columns(state: ShardState, seed: int, epoch: int
                            ) -> Tuple[List[float], List[float], List[float]]:
     """The shard's raw demand uniforms for one epoch, as three columns.
@@ -233,8 +218,8 @@ def _epoch_uniform_columns(state: ShardState, seed: int, epoch: int
     exact ``SeededRng`` mix (``sha256(b"{vswitch_seed}:e{epoch}")``
     truncated to 64 bits) — ``Random(x)`` and ``Random().seed(x)``
     build the identical Mersenne Twister state, so the three draws per
-    vSwitch match :func:`_epoch_demand` bit-for-bit without constructing
-    10K ``SeededRng`` objects per epoch."""
+    vSwitch match a ``SeededRng(vswitch_seed(seed, g), f"e{epoch}")``
+    stream bit-for-bit without constructing 10K of them per epoch."""
     suffix = b"e%d" % epoch
     rnd = Random()
     reseed = rnd.seed
@@ -299,6 +284,10 @@ def run_shard_epoch(point) -> Tuple[ShardState, Dict[str, object]]:
     cap_flows = capacity.flows
     cap_vnics = capacity.vnics
     flows_per_unit = params.flows_per_unit
+    if seed_epoch:
+        # The seed population in one growth; every alloc_block below
+        # pops the reserved extent's head, in the slot order appends gave.
+        store.reserve(sum(int(flows * flows_per_unit) for flows in flows_col))
     conns_per_unit = params.conns_per_unit
     pkts_per_conn = params.pkts_per_conn
     avg_pkt_bytes = params.avg_pkt_bytes

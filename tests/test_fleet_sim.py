@@ -8,6 +8,7 @@ the full telemetry stack installed — the fleet-scale instance of the
 repo's determinism contract.
 """
 
+import hashlib
 import sys
 import tracemalloc
 from array import array
@@ -201,6 +202,15 @@ def test_flyweight_fold_lane_overflow_raises_and_spares_neighbours():
     with pytest.raises(OverflowError):
         store.fold(block, 2**65, 0)          # a share no lane can hold
     assert store.totals() == (2**63 - 1, 5)
+    # Over empty slots the fold writes instead of adding, but a bumped
+    # lane of 2**63 is no 'q': it still raises before anything is written.
+    fresh = array("q")
+    store.alloc_block(fresh, 2)              # share 2**63 - 1, one bumped
+    with pytest.raises(OverflowError):
+        store.fold(fresh, 2**64 - 1, 0)
+    assert store.totals() == (2**63 - 1, 5)
+    assert store.fold(fresh, 2**64 - 2, 4) == (2**64 - 2, 4)
+    assert [store.bytes[s] for s in _slot_ids(fresh)] == [2, 2]
 
 
 @pytest.mark.parametrize("shards", [1, 3])
@@ -351,11 +361,23 @@ def test_epoch_uniform_columns_match_scalar_rng_exactly():
                 == (rng.random(), rng.random(), rng.random())
 
 
+def _epoch_demand(seed, index, epoch, dists):
+    """Longhand: one vSwitch's demand redraw for one epoch, one boxed
+    ``SeededRng`` per vSwitch and three uniforms in the cps/flows/vnics
+    order ``FleetModel.sample_demands`` established."""
+    from repro.sim.rng import SeededRng
+    rng = SeededRng(vswitch_seed(seed, index), f"e{epoch}")
+    cps_dist, flows_dist, vnics_dist = dists
+    return VSwitchDemand(cps=cps_dist._invert(rng.random()),
+                         flows=flows_dist._invert(rng.random()),
+                         vnics=vnics_dist._invert(rng.random()))
+
+
 def test_epoch_columns_invert_to_scalar_demands():
-    """Column inversion of the uniforms == the boxed scalar reference
+    """Column inversion of the uniforms == the boxed scalar longhand
     (_epoch_demand) for every vSwitch — the end-to-end identity the
     vectorized epoch step rests on."""
-    from repro.fleet.shard import _epoch_demand, _epoch_uniform_columns
+    from repro.fleet.shard import _epoch_uniform_columns
     from repro.workloads.fleet import usage_dist
     params = FleetParams(seed=5, n_vswitches=30)
     state = make_shards(params, 1)[0]
@@ -390,11 +412,17 @@ def test_shard_state_pickle_drops_prefix_cache():
 
 # -- materialization idempotency (ISSUE 8 satellite) ------------------------
 
+def _run_shards(n_vswitches, shards, epochs):
+    params = FleetParams(seed=0, n_vswitches=n_vswitches)
+    states = make_shards(params, shards)
+    for epoch in range(epochs):
+        for k, state in enumerate(states):
+            states[k], _report = run_shard_epoch((state, epoch, {}, params))
+    return states
+
+
 def test_materialize_is_idempotent_and_clears_pending():
-    params = FleetParams(seed=0, n_vswitches=50)
-    state = make_shards(params, 1)[0]
-    for epoch in range(2):
-        state, _report = run_shard_epoch((state, epoch, {}, params))
+    (state,) = _run_shards(50, 1, epochs=2)
     first = state.materialize()
     assert first != (0, 0)
     assert not any(state.pending_pkts) and not any(state.pending_bytes)
@@ -415,6 +443,48 @@ def test_materialize_clears_pending_without_live_slots():
     assert state.pending_pkts[0] == 0 and state.pending_bytes[0] == 0
     assert state.materialize() == (0, 0)
     assert state.store.totals() == (0, 0)           # nowhere to fold
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_materialize_writes_what_it_reports(shards):
+    """What ``materialize`` returns is summed from the pending
+    accumulators before any fold runs, so ``fleet.run``'s conservation
+    raise cannot see a fold that writes nothing. The columns can: dead
+    slots are still zero before the run's single fold (recycling zeroes
+    them, nothing folds earlier), so every counter the store holds is
+    one the fold wrote."""
+    states = _run_shards(400, shards, epochs=2)
+    reported = [state.materialize() for state in states]
+    held =[state.store.totals() for state in states]
+    assert sum(p for p, _b in held) == sum(p for p, _b in reported) > 0
+    assert sum(b for _p, b in held) == sum(b for _p, b in reported) > 0
+
+
+@pytest.mark.parametrize("shards,digest", [
+    (1, "d12f469743f8e073"),
+    (3, "f1e9e41b5f5d65b5"),
+], ids=["1", "3"])
+def test_store_layout_matches_recorded_digest(shards, digest):
+    """The flyweight layout byte for byte — both columns, the free
+    stack, every block's extents, ``nbytes()`` and ``stats()`` — after
+    three epochs and the materialization at 2 000 vSwitches. Slot
+    numbers never reach a table, but perfbench's exact
+    ``fleet.state_mb`` / ``live_flows`` / ``flyweight.*`` rows read this
+    layout, so an allocator or fold that hands out other slots, or
+    writes other bytes, fails here by name. Recorded at the parent of
+    the commit that added it, as ``test_golden_tables.py`` does."""
+    states = _run_shards(2_000, shards, epochs=3)
+    h = hashlib.sha256()
+    for state in states:
+        state.materialize()
+        store = state.store
+        for column in (store.packets, store.bytes, store._free):
+            h.update(b"%d:" % len(column) + column.tobytes())
+        for block in state.slots:
+            h.update(b"%d:" % len(block) + block.tobytes())
+        h.update(repr((state.nbytes(), sorted(store.stats().items())))
+                 .encode())
+    assert h.hexdigest()[:16] == digest
 
 
 # -- hot micro-sim: fluid fast-forward identity (ISSUE 8) -------------------
@@ -571,10 +641,7 @@ def test_shard_digest_materializes_once():
     and reports the pending totals, a second finds nothing pending and
     leaves the occupancy untouched (ROADMAP 3a idempotence)."""
     from repro.experiments.fleet import _shard_digest
-    params = FleetParams(seed=0, n_vswitches=400)
-    (state,) = make_shards(params, 1)
-    for epoch in range(2):
-        state, _report = run_shard_epoch((state, epoch, {}, params))
+    (state,) = _run_shards(400, 1, epochs=2)
     first = _shard_digest(state)
     assert first["pkts"] > 0 and first["bytes"] > 0
     assert first["live_flows"] == first["store"]["live"] > 0
@@ -604,7 +671,7 @@ def test_fleet_peak_memory_quarter_of_naive_sessions():
     under 25% of what its live flows would cost as one boxed
     ``SessionState`` per flow in a dict — the representation the
     flyweight store replaces (and a conservative one: the naive layout
-    would also pay a FiveTuple key per flow). ~0.10 today."""
+    would also pay a FiveTuple key per flow). ~0.096 today."""
     from repro.experiments import fleet
     from repro.vswitch.state import SessionState
     sample = 20_000

@@ -99,9 +99,10 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
     installed telemetry's capture). The snapshots are derived from the
     reports, so every rendered value is byte-identical either way.
     ``stats``, if given, receives phase timings and state size
-    (``seed_epoch_s``, ``steady_epoch_s``, ``state_nbytes``, ...) and,
-    on the pool path, ``ResidentPool.runtime_stats()`` under ``"pool"``
-    — what perfbench and the tests read.
+    (``seed_epoch_s``, ``steady_epoch_s``, ``state_nbytes``, ...), the
+    settled ``coordinator`` and, on the pool path,
+    ``ResidentPool.runtime_stats()`` under ``"pool"`` — what perfbench,
+    the policy arena and the tests read.
     """
     if shards is None:
         shards = max(1, jobs)
@@ -168,6 +169,7 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
 
     if stats is not None:
         stats["jobs"] = pool.jobs if pool is not None else 1
+        stats["coordinator"] = coordinator
         stats["seed_epoch_s"] = epoch_walls[0] if epoch_walls else 0.0
         steady = epoch_walls[1:]
         stats["steady_epoch_s"] = (sum(steady) / len(steady)) if steady \
@@ -232,8 +234,6 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
     # must stay byte-identical to the pre-arena experiment (CI-gated).
     if policy != "nezha":
         result.add_row(metric="allocation policy", value=policy, paper="")
-        result.add_row(metric="fe preemptions",
-                       value=coordinator.preemptions, paper="")
     result.note(f"{n_vswitches} vSwitches x {epochs} epochs sharing "
                 f"{pool_units} FE units; hot vSwitches run per-packet "
                 "micro-sims, the cold tail advances fluidly on flyweight "

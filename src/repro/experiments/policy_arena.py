@@ -9,12 +9,13 @@ same two stages:
   policy under test: measured CPS, probe-flow P99 latency via the
   shared telemetry span layer (the fig12 probe pattern inside a
   :func:`~repro.telemetry.span_session` — reusing the installed
-  telemetry's recorder when there is one), and the mean number of FE
-  instances the policy keeps deployed;
-* **fleet** — the fleet workload's demand redraws with the matching
+  telemetry's recorder when there is one), the mean number of FE
+  instances the policy keeps deployed, and the FEs it preempted (only
+  ``SuperNicPolicy`` preempts);
+* **fleet** — :func:`repro.experiments.fleet.run` with the matching
   :class:`~repro.fleet.coordinator.FleetCoordinator` allocation policy:
   FE-pool cost per epoch (mean units in use), overall mitigated
-  fraction, denials, and preemptions.
+  fraction, and denials.
 
 Each (policy, stage) pair is an independent sweep point with its own
 engine and seed, so ``--jobs N`` fans the arena out process-parallel and
@@ -29,12 +30,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.controller.controller import ControllerConfig, NezhaController
 from repro.controller.placement import FePlacement
 from repro.controller.policy import POLICY_NAMES, make_policy
+from repro.experiments import fleet as _fleet
 from repro.experiments.common import ExperimentResult
-from repro.experiments.fleet import default_pool_units
 from repro.experiments.parallel import sweep
 from repro.experiments.testbed import SERVER_IP, build_testbed
-from repro.fleet import (FleetCoordinator, FleetParams, make_shards,
-                         run_shard_epoch)
 from repro.net.packet import Packet
 from repro.net.tcp import TcpFlags
 from repro.telemetry import span_session
@@ -47,7 +46,8 @@ PROBE_PORT = 9000
 def _testbed_stage(policy_name: str, seed: int, duration: float,
                    warmup: float, concurrency_per_client: int,
                    probe_rate: float = 200.0) -> Dict[str, float]:
-    """CPS + span-layer P99 + mean deployed FEs for one policy."""
+    """CPS, span-layer P99, mean deployed FEs and preemptions for one
+    policy."""
     testbed = build_testbed(n_clients=4, n_idle=8, seed=seed)
     engine = testbed.engine
     placement = FePlacement(testbed.topo, {})
@@ -111,24 +111,18 @@ def _testbed_stage(policy_name: str, seed: int, duration: float,
     p99 = aggregated["latency"]["P99"] if aggregated else 0.0
     fe_mean = sum(fe_samples) / len(fe_samples) if fe_samples else 0.0
     return {"cps": cps, "p99_us": p99 * 1e6, "fe_units": fe_mean,
-            "offloads": controller.offloads_triggered}
+            "offloads": controller.offloads_triggered,
+            "preemptions": getattr(controller.policy, "preemptions", 0)}
 
 
 def _fleet_stage(policy_name: str, seed: int, n_vswitches: int,
                  epochs: int) -> Dict[str, float]:
     """FE-pool cost and mitigation for one coordinator policy."""
-    params = FleetParams(seed=seed, n_vswitches=n_vswitches)
-    pool_units = default_pool_units(n_vswitches)
-    coordinator = FleetCoordinator(seed=seed, pool_units=pool_units,
-                                   policy=policy_name)
-    states = make_shards(params, 1)
-    grants: dict = {}
-    for epoch in range(epochs):
-        outcomes = [run_shard_epoch((state, epoch, grants, params))
-                    for state in states]
-        states = [state for state, _report in outcomes]
-        reports = [report for _state, report in outcomes]
-        grants = coordinator.settle(epoch, reports)
+    stats: Dict[str, object] = {}
+    _fleet.run(n_vswitches, epochs, seed, shards=1, jobs=1,
+               policy=policy_name, fleet_metrics=False, stats=stats)
+    coordinator = stats["coordinator"]
+    pool_units = coordinator.pool_units
     occurrences = sum(c[0] for c in coordinator.overloads.values())
     residual = sum(c[1] for c in coordinator.overloads.values())
     mitigated = (1.0 - residual / occurrences) if occurrences else 1.0
@@ -137,8 +131,7 @@ def _fleet_stage(policy_name: str, seed: int, n_vswitches: int,
                   if coordinator.utilization else 0.0)
     return {"pool_units_per_epoch": mean_units,
             "mitigated_pct": 100.0 * mitigated,
-            "denials": coordinator.denied_requests,
-            "preemptions": coordinator.preemptions}
+            "denials": coordinator.denied_requests}
 
 
 def run_point(point: Tuple[str, str, int, float, float, int, int, int]
@@ -189,7 +182,7 @@ def run(policy: Optional[str] = None, seed: int = 0,
                        pool_units_per_epoch=fleet["pool_units_per_epoch"],
                        mitigated_pct=fleet["mitigated_pct"],
                        denials=fleet["denials"],
-                       preemptions=fleet["preemptions"])
+                       preemptions=micro["preemptions"])
     result.note("testbed columns (cps, p99_us, fe_units) come from the "
                 "§6.2 micro-testbed with the controller running each "
                 "policy; pool columns from the fleet workload under the "

@@ -14,26 +14,22 @@ draws use ``derive_seed(seed, f"fleet/act/e{epoch}/vs{index}")`` — keyed
 on the global index, drawn only for *newly granted* vSwitches, whose set
 is itself shard-invariant.
 
-Allocation policy (mirrors the controller's all-or-nothing placement,
-§6.3.2): a hotspot gets its full requested unit count or nothing;
-renewals are served first so an active offload is never evicted by a
-newcomer mid-overload; grants are released the first epoch the holder
-stops requesting.
+Allocation is one pass for every policy: a grant is released the first
+epoch its holder stops requesting; renewals are served first, so an
+active offload is never evicted by a newcomer; each new request gets its
+policy's cap if that fits the free pool, else a denial. The policy
+(``policy=``, :mod:`repro.controller.policy` at fleet scale) is the cap:
 
-The allocation step is pluggable (``policy=``), mirroring the
-controller-level :mod:`repro.controller.policy` arena at fleet
-granularity:
+* ``"nezha"`` — none: all or nothing, like the controller (§6.3.2);
+* ``"pam"`` — one unit (a single neighbor's spare), so a multi-unit
+  hotspot, new or renewed, stays residual for its capacity kinds;
+* ``"supernic"`` — the tenant's headroom under ``max(1, pool_units //
+  N_TENANTS)`` (tenant = index mod :data:`N_TENANTS`): a fixed pool makes
+  it a static partition that never needs to preempt (the testbed's
+  ``SuperNicPolicy`` splits a live budget and does);
+* ``"sirius"`` — zero: no shared pool, the before-Nezha baseline.
 
-* ``"nezha"`` — the default above, byte-identical to the pre-arena
-  coordinator;
-* ``"pam"`` — push-neighbor-aside: each hotspot gets at most one unit
-  (a single neighbor's spare capacity), so partially-served hotspots
-  stay residual for their capacity kinds;
-* ``"supernic"`` — per-tenant fair shares of the pool
-  (tenant = index mod ``n_tenants``) with preemption: an under-quota
-  tenant's request evicts over-quota tenants' newest grants;
-* ``"sirius"`` — no shared pool: every request is denied (the
-  before-Nezha baseline).
+Every settle then checks its books (:meth:`FleetCoordinator._check_books`).
 """
 
 from __future__ import annotations
@@ -42,10 +38,15 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro import telemetry as _telemetry
 from repro.controller.latency import ControlLatencyModel
+from repro.errors import SimulationError
 from repro.experiments.fig13 import activation_sampler
 from repro.sim.rng import SeededRng, derive_seed
 from repro.telemetry.fleet import DecisionJournal
 from repro.workloads.fleet import HotspotKind
+
+#: SuperNIC tenants: vSwitch ``index`` belongs to ``index % N_TENANTS``.
+N_TENANTS = 8
+Request = Tuple[int, int, List[str]]  # (index, units, kinds)
 
 
 class FleetCoordinator:
@@ -55,17 +56,17 @@ class FleetCoordinator:
 
     def __init__(self, seed: int, pool_units: int,
                  survivable_window: float = 3.6,
-                 latency: ControlLatencyModel = None,
-                 policy: str = "nezha", n_tenants: int = 8,
+                 latency: ControlLatencyModel = None, policy: str = "nezha",
                  journal: Optional[DecisionJournal] = None) -> None:
         if policy not in self.POLICIES:
             raise ValueError(f"unknown fleet policy {policy!r}; "
                              f"choose from {', '.join(self.POLICIES)}")
+        if pool_units < 0:
+            raise ValueError(f"pool_units must be >= 0, got {pool_units}")
         self.seed = seed
         self.pool_units = pool_units
         self.survivable_window = survivable_window
         self.policy = policy
-        self.n_tenants = n_tenants
         self._sample_activation = activation_sampler(
             latency or ControlLatencyModel())
         #: global vSwitch index -> granted FE units (active offloads)
@@ -76,7 +77,6 @@ class FleetCoordinator:
         #: per-epoch pool utilization after settling, in [0, 1]
         self.utilization: List[float] = []
         self.denied_requests = 0
-        self.preemptions = 0
         # Decision journal: explicit, or the installed telemetry's, or
         # None — in which case every producer site below is one check.
         if journal is None:
@@ -88,6 +88,13 @@ class FleetCoordinator:
     def units_in_use(self) -> int:
         return sum(self.grants.values())
 
+    def _tenant_usage(self) -> Dict[int, int]:
+        """Granted units per SuperNIC tenant."""
+        usage: Dict[int, int] = {}
+        for index, units in self.grants.items():
+            usage[index % N_TENANTS] = usage.get(index % N_TENANTS, 0) + units
+        return usage
+
     def _journal(self, action: str, index: Optional[int],
                  **fields) -> None:
         """Record one settle decision; pure observation — no RNG, no
@@ -95,7 +102,7 @@ class FleetCoordinator:
         journal = self.journal
         if journal is None:
             return
-        tenant = index % self.n_tenants if index is not None else None
+        tenant = index % N_TENANTS if index is not None else None
         journal.coordinator_event(self._epoch, self.policy, action,
                                   index=index, tenant=tenant, **fields)
 
@@ -106,7 +113,7 @@ class FleetCoordinator:
         ``reports`` must be in shard-submission order (ascending ranges);
         returns the grants map to feed into the next epoch's shard calls.
         """
-        requests: List[Tuple[int, int, List[str]]] = []
+        requests: List[Request] = []
         for report in reports:
             for entry in report["hot"]:
                 requests.append((entry["index"], entry["units"],
@@ -121,20 +128,20 @@ class FleetCoordinator:
                 self._journal("release", index, units=self.grants[index])
                 del self.grants[index]
 
-        allocate = getattr(self, f"_allocate_{self.policy}")
-        newly_granted, under_granted = allocate(requests)
+        renewals, denied_before = len(self.grants), self.denied_requests
+        quota = (max(1, self.pool_units // N_TENANTS)
+                 if self.policy == "supernic" else None)
+        newly_granted, under_granted = self._allocate(requests, quota)
 
         # Mitigation accounting (fig13 semantics, one decision per kind):
         # denied -> residual; #vNIC overloads and renewals are mitigated
         # outright (rule tables live on the FEs already / offload is
-        # active); a partial grant (PAM/SuperNIC) leaves capacity kinds
-        # residual; a fresh full grant mitigates only if activation lands
-        # inside the survivable window.
+        # active); a partial grant leaves capacity kinds residual; a fresh
+        # full grant mitigates only if activation lands in the window.
         for index, _units, kinds in requests:
             if index in newly_granted:
-                rng = SeededRng(
-                    derive_seed(self.seed, f"fleet/act/e{epoch}/vs{index}"),
-                    "act")
+                rng = SeededRng(derive_seed(
+                    self.seed, f"fleet/act/e{epoch}/vs{index}"), "act")
                 activation = self._sample_activation(rng)
                 activated = activation <= self.survivable_window
                 self._journal("mitigation", index, activated=activated,
@@ -159,151 +166,75 @@ class FleetCoordinator:
                       under_granted=len(under_granted),
                       in_use=self.units_in_use(), pool=self.pool_units,
                       utilization=self.utilization[-1])
+        self._check_books(requests, requesting, quota, renewals
+                          + len(newly_granted) + self.denied_requests
+                          - denied_before)
         return dict(self.grants)
 
-    # -- allocation policies -------------------------------------------------
-
-    def _allocate_nezha(self, requests: List[Tuple[int, int, List[str]]]
-                        ) -> Tuple[Set[int], Set[int]]:
-        """All-or-nothing, renewals first — an active offload keeps its
-        capacity — then new requests, both in ascending global index."""
-        free = self.pool_units - self.units_in_use()
-        newly_granted: Set[int] = set()
-        for renewal_pass in (True, False):
-            for index, units, _kinds in requests:
-                held = index in self.grants
-                if held is not renewal_pass:
-                    continue
-                if held:
-                    # renewal: capacity already reserved
-                    self._journal("renewal", index, requested=units,
-                                  granted=self.grants[index])
-                    continue
-                if units <= free:
-                    self.grants[index] = units
-                    newly_granted.add(index)
-                    free -= units
-                    self._journal("grant", index, requested=units,
-                                  granted=units)
-                else:
-                    self.denied_requests += 1
-                    self._journal("denial", index, requested=units,
-                                  granted=0, reason="pool_exhausted")
-        return newly_granted, set()
-
-    def _allocate_pam(self, requests: List[Tuple[int, int, List[str]]]
-                      ) -> Tuple[Set[int], Set[int]]:
-        """Push-neighbor-aside: each hotspot is served with at most one
-        unit (a single neighbor's spare capacity), so a multi-unit
-        demand is under-granted and stays residual."""
+    def _allocate(self, requests: List[Request], quota: Optional[int]
+                  ) -> Tuple[Set[int], Set[int]]:
+        """Renewals first, then new requests in report order (ascending
+        index), each granted its policy cap if that fits the free pool.
+        Returns the newly granted and the under-granted indices."""
+        usage = self._tenant_usage()
         free = self.pool_units - self.units_in_use()
         newly_granted: Set[int] = set()
         under_granted: Set[int] = set()
-        for renewal_pass in (True, False):
-            for index, units, _kinds in requests:
-                held = index in self.grants
-                if held is not renewal_pass:
-                    continue
-                if held:
-                    if units > self.grants[index]:
-                        under_granted.add(index)
-                    self._journal("renewal", index, requested=units,
-                                  granted=self.grants[index])
-                    continue
-                grant = min(units, 1)
-                if grant <= free:
-                    self.grants[index] = grant
-                    newly_granted.add(index)
-                    free -= grant
-                    if grant < units:
-                        under_granted.add(index)
-                    self._journal("grant", index, requested=units,
-                                  granted=grant,
-                                  reason="single_unit_cap"
-                                  if grant < units else None)
-                else:
-                    self.denied_requests += 1
-                    self._journal("denial", index, requested=units,
-                                  granted=0, reason="pool_exhausted")
-        return newly_granted, under_granted
-
-    def _allocate_supernic(self, requests: List[Tuple[int, int, List[str]]]
-                           ) -> Tuple[Set[int], Set[int]]:
-        """Per-tenant fair shares (tenant = index mod ``n_tenants``) with
-        preemption: a capped request from an under-quota tenant evicts
-        over-quota tenants' newest grants to make room."""
-        quota = max(1, self.pool_units // max(1, self.n_tenants))
-        usage: Dict[int, int] = {}
-        for index, units in self.grants.items():
-            tenant = index % self.n_tenants
-            usage[tenant] = usage.get(tenant, 0) + units
-        free = self.pool_units - self.units_in_use()
-        newly_granted: Set[int] = set()
-        under_granted: Set[int] = set()
-        for renewal_pass in (True, False):
-            for index, units, _kinds in requests:
-                held = index in self.grants
-                if held is not renewal_pass:
-                    continue
-                if held:
-                    # renewal: capacity already reserved
-                    self._journal("renewal", index, requested=units,
-                                  granted=self.grants[index])
-                    continue
-                tenant = index % self.n_tenants
-                grant = min(units, max(0, quota - usage.get(tenant, 0)))
-                if grant == 0:
-                    self.denied_requests += 1  # tenant is at its quota
-                    self._journal("denial", index, requested=units,
-                                  granted=0, reason="tenant_quota",
-                                  quota=quota)
-                    continue
-                if grant > free:
-                    free += self._preempt_over_quota(quota, usage,
-                                                     grant - free)
-                if grant <= free:
-                    self.grants[index] = grant
-                    newly_granted.add(index)
-                    usage[tenant] = usage.get(tenant, 0) + grant
-                    free -= grant
-                    if grant < units:
-                        under_granted.add(index)
-                    self._journal("grant", index, requested=units,
-                                  granted=grant, quota=quota,
-                                  reason="tenant_quota_cap"
-                                  if grant < units else None)
-                else:
-                    self.denied_requests += 1
-                    self._journal("denial", index, requested=units,
-                                  granted=0, reason="pool_exhausted")
-        return newly_granted, under_granted
-
-    def _preempt_over_quota(self, quota: int, usage: Dict[int, int],
-                            needed: int) -> int:
-        """Evict over-quota tenants' grants, highest index (newest
-        hotspot) first, until ``needed`` units are free; returns the
-        number of units actually freed."""
-        freed = 0
-        for index in sorted(self.grants, reverse=True):
-            if freed >= needed:
-                break
-            tenant = index % self.n_tenants
-            if usage.get(tenant, 0) <= quota:
-                continue
-            units = self.grants.pop(index)
-            usage[tenant] -= units
-            freed += units
-            self.preemptions += 1
-            self._journal("preemption", index, units=units,
-                          reason="over_quota", quota=quota)
-        return freed
-
-    def _allocate_sirius(self, requests: List[Tuple[int, int, List[str]]]
-                         ) -> Tuple[Set[int], Set[int]]:
-        """No shared FE pool: every request is denied and every overload
-        stands — the before-Nezha baseline."""
+        fresh = [req for req in requests if req[0] not in self.grants]
         for index, units, _kinds in requests:
-            self.denied_requests += 1
-            self._journal("denial", index, requested=units, granted=0,
-                          reason="no_pool")
-        return set(), set()
+            held = self.grants.get(index)
+            if held is not None:
+                if self.policy == "pam" and units > held:
+                    under_granted.add(index)
+                self._journal("renewal", index, requested=units, granted=held)
+        for index, units, _kinds in fresh:
+            tenant = index % N_TENANTS
+            # The policy's cap, and its reason if it shortens or refuses.
+            if self.policy == "nezha":
+                grant, reason = units, None
+            elif self.policy == "pam":
+                grant, reason = min(units, 1), "single_unit_cap"
+            elif self.policy == "supernic":
+                grant = min(units, quota - usage.get(tenant, 0))
+                reason = "tenant_quota_cap" if grant > 0 else "tenant_quota"
+            else:
+                grant, reason = 0, "no_pool"
+            if 0 < grant <= free:
+                self.grants[index] = grant
+                newly_granted.add(index)
+                usage[tenant] = usage.get(tenant, 0) + grant
+                free -= grant
+                if grant < units:
+                    under_granted.add(index)
+                self._journal("grant", index, requested=units, granted=grant,
+                              quota=quota,
+                              reason=reason if grant < units else None)
+            else:
+                self.denied_requests += 1
+                self._journal("denial", index, requested=units, granted=0,
+                              reason="pool_exhausted" if grant > 0 else reason,
+                              quota=None if grant > 0 else quota)
+        return newly_granted, under_granted
+
+    def _check_books(self, requests: List[Request], requesting: Set[int],
+                     quota: Optional[int], settled: int) -> None:
+        """The settle's books, O(grants + requests): raise naming the
+        first invariant that does not hold."""
+        usage = self._tenant_usage() if quota is not None else {}
+        books = (
+            ("unique requests", len(requesting) == len(requests)),
+            ("request units", all(units >= 1 for _i, units, _k in requests)),
+            ("grants requested", self.grants.keys() <= requesting),
+            ("request conservation", settled == len(requests)),
+            ("pool capacity", self.units_in_use() <= self.pool_units),
+            ("grant units", all(units >= 1 for units in self.grants.values())),
+            ("tenant quota", all(units <= quota for units in usage.values())),
+            ("residual bounds", all(0 <= residual <= seen for seen, residual
+                                    in self.overloads.values())),
+        )
+        for name, holds in books:
+            if not holds:
+                raise SimulationError(
+                    f"coordinator books broken at epoch {self._epoch}: {name} "
+                    f"({len(requests)} requests, {settled} settled, "
+                    f"{self.units_in_use()} of {self.pool_units} units)")

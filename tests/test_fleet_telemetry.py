@@ -20,8 +20,10 @@ import functools
 import pytest
 
 from repro import telemetry
+from repro.errors import SimulationError
 from repro.fleet import (FleetCoordinator, FleetParams, make_shards,
                          run_shard_epoch)
+from repro.fleet.coordinator import N_TENANTS
 from repro.telemetry import spans as _spans
 from repro.telemetry.export import load, validate_report
 from repro.telemetry.fleet import (FLEET_METRICS_SCHEMA, DecisionJournal,
@@ -117,7 +119,7 @@ def test_coordinator_journals_grants_denials_releases():
 
     grant = next(e for e in journal.to_dicts() if e["action"] == "grant")
     assert grant["epoch"] == 0 and grant["index"] == 5
-    assert grant["tenant"] == 5 % coordinator.n_tenants
+    assert grant["tenant"] == 5 % N_TENANTS
     assert grant["requested"] == 1 and grant["granted"] == 1
     denial = next(e for e in journal.to_dicts() if e["action"] == "denial")
     assert denial["reason"] == "pool_exhausted" and denial["granted"] == 0
@@ -131,20 +133,26 @@ def test_coordinator_journals_grants_denials_releases():
         ["release", "settle"]
 
 
-def test_coordinator_renewal_and_preemption_events():
+def test_coordinator_renewal_events_and_shrunk_pool_raises():
     journal = DecisionJournal()
-    coordinator = FleetCoordinator(seed=0, pool_units=4, n_tenants=2,
+    coordinator = FleetCoordinator(seed=0, pool_units=2 * N_TENANTS,
                                    policy="supernic", journal=journal)
-    coordinator.settle(0, [{"hot": [_hot(1, 2)]}])  # tenant 1 at quota
-    coordinator.pool_units = 2  # pool shrank under the holding
-    coordinator.settle(1, [{"hot": [_hot(1, 2), _hot(0, 1)]}])
-    actions = [event["action"] for event in journal.to_dicts()]
+    coordinator.settle(0, [{"hot": [_hot(1, 2)]}])  # tenant 1 at quota 2
+    # Index 1 + N_TENANTS is tenant 1 as well: the holder renews, the
+    # newcomer finds its tenant at quota.
+    coordinator.settle(1, [{"hot": [_hot(1, 2), _hot(1 + N_TENANTS, 1)]}])
+    events = journal.to_dicts()
+    actions = [event["action"] for event in events]
     assert "renewal" in actions
-    assert "preemption" in actions
-    preemption = next(e for e in journal.to_dicts()
-                      if e["action"] == "preemption")
-    assert preemption["reason"] == "over_quota"
-    assert coordinator.preemptions == 1
+    renewal = next(e for e in events if e["action"] == "renewal")
+    assert (renewal["requested"], renewal["granted"]) == (2, 2)
+    denial = next(e for e in events if e["action"] == "denial")
+    assert (denial["reason"], denial["quota"]) == ("tenant_quota", 2)
+    # A pool that shrinks under a holding would need a preemption; the
+    # pool is fixed for a run, so the books refuse it instead.
+    coordinator.pool_units = N_TENANTS  # quota 1 < the 2 units held
+    with pytest.raises(SimulationError, match="tenant quota"):
+        coordinator.settle(2, [{"hot": [_hot(1, 2)]}])
 
 
 def test_journal_on_off_does_not_change_settle_outcome():

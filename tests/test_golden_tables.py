@@ -2,10 +2,11 @@
 
 "The same tables come out byte-identical" (ROADMAP north star) as a test:
 sha256 of the rendered fig9 / fig11 / fig12 / fig14 / fleet /
-policy_arena tables at scaled-down parameters, each recorded at the
-parent of the commit that added it. A change that moves a digest changed
-simulated behaviour — re-record only when that is the point of the
-change, and say so.
+policy_arena tables at scaled-down parameters, and of every model-based
+experiment and chaos as ``python -m repro.experiments <id> --fast``
+renders them, each recorded at the parent of the commit that added it.
+A change that moves a digest changed simulated behaviour — re-record
+only when that is the point of the change, and say so.
 """
 
 import ast
@@ -28,15 +29,29 @@ FLEET_KWARGS = dict(n_vswitches=400, epochs=2, seed=0, shards=1, jobs=1)
 FIG11_KWARGS = dict(duration=3.0, seed=0)
 FIG14_KWARGS = dict(kill_at=1.0, duration=2.5, seed=0)
 
+#: The ``--fast`` tables (``QUICK_KWARGS``, else the defaults, seed 0).
+FAST_DIGESTS = {
+    "fig3": "85038374ed8103fc", "fig4": "ec03e27ff475f0ac",
+    "table1": "88c4c423c554b326", "table3": "ded4dbf742b0bd47",
+    "table4": "4468d12874bec8b3", "table5": "57152da1c04d983b",
+    "fig13": "8312b059eff8d186", "fig15": "7ecd1965ae019864",
+    "tablea1": "e78e4dd10f46d105", "figa1": "92438f3ca5d0f265",
+    "appb2": "aa2e46a37273ba14", "chaos": "c89f278d383c35f6",
+}
 
-@pytest.mark.parametrize("name,kwargs,digest", [
+CASES = [
     ("fig9", FIG9_KWARGS, "888fc94320600068"),
     ("fig12", FIG12_KWARGS, "569ef72087b24e5c"),
     ("fleet", FLEET_KWARGS, "791384cdf446f552"),
     ("fig11", FIG11_KWARGS, "949f78223fdba60b"),
     ("fig14", FIG14_KWARGS, "224492ec80bb2195"),
     ("policy_arena", QUICK_KWARGS["policy_arena"], "6558e6a2565dcb9c"),
-], ids=["fig9", "fig12", "fleet", "fig11", "fig14", "policy_arena"])
+] + [(name, QUICK_KWARGS.get(name, {}), digest)
+     for name, digest in FAST_DIGESTS.items()]
+
+
+@pytest.mark.parametrize("name,kwargs,digest", CASES,
+                         ids=[case[0] for case in CASES])
 def test_table_bytes_match_recorded_digest(name, kwargs, digest):
     module = importlib.import_module(f"repro.experiments.{name}")
     text = module.run(**kwargs).to_text()

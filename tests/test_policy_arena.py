@@ -201,12 +201,11 @@ def test_coordinator_pam_grants_single_units():
 
 
 def test_coordinator_supernic_enforces_tenant_quota():
-    coordinator = FleetCoordinator(seed=0, pool_units=4, policy="supernic",
-                                   n_tenants=2)
-    # tenant = index % 2; quota = 2 units per tenant.
+    coordinator = FleetCoordinator(seed=0, pool_units=16, policy="supernic")
+    # tenant = index % 8; quota = 16 // 8 = 2 units per tenant.
     reports = [{"hot": [
         {"index": 0, "units": 2, "kinds": ["cps"]},
-        {"index": 2, "units": 2, "kinds": ["cps"]},  # tenant 0 over quota
+        {"index": 8, "units": 2, "kinds": ["cps"]},  # tenant 0 over quota
         {"index": 1, "units": 2, "kinds": ["cps"]},  # tenant 1: fits
     ]}]
     grants = coordinator.settle(0, reports)

@@ -222,8 +222,8 @@ def _coordinator_epochs(decisions: List[Dict[str, Any]]
             continue
         key = (event["policy"], event.get("epoch"))
         entry = grouped.setdefault(key, {
-            "grants": 0, "renewals": 0, "denials": 0, "preemptions": 0,
-            "releases": 0, "mitigated": 0, "late": 0, "settle": None})
+            "grants": 0, "renewals": 0, "denials": 0, "releases": 0,
+            "mitigated": 0, "late": 0, "settle": None})
         action = event["action"]
         if action == "settle":
             entry["settle"] = event
@@ -233,8 +233,6 @@ def _coordinator_epochs(decisions: List[Dict[str, Any]]
             entry["renewals"] += 1
         elif action == "denial":
             entry["denials"] += 1
-        elif action == "preemption":
-            entry["preemptions"] += 1
         elif action == "release":
             entry["releases"] += 1
         elif action == "mitigation":
@@ -275,8 +273,8 @@ def cmd_fleet_report(args) -> int:
     if grouped:
         print("\nper-epoch coordinator timeline:")
         print(f"  {'policy':<10} {'epoch':>5} {'util':>6} {'in_use':>7} "
-              f"{'grants':>7} {'renew':>6} {'deny':>5} {'preempt':>8} "
-              f"{'release':>8} {'mitigated':>10}")
+              f"{'grants':>7} {'renew':>6} {'deny':>5} {'release':>8} "
+              f"{'mitigated':>10}")
         for (policy, epoch), entry in sorted(grouped.items(),
                                              key=lambda kv: (kv[0][0],
                                                              kv[0][1] or 0)):
@@ -289,8 +287,8 @@ def cmd_fleet_report(args) -> int:
                   f"{util if util is None else format(util, '.2f'):>6} "
                   f"{in_use if in_use is not None else '-':>7} "
                   f"{entry['grants']:>7} {entry['renewals']:>6} "
-                  f"{entry['denials']:>5} {entry['preemptions']:>8} "
-                  f"{entry['releases']:>8} {mitigated:>10}")
+                  f"{entry['denials']:>5} {entry['releases']:>8} "
+                  f"{mitigated:>10}")
     return 0
 
 
@@ -329,8 +327,7 @@ def cmd_decisions(args) -> int:
         for event in decisions:
             if event.get("source") != "coordinator":
                 continue
-            if event["action"] not in ("grant", "denial", "renewal",
-                                       "preemption"):
+            if event["action"] not in ("grant", "denial", "renewal"):
                 continue
             key = (event.get("epoch"), event.get("index"))
             if key[1] is None:

@@ -14,8 +14,8 @@ Two properties the paper calls out are modeled:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.net.five_tuple import FiveTuple
@@ -28,7 +28,6 @@ class SiriusPool:
 
     n_cards: int = 4
     card_cps_capacity: float = 100_000.0
-    card_flow_capacity: int = 1_000_000
     replication_factor: int = 2   # primary + secondary hold every state
 
     def __post_init__(self) -> None:
@@ -37,19 +36,10 @@ class SiriusPool:
         if self.n_cards % 2:
             raise ConfigError("cards pair up: n_cards must be even")
 
-    @property
-    def pairs(self) -> int:
-        return self.n_cards // 2
-
     def cps_capacity(self) -> float:
         """New connections ping-pong between the pair members: the pool's
         CPS is half the summed card capacity (§2.3.3)."""
         return self.n_cards * self.card_cps_capacity / self.replication_factor
-
-    def flow_capacity(self) -> int:
-        """Each state is held on both pair members."""
-        return (self.n_cards * self.card_flow_capacity
-                // self.replication_factor)
 
     def nezha_equivalent_cps(self) -> float:
         """What the same cards would deliver as stateless Nezha FEs."""
@@ -78,44 +68,10 @@ class BucketMigration:
     def bucket_of(self, ft: FiveTuple) -> int:
         return ft.hash() % self.n_buckets
 
-    def card_of(self, ft: FiveTuple) -> int:
-        return self.assignment[self.bucket_of(ft)]
-
     def add_long_lived_flow(self, ft: FiveTuple) -> int:
         bucket = self.bucket_of(ft)
         self.long_lived[bucket] += 1
         return self.assignment[bucket]
-
-    def load_per_card(self) -> Dict[int, int]:
-        loads = {card: 0 for card in range(self.n_cards)}
-        for bucket, card in self.assignment.items():
-            loads[card] += self.long_lived[bucket]
-        return loads
-
-    def rebalance(self) -> Tuple[int, int]:
-        """Move buckets from the most- to the least-loaded card until the
-        pair is within one bucket's load; returns (buckets moved, states
-        transferred). This is the coordination cost Nezha avoids."""
-        moved = transferred = 0
-        while True:
-            loads = self.load_per_card()
-            hot = max(loads, key=loads.get)
-            cold = min(loads, key=loads.get)
-            gap = loads[hot] - loads[cold]
-            candidates = sorted(
-                (b for b, c in self.assignment.items() if c == hot),
-                key=lambda b: self.long_lived[b])
-            movable = [b for b in candidates
-                       if 0 < self.long_lived[b] * 2 < gap]
-            if not movable:
-                break
-            bucket = movable[-1]  # biggest bucket that still helps
-            self.assignment[bucket] = cold
-            moved += 1
-            transferred += self.long_lived[bucket]
-        self.buckets_moved += moved
-        self.states_transferred += transferred
-        return moved, transferred
 
     def add_card(self) -> Tuple[int, int]:
         """Scale out: a new card receives ~1/n of the buckets; their

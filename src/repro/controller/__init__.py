@@ -39,8 +39,6 @@ _EXPORTS = {
     "make_policy": ("repro.controller.policy", "make_policy"),
     "NezhaController": ("repro.controller.controller", "NezhaController"),
     "ControllerConfig": ("repro.controller.controller", "ControllerConfig"),
-    "bootstrap_learners": ("repro.controller.controller",
-                           "bootstrap_learners"),
     "ControlLatencyModel": ("repro.controller.latency",
                             "ControlLatencyModel"),
 }

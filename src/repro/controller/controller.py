@@ -30,9 +30,8 @@ from repro.sim.engine import Engine, Interrupt
 from repro.sim.rng import SeededRng
 from repro.sim.trace import Trace
 from repro import telemetry as _telemetry
-from repro.vswitch.vnic import Vnic
 from repro.vswitch.vswitch import VSwitch
-from repro.controller.gateway import Gateway, MappingLearner
+from repro.controller.gateway import Gateway
 from repro.controller.monitor import HealthMonitor, MutualPing
 from repro.controller.placement import FePlacement
 from repro.controller.policy import LoadSharingPolicy, NezhaPolicy
@@ -441,18 +440,3 @@ class NezhaController:
                 for fe in new_fes:
                     self.monitor.add_target(fe.server)
 
-
-def bootstrap_learners(engine: Engine, gateway: Gateway,
-                       vswitches: List[VSwitch], interval: float = 0.2,
-                       rng: Optional[SeededRng] = None,
-                       start: bool = True) -> List[MappingLearner]:
-    """Create (and optionally start) a mapping learner per vSwitch."""
-    learners = []
-    for index, vswitch in enumerate(vswitches):
-        child = rng.child(f"learner{index}") if rng is not None else None
-        learner = MappingLearner(engine, vswitch, gateway,
-                                 interval=interval, rng=child)
-        if start:
-            learner.start()
-        learners.append(learner)
-    return learners

@@ -26,7 +26,6 @@ from repro.net.addr import IPv4Address
 from repro.telemetry import spans as _spans
 from repro.net.ipv4 import IPv4Header
 from repro.net.packet import Packet
-from repro.net.vxlan import VxlanHeader
 from repro.vswitch.actions import Direction, process_pkt
 from repro.vswitch.rule_tables import Location, LookupContext
 from repro.vswitch.session_table import EntryMode
@@ -81,12 +80,6 @@ class FrontendInstance:
         self.vswitch.mem.free_all(self.mem_tag)
         self.vswitch.session_table.remove_vni(self.vnic.vni,
                                               EntryMode.FLOWS_ONLY)
-
-    def invalidate_flows(self) -> int:
-        """Rule-table change: drop cached flows; they regenerate on demand
-        (§3.2.2)."""
-        return self.vswitch.session_table.remove_vni(self.vnic.vni,
-                                                     EntryMode.FLOWS_ONLY)
 
     # -- flow cache -------------------------------------------------------------
 

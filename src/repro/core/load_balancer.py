@@ -1,16 +1,13 @@
-"""Flow-level FE selection: plain 5-tuple hashing (§3.2.3, §7.5).
+"""Flow-level FE selection: plain 5-tuple hashing (§3.2.3).
 
 No consistent hashing (FEs are stateless, so reassignment just costs one
 rule-table lookup) and no symmetric hashing (state lives on the BE, which
-both directions traverse). Skew remedies from §7.5:
-
-* :meth:`FeSelector.reseed` — reconfigure the hash at the source side;
-* :meth:`FeSelector.pin` — give an elephant flow a dedicated FE.
+both directions traverse).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import ConfigError
 from repro.net.five_tuple import FiveTuple
@@ -18,13 +15,10 @@ from repro.vswitch.rule_tables import Location
 
 
 class FeSelector:
-    """Hash-based flow→FE assignment with reseed and pinning."""
+    """Hash-based flow→FE assignment."""
 
-    def __init__(self, locations: Optional[List[Location]] = None,
-                 seed: int = 0) -> None:
+    def __init__(self, locations: Optional[List[Location]] = None) -> None:
         self.locations: List[Location] = list(locations or [])
-        self.seed = seed
-        self._pins: Dict[FiveTuple, Location] = {}
 
     def __len__(self) -> int:
         return len(self.locations)
@@ -36,35 +30,9 @@ class FeSelector:
 
     def remove(self, location: Location) -> None:
         self.locations.remove(location)
-        self._pins = {ft: loc for ft, loc in self._pins.items()
-                      if loc != location}
 
     def pick(self, ft: FiveTuple) -> Location:
-        """The FE for this flow (pin override, else 5-tuple hash)."""
+        """The FE for this flow: its 5-tuple hash modulo the FE count."""
         if not self.locations:
             raise ConfigError("no FEs available")
-        pinned = self._pins.get(ft)
-        if pinned is not None:
-            return pinned
-        return self.locations[ft.hash(self.seed) % len(self.locations)]
-
-    def reseed(self, seed: int) -> None:
-        """Change the hash seed to redistribute flows (cache misses on the
-        new FEs simply re-run the rule-table lookup)."""
-        self.seed = seed
-
-    def pin(self, ft: FiveTuple, location: Location) -> None:
-        """Dedicate an FE to an elephant flow (§7.5)."""
-        if location not in self.locations:
-            raise ConfigError(f"{location} is not an active FE")
-        self._pins[ft] = location
-
-    def unpin(self, ft: FiveTuple) -> None:
-        self._pins.pop(ft, None)
-
-    def share_of(self, flows: List[FiveTuple]) -> Dict[Location, int]:
-        """How many of ``flows`` each FE would receive (skew diagnostics)."""
-        counts: Dict[Location, int] = {loc: 0 for loc in self.locations}
-        for ft in flows:
-            counts[self.pick(ft)] += 1
-        return counts
+        return self.locations[ft.hash() % len(self.locations)]

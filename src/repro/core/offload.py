@@ -512,110 +512,6 @@ class NezhaOrchestrator:
                             removed=failed)
         return failed
 
-    # -- load-imbalance mitigation (§7.5) ---------------------------------------------------------------
-
-    def reseed_load_balancing(self, handle: OffloadHandle, seed: int) -> None:
-        """Reconfigure the source-side hash to redistribute flows.
-
-        Ongoing flows may land on FEs without their cached flow — each
-        such miss costs one rule-table lookup, nothing more (stateless
-        FEs). Applied both at the BE's selector and at the gateway entry
-        consumed by remote senders.
-        """
-        handle.selector.reseed(seed)
-        # Remote senders hash via their learned MappingEntry; the seed is
-        # a property of their mapping tables, refreshed by learning.
-        for learner in self.gateway.learners:
-            for vnic in learner.vswitch.vnics.values():
-                table = vnic.slow_path.table("vnic_server_mapping")
-                if table is not None:
-                    table.hash_seed = seed
-        self.trace.emit("nezha.reseed", vnic=handle.vnic.vnic_id, seed=seed)
-
-    def dedicate_fe(self, handle: OffloadHandle, ft,
-                    fe_vswitch: VSwitch) -> Event:
-        """Give an elephant flow a dedicated FE (§7.5): scale out onto
-        ``fe_vswitch`` (if not already an FE) and pin the flow there."""
-        existing = [loc for loc, fe in handle.frontends.items()
-                    if fe.vswitch is fe_vswitch]
-        if existing:
-            handle.selector.pin(ft, existing[0])
-            done = self.engine.event("dedicate-fe")
-            done.succeed(handle)
-            return done
-        done = self.scale_out(handle, [fe_vswitch])
-
-        def pin_after():
-            yield done
-            locations = [loc for loc, fe in handle.frontends.items()
-                         if fe.vswitch is fe_vswitch]
-            if not locations:
-                # The scale-out gave up (RPC failure) or the FE was already
-                # retired again; the flow keeps its hashed assignment.
-                self.trace.emit("nezha.elephant_pin_failed",
-                                vnic=handle.vnic.vnic_id)
-                return
-            handle.selector.pin(ft, locations[0])
-            self.trace.emit("nezha.elephant_pinned",
-                            vnic=handle.vnic.vnic_id)
-
-        self.engine.process(pin_after(), name="dedicate-fe")
-        return done
-
-    # -- BE migration (§7.2: efficient VM live migration) ---------------------------------------------
-
-    def migrate_be(self, handle: OffloadHandle,
-                   new_vswitch: VSwitch) -> None:
-        """Move an offloaded vNIC's BE to another vSwitch.
-
-        Because the vNIC is offloaded, redirecting traffic needs only a
-        BE-location update on the FEs — no gateway/global-routing change,
-        no hairpin flows; the paper reports <1 ms to take effect. Session
-        states travel with the VM (the migration machinery copies them).
-        """
-        vnic = handle.vnic
-        old_vswitch = handle.be_vswitch
-        if new_vswitch is old_vswitch:
-            raise OffloadError("BE already lives there")
-        if any(fe.vswitch is new_vswitch
-               for fe in handle.frontends.values()):
-            raise OffloadError("target vSwitch hosts one of this vNIC's FEs")
-
-        # Move the vNIC (and its session states) to the new host.
-        self.agent_for(old_vswitch).unregister_backend(vnic.vnic_id)
-        old_entries = [entry for entry in old_vswitch.session_table
-                       if entry.vni == vnic.vni and entry.state is not None]
-        old_vswitch.session_table.remove_vni(vnic.vni)
-        old_vswitch.mem.free_all(f"be_meta:{vnic.vnic_id}")
-        old_vswitch.vnics.pop(vnic.vnic_id, None)
-        old_vswitch._vnic_by_addr.pop((vnic.vni, vnic.tenant_ip.value), None)
-
-        vnic.host = None
-        new_vswitch.vnics[vnic.vnic_id] = vnic
-        new_vswitch._vnic_by_addr[(vnic.vni, vnic.tenant_ip.value)] = vnic
-        vnic.host = new_vswitch
-        new_vswitch.mem.alloc(f"be_meta:{vnic.vnic_id}",
-                              new_vswitch.cost_model.vnic_be_metadata_bytes)
-        from repro.vswitch.session_table import EntryMode
-        for entry in old_entries:
-            new_vswitch.session_table.insert(
-                entry.vni, entry.five_tuple, None, entry.state,
-                self.engine.now, EntryMode.STATE_ONLY)
-
-        # New BE instance; FEs redirect by config.
-        backend = BackendInstance(new_vswitch, vnic, handle.selector)
-        backend.tables_released = True
-        backend.packet_level_lb = handle.backend.packet_level_lb
-        handle.backend = backend
-        handle.be_vswitch = new_vswitch
-        self.agent_for(new_vswitch).register_backend(backend)
-        new_location = Location(new_vswitch.server.underlay_ip,
-                                new_vswitch.server.mac)
-        for frontend in handle.frontends.values():
-            frontend.be_location = new_location
-        self.trace.emit("nezha.be_migrated", vnic=vnic.vnic_id,
-                        to=new_vswitch.name)
-
     # -- FE migration (PAM-style push-neighbor-aside) -------------------------------------------------
 
     def migrate_fe(self, handle: OffloadHandle, from_vswitch: VSwitch,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 
 @dataclass
@@ -21,9 +21,6 @@ class ExperimentResult:
 
     def note(self, text: str) -> None:
         self.notes.append(text)
-
-    def column(self, name: str) -> List[Any]:
-        return [row.get(name) for row in self.rows]
 
     def row_where(self, key: str, value: Any) -> Dict[str, Any]:
         for row in self.rows:
@@ -68,9 +65,6 @@ class ExperimentResult:
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)
-
-    def print(self) -> None:  # noqa: A003 - mirrors the builtin by intent
-        print(self.to_text())
 
 
 def relative_error(measured: float, paper: float) -> float:

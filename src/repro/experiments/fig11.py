@@ -13,7 +13,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.experiments.common import ExperimentResult
 from repro.experiments.parallel import sweep
 from repro.experiments.testbed import SERVER_IP, build_testbed
-from repro.metrics.timeseries import TimeSeries
 from repro.workloads import ClosedLoopCrr
 
 
@@ -28,8 +27,8 @@ def run_point(point: Tuple[float, float, int]) -> Dict[str, Any]:
     duration, sample_period, seed = point
     testbed = build_testbed(n_clients=4, n_idle=8, seed=seed)
     engine = testbed.engine
-    be_series = TimeSeries("be_cpu")
-    fe_series = TimeSeries("fe_cpu_avg")
+    be_series: List[Tuple[float, float]] = []   # (time, BE CPU)
+    fe_series: List[Tuple[float, float]] = []   # (time, average FE CPU)
     state = {"handle": None, "scaled": False}
 
     loops: List[ClosedLoopCrr] = [
@@ -63,16 +62,16 @@ def run_point(point: Tuple[float, float, int]) -> Dict[str, Any]:
 
     def sampler():
         while True:
-            be_series.record(engine.now,
-                             testbed.server_vswitch.cpu_utilization())
+            be_series.append((engine.now,
+                              testbed.server_vswitch.cpu_utilization()))
             handle = state["handle"]
             if handle is not None and handle.frontends:
                 fes = handle.fe_vswitches
-                fe_series.record(engine.now,
-                                 sum(fe.cpu_utilization()
-                                     for fe in fes) / len(fes))
+                fe_series.append((engine.now,
+                                  sum(fe.cpu_utilization()
+                                      for fe in fes) / len(fes)))
             else:
-                fe_series.record(engine.now, 0.0)
+                fe_series.append((engine.now, 0.0))
             yield engine.timeout(sample_period)
 
     engine.process(ramp(), name="ramp")
@@ -81,14 +80,13 @@ def run_point(point: Tuple[float, float, int]) -> Dict[str, Any]:
     engine.run(until=duration)
 
     rows = [{"time_s": t, "be_cpu": be, "fe_cpu_avg": fe}
-            for (t, be), (_t2, fe) in zip(be_series.points,
-                                          fe_series.points)]
+            for (t, be), (_t2, fe) in zip(be_series, fe_series)]
     notes: List[str] = []
     handle = state["handle"]
     if handle is not None and handle.completed_at is not None:
         t_off = handle.completed_at
-        pre = [v for t, v in be_series.points if t_off - 1.0 <= t < t_off]
-        post = [v for t, v in be_series.points
+        pre = [v for t, v in be_series if t_off - 1.0 <= t < t_off]
+        post = [v for t, v in be_series
                 if t_off + 1.0 <= t < t_off + 3.0]
         if pre and post:
             notes.append(f"BE CPU before offload {max(pre):.0%} -> after "

@@ -46,7 +46,9 @@ QUICK_KWARGS = {
                  concurrency_per_client=16),
     "fig10": dict(vcpu_counts=(16, 32, 64), duration=0.5, warmup=0.3,
                   concurrency_per_client=16),
+    "fig11": dict(duration=3.0),
     "fig12": dict(load_levels=(0, 16, 48)),
+    "fig14": dict(kill_at=1.0, duration=2.5),
     "tablea1": dict(lookups_per_cell=100),
     "chaos": dict(horizon=4.0, settle=2.5),
     "fleet": dict(n_vswitches=400, epochs=2),

@@ -9,7 +9,7 @@ capacities are ~1/50 of production and all comparisons are ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.controller.gateway import Gateway, MappingLearner
@@ -69,11 +69,6 @@ class Testbed:
             gen.run(duration)
             gens.append(gen)
         return gens
-
-    @staticmethod
-    def total_cps(gens: List[CrrLoadGenerator]) -> float:
-        duration = gens[0].result.duration
-        return sum(g.result.completed for g in gens) / duration
 
 
 def build_testbed(n_clients: int = 4, n_idle: int = 12,

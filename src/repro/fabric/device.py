@@ -18,26 +18,17 @@ class Device:
         self.name = name
         self.ports: List[Port] = [Port(self, i) for i in range(num_ports)]
 
-    def add_port(self) -> Port:
-        port = Port(self, len(self.ports))
-        self.ports.append(port)
-        return port
-
     def free_port(self) -> Port:
         """The first unconnected port, growing the port list if needed."""
         for port in self.ports:
             if not port.connected:
                 return port
-        return self.add_port()
+        port = Port(self, len(self.ports))
+        self.ports.append(port)
+        return port
 
     def receive(self, packet: Packet, in_port: Port) -> None:
         raise NotImplementedError
-
-    def receive_run(self, packet: Packet, count: int, in_port: Port) -> None:
-        """Fluid arrival: ``count`` identical packets behind one
-        template. Devices without an analytic path materialize copies."""
-        for _ in range(count):
-            self.receive(packet.copy(), in_port)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"

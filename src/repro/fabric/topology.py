@@ -115,12 +115,6 @@ class Topology:
 
     # -- queries ------------------------------------------------------------------
 
-    def tor_of(self, server: ServerNode) -> UnderlaySwitch:
-        return self._tor_of[server.name]
-
-    def servers_under(self, tor: UnderlaySwitch) -> List[ServerNode]:
-        return [s for s in self.servers if self._tor_of[s.name] is tor]
-
     def same_tor(self, a: ServerNode, b: ServerNode) -> bool:
         return self._tor_of[a.name] is self._tor_of[b.name]
 

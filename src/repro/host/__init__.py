@@ -1,8 +1,5 @@
-"""Hosts: servers, SmartNICs, and tenant VMs.
+"""Hosts: tenant VMs and their guest endpoints.
 
-* :class:`SmartNic` composes a fabric server node with its vSwitch and
-  tracks the non-network hypervisors sharing the card (storage, VMM),
-  which is why only a slice of the card serves virtual networking (§2.2.2).
 * :class:`Vm` models the tenant VM's kernel stack: per-connection work has
   a serial (kernel-lock) component and a parallelizable component, which
   produces the sub-linear CPS-vs-vCPU curve of Fig 10 and the "VM becomes
@@ -11,8 +8,7 @@
   and server live in :mod:`repro.workloads`).
 """
 
-from repro.host.smartnic import SmartNic
 from repro.host.vm import Vm, VmCostModel
 from repro.host.guest_tcp import GuestConnection, GuestTcp
 
-__all__ = ["SmartNic", "Vm", "VmCostModel", "GuestTcp", "GuestConnection"]
+__all__ = ["Vm", "VmCostModel", "GuestTcp", "GuestConnection"]

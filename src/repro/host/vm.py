@@ -257,8 +257,5 @@ class Vm:
 
     # -- telemetry ------------------------------------------------------------------------
 
-    def cpu_utilization(self) -> float:
-        return self.cpu.utilization()
-
     def __repr__(self) -> str:
         return f"Vm({self.name}, vcpus={self.vcpus})"

@@ -1,8 +1,5 @@
-"""Measurement utilities: percentiles/CDFs, time series, rate meters."""
+"""Measurement utilities: percentiles."""
 
-from repro.metrics.percentiles import (Cdf, percentile, percentile_summary)
-from repro.metrics.timeseries import TimeSeries
-from repro.metrics.counters import RateMeter
+from repro.metrics.percentiles import percentile, percentile_summary
 
-__all__ = ["percentile", "percentile_summary", "Cdf", "TimeSeries",
-           "RateMeter"]
+__all__ = ["percentile", "percentile_summary"]

@@ -1,9 +1,8 @@
-"""Percentile and CDF estimation (linear interpolation, numpy-free)."""
+"""Percentile estimation (linear interpolation, numpy-free)."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 # The percentile labels the paper reports throughout (Fig 4, Tables 1/4).
 STANDARD_LABELS: Tuple[Tuple[str, float], ...] = (
@@ -55,62 +54,3 @@ def percentile_summary(data: Sequence[float]) -> Dict[str, float]:
             summary[label] = _percentile_of_sorted(ordered, q) if data else 0.0
     return summary
 
-
-class Cdf:
-    """An empirical CDF over accumulated samples.
-
-    Sorting is deferred and cached: every quantile/summary/points call
-    after a mutation pays one sort, subsequent calls reuse it.
-    """
-
-    def __init__(self, samples: Iterable[float] = ()) -> None:
-        self._samples: List[float] = list(samples)
-        self._sorted = False
-
-    def add(self, value: float) -> None:
-        self._samples.append(value)
-        self._sorted = False
-
-    def extend(self, values: Iterable[float]) -> None:
-        self._samples.extend(values)
-        self._sorted = False
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def _ensure_sorted(self) -> None:
-        if not self._sorted:
-            self._samples.sort()
-            self._sorted = True
-
-    def fraction_below(self, threshold: float) -> float:
-        """P(X <= threshold)."""
-        if not self._samples:
-            raise ValueError("empty CDF")
-        self._ensure_sorted()
-        return bisect_right(self._samples, threshold) / len(self._samples)
-
-    def quantile(self, q: float) -> float:
-        if not self._samples:
-            raise ValueError("percentile of empty data")
-        if not 0.0 <= q * 100.0 <= 100.0:
-            raise ValueError(f"q out of range: {q * 100.0}")
-        self._ensure_sorted()
-        return _percentile_of_sorted(self._samples, q * 100.0)
-
-    def points(self, n: int = 100) -> List[Tuple[float, float]]:
-        """(value, cumulative fraction) pairs for plotting/printing."""
-        self._ensure_sorted()
-        if not self._samples:
-            return []
-        step = max(1, len(self._samples) // n)
-        out = []
-        for index in range(0, len(self._samples), step):
-            out.append((self._samples[index],
-                        (index + 1) / len(self._samples)))
-        out.append((self._samples[-1], 1.0))
-        return out
-
-    def summary(self) -> Dict[str, float]:
-        self._ensure_sorted()
-        return percentile_summary(self._samples)

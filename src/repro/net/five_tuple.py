@@ -77,9 +77,9 @@ class FiveTuple:
     def hash(self, seed: int = 0) -> int:
         """Stable 64-bit flow hash used to pick an FE.
 
-        Deterministic across processes (unlike built-in ``hash``), and
-        reseedable: §7.5 reconfigures the hash function at the source side
-        to fix skew, which we model by changing ``seed``.
+        Deterministic across processes (unlike built-in ``hash``); a
+        nonzero ``seed`` salts the digest, but every caller in the
+        datapath uses the default.
 
         The default-seed digest is memoized (fields are immutable): the
         forwarding path derives VXLAN source-port entropy from it for

@@ -148,11 +148,6 @@ class Process:
             raise self._exc
         return self._value
 
-    @property
-    def completion(self) -> Event:
-        """Event fired when this process terminates."""
-        return self._completion
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its next resume point."""
         if self._done:
@@ -390,28 +385,6 @@ class Engine:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(delay, value)
 
-    def all_of(self, waitables: Iterable[Any], name: str = "all_of") -> Event:
-        """Event fired once every given event/process has completed."""
-        items = list(waitables)
-        done_event = self.event(name)
-        remaining = len(items)
-        if remaining == 0:
-            done_event.succeed([])
-            return done_event
-        results: List[Any] = [None] * remaining
-
-        def waiter(index: int, item: Any) -> ProcessGen:
-            value = yield item
-            results[index] = value
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                done_event.succeed(list(results))
-
-        for i, item in enumerate(items):
-            self.process(waiter(i, item), name=f"{name}[{i}]")
-        return done_event
-
     # -- running ------------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:
@@ -506,7 +479,3 @@ class Engine:
 
     def _report_crash(self, proc: Process, exc: BaseException) -> None:
         self._crashes.append((proc, exc))
-
-    @property
-    def crashed_processes(self) -> List[Tuple[Process, BaseException]]:
-        return list(self._crashes)

@@ -15,7 +15,7 @@ These model the scarce quantities the paper's analysis revolves around:
 from __future__ import annotations
 
 from collections import deque
-from typing import (Any, Callable, Deque, Dict, Generator, List, Optional,
+from typing import (Any, Callable, Deque, Dict, List, Optional,
                     Tuple)
 
 from repro.errors import ResourceExhausted, SimulationError
@@ -25,12 +25,12 @@ from repro.sim.engine import Engine, Event
 class CpuResource:
     """A multi-core CPU with per-core FIFO service.
 
-    Jobs are submitted with :meth:`execute` (a process-style generator you
-    ``yield from``) or fire-and-forget :meth:`submit`. Each job costs a
-    number of cycles; service time is ``cycles / hz``. Jobs are dispatched
-    to the least-loaded core (shortest backlog), which models the
-    run-to-completion, flow-pinned polling threads of a real vSwitch
-    closely enough for capacity analysis.
+    Jobs are submitted with :meth:`submit` (an Event fired at completion)
+    or the callback forms :meth:`try_book` / :meth:`try_submit_call`.
+    Each job costs a number of cycles; service time is ``cycles / hz``.
+    Jobs are dispatched to the least-loaded core (shortest backlog), which
+    models the run-to-completion, flow-pinned polling threads of a real
+    vSwitch closely enough for capacity analysis.
 
     Utilization is measured as busy-time over a sliding window so the
     controller can poll "current" utilization the way production telemetry
@@ -115,10 +115,6 @@ class CpuResource:
     def submit(self, cycles: float) -> Event:
         """Enqueue a job; returns an Event fired at its completion time."""
         return self._event_at(self._admit(cycles))
-
-    def execute(self, cycles: float) -> Generator[Any, Any, None]:
-        """Process-style helper: ``yield from cpu.execute(cycles)``."""
-        yield self.submit(cycles)
 
     def try_submit(self, cycles: float, max_backlog: float) -> Optional[Event]:
         """Submit unless the least-loaded core's backlog exceeds

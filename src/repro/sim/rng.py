@@ -9,9 +9,8 @@ when components are created in different orders.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
-from typing import List, Optional, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -47,88 +46,11 @@ class SeededRng:
     def choice(self, seq: Sequence[T]) -> T:
         return self._random.choice(seq)
 
-    def sample(self, seq: Sequence[T], k: int) -> List[T]:
-        return self._random.sample(seq, k)
-
-    def shuffle(self, items: list) -> None:
-        self._random.shuffle(items)
-
     def expovariate(self, rate: float) -> float:
         return self._random.expovariate(rate)
 
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._random.gauss(mu, sigma)
-
     def lognormal(self, mu: float, sigma: float) -> float:
         return self._random.lognormvariate(mu, sigma)
-
-    def pareto(self, alpha: float, xmin: float = 1.0) -> float:
-        """Pareto draw with minimum ``xmin`` and tail index ``alpha``."""
-        return xmin * (1.0 + self._random.paretovariate(alpha) - 1.0)
-
-    # -- composite draws -------------------------------------------------------
-
-    def bounded_pareto(self, alpha: float, lo: float, hi: float) -> float:
-        """Pareto truncated to ``[lo, hi]`` via inverse-CDF sampling."""
-        if not lo < hi:
-            raise ValueError("lo must be < hi")
-        u = self._random.random()
-        la, ha = lo ** alpha, hi ** alpha
-        return (-(u * ha - u * la - ha) / (ha * la)) ** (-1.0 / alpha)
-
-    def heavy_tail(self, body_mu: float, body_sigma: float,
-                   tail_prob: float, tail_alpha: float, tail_xmin: float) -> float:
-        """Mixture used by the fleet model: log-normal body + Pareto tail.
-
-        With probability ``tail_prob`` draws from a Pareto tail, otherwise
-        from a log-normal body — the classic shape of per-tenant demand
-        (most vSwitches idle, a few extremely hot; paper Fig 4 / Table 1).
-        """
-        if self._random.random() < tail_prob:
-            return self.pareto(tail_alpha, tail_xmin)
-        return self._random.lognormvariate(body_mu, body_sigma)
-
-    def poisson(self, lam: float) -> int:
-        """Poisson draw (Knuth for small lambda, normal approx for large)."""
-        if lam <= 0:
-            return 0
-        if lam > 50:
-            return max(0, int(round(self._random.gauss(lam, math.sqrt(lam)))))
-        threshold = math.exp(-lam)
-        k, p = 0, 1.0
-        while True:
-            p *= self._random.random()
-            if p <= threshold:
-                return k
-            k += 1
-
-    def zipf_weights(self, n: int, skew: float) -> List[float]:
-        """Normalized Zipf weights over ``n`` ranks with exponent ``skew``."""
-        raw = [1.0 / (rank ** skew) for rank in range(1, n + 1)]
-        total = sum(raw)
-        return [w / total for w in raw]
-
-    def weighted_index(self, weights: Sequence[float]) -> int:
-        """Index drawn proportionally to ``weights``."""
-        total = sum(weights)
-        x = self._random.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if x < acc:
-                return i
-        return len(weights) - 1
-
-    def getstate(self):
-        return self._random.getstate()
-
-    def setstate(self, state) -> None:
-        self._random.setstate(state)
-
-
-def make_rng(seed: Optional[int], label: str = "root") -> SeededRng:
-    """Build a root RNG, defaulting to seed 0 for reproducibility."""
-    return SeededRng(0 if seed is None else seed, label)
 
 
 def derive_seed(seed: int, label: str) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,6 @@ class Trace:
         if kind is None:
             return list(self._records)
         return [r for r in self._records if r.kind == kind]
-
-    def iter(self, kind: str) -> Iterator[TraceRecord]:
-        return (r for r in self._records if r.kind == kind)
 
     def count(self, kind: str) -> int:
         return sum(1 for r in self._records if r.kind == kind)

@@ -104,15 +104,6 @@ class Telemetry:
         reg.gauge(f"{base}.sessions.occupancy",
                   probe=lambda vs=vs: len(vs.session_table))
 
-    def register_smartnic(self, nic) -> None:
-        self.bind_engine(nic.engine)
-        reg = self.registry
-        base = f"smartnic.{nic.name}"
-        reg.gauge(f"{base}.cpu.headroom",
-                  probe=lambda nic=nic: 1.0 - nic.cpu_utilization())
-        reg.gauge(f"{base}.mem.headroom",
-                  probe=lambda nic=nic: 1.0 - nic.memory_utilization())
-
     def register_link(self, link) -> None:
         self.bind_engine(link.engine)
         reg = self.registry

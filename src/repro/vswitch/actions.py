@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.net.addr import IPv4Address, MacAddress
 from repro.vswitch.state import SessionState, StatsPolicy
@@ -73,10 +73,6 @@ class PreAction:
 
     def copy(self) -> "PreAction":
         return replace(self)
-
-    def wire_bytes(self) -> int:
-        """Approximate TLV size when carried in a Nezha header."""
-        return 16
 
 
 @dataclass

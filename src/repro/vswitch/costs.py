@@ -111,11 +111,6 @@ class CostModel:
         return (self.lookup_cycles_static(n_tables, n_acl_rules)
                 + packet_bytes * self.cycles_per_byte)
 
-    def session_entry_bytes(self, state_bytes: int = None) -> int:
-        """Memory for one session-table entry (bidirectional flows + state)."""
-        state = self.state_bytes_fixed if state_bytes is None else state_bytes
-        return self.session_key_bytes + state
-
     @classmethod
     def production(cls) -> "CostModel":
         """Paper-calibrated absolute numbers (slow to simulate at scale)."""

@@ -100,6 +100,3 @@ class QosEnforcer:
             bucket.last_refill = now
             self._buckets[key] = bucket
         return bucket.allow_run(nbytes, n, now)
-
-    def bucket_for(self, vnic_id: int, qos_class: int) -> TokenBucket:
-        return self._buckets[(vnic_id, qos_class)]

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import TableError
 from repro.net.addr import IPv4Address, MacAddress
 from repro.net.five_tuple import FiveTuple
-from repro.vswitch.actions import Direction, PreAction, PreActions, Verdict
+from repro.vswitch.actions import Direction, PreActions, Verdict
 from repro.vswitch.state import StatsPolicy
 
 
@@ -353,11 +353,11 @@ class MappingEntry:
     def underlay_mac(self) -> MacAddress:
         return self.locations[0].underlay_mac
 
-    def select(self, ft: FiveTuple, seed: int = 0) -> Location:
+    def select(self, ft: FiveTuple) -> Location:
         """Hash-pick one location for this flow."""
         if len(self.locations) == 1:
             return self.locations[0]
-        return self.locations[ft.hash(seed) % len(self.locations)]
+        return self.locations[ft.hash() % len(self.locations)]
 
     def __repr__(self) -> str:
         ips = ",".join(str(loc.underlay_ip) for loc in self.locations)
@@ -378,7 +378,6 @@ class MappingTable(RuleTable):
         super().__init__()
         self._entries: Dict[Tuple[int, int], MappingEntry] = {}
         self.entry_bytes = entry_bytes
-        self.hash_seed = 0
 
     def set_entry(self, vni: int, tenant_ip: IPv4Address,
                   entry: MappingEntry) -> None:
@@ -401,7 +400,7 @@ class MappingTable(RuleTable):
             pre.tx.verdict = Verdict.DROP
             pre.tx.stateful_acl = False
             return
-        location = entry.select(ctx.five_tuple, self.hash_seed)
+        location = entry.select(ctx.five_tuple)
         pre.tx.next_hop_ip = location.underlay_ip
         pre.tx.next_hop_mac = location.underlay_mac
         pre.tx.vni = entry.vni

@@ -11,7 +11,9 @@ the lookup cost, and a name→table index — so the per-lookup work is one
 dict probe per table plus a multiply-add for the byte term. Tables
 invalidate the caches through :meth:`invalidate_caches`, wired up via
 ``RuleTable._attach`` at construction (every mutator calls
-``RuleTable._bump``; see DESIGN.md §3 for the invariant).
+``RuleTable._bump``; see DESIGN.md §3 for the invariant). The chain
+itself is a tuple: :meth:`insert_table` / :meth:`remove_table` are the
+only ways to change it, and both refresh the caches.
 """
 
 from __future__ import annotations
@@ -23,70 +25,11 @@ from repro.vswitch.costs import CostModel
 from repro.vswitch.rule_tables import AclTable, LookupContext, RuleTable
 
 
-class _ChainTables(list):
-    """The chain's table list: every list mutation notifies the owning
-    :class:`SlowPath` so the name index and cached aggregates stay fresh
-    even for code that edits ``slow_path.tables`` directly."""
-
-    def __init__(self, items, chain: "SlowPath") -> None:
-        super().__init__(items)
-        self._chain = chain
-
-    def _note(self) -> None:
-        self._chain._on_tables_changed()
-
-    def append(self, item) -> None:
-        super().append(item)
-        self._note()
-
-    def insert(self, index, item) -> None:
-        super().insert(index, item)
-        self._note()
-
-    def extend(self, items) -> None:
-        super().extend(items)
-        self._note()
-
-    def remove(self, item) -> None:
-        super().remove(item)
-        self._note()
-
-    def pop(self, index=-1):
-        item = super().pop(index)
-        self._note()
-        return item
-
-    def clear(self) -> None:
-        super().clear()
-        self._note()
-
-    def sort(self, **kwargs) -> None:
-        super().sort(**kwargs)
-        self._note()
-
-    def reverse(self) -> None:
-        super().reverse()
-        self._note()
-
-    def __setitem__(self, index, value) -> None:
-        super().__setitem__(index, value)
-        self._note()
-
-    def __delitem__(self, index) -> None:
-        super().__delitem__(index)
-        self._note()
-
-    def __iadd__(self, items):
-        result = super().__iadd__(items)
-        self._note()
-        return result
-
-
 class SlowPath:
     """An ordered rule-table chain with cost accounting."""
 
     def __init__(self, tables: List[RuleTable], cost_model: CostModel) -> None:
-        self.tables = _ChainTables(tables, self)
+        self.tables: Tuple[RuleTable, ...] = tuple(tables)
         self.cost_model = cost_model
         self.lookups = 0
         self._acl_rule_count: Optional[int] = None
@@ -95,9 +38,24 @@ class SlowPath:
         self._by_name: Dict[str, RuleTable] = {}
         self._on_tables_changed()
 
+    def insert_table(self, index: int, table: RuleTable) -> None:
+        """Put ``table`` at chain position ``index`` (``list.insert``
+        semantics)."""
+        tables = list(self.tables)
+        tables.insert(index, table)
+        self.tables = tuple(tables)
+        self._on_tables_changed()
+
+    def remove_table(self, table: RuleTable) -> None:
+        """Take ``table`` out of the chain (``ValueError`` if absent)."""
+        tables = list(self.tables)
+        tables.remove(table)
+        self.tables = tuple(tables)
+        self._on_tables_changed()
+
     def _on_tables_changed(self) -> None:
         """Rebuild the name index and re-wire invalidation after the
-        chain's table list itself changed."""
+        chain's table sequence itself changed."""
         for table in self.tables:
             if self not in table._chains:
                 table._attach(self)

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.host.guest_tcp import GuestTcp
-from repro.metrics.percentiles import percentile_summary
 from repro.net.addr import IPv4Address
 from repro.sim.engine import Engine
 from repro.sim.rng import SeededRng
@@ -25,22 +24,6 @@ class CrrResult:
     failed: int = 0
     duration: float = 0.0
     latencies: List[float] = field(default_factory=list)
-
-    @property
-    def achieved_cps(self) -> float:
-        return self.completed / self.duration if self.duration else 0.0
-
-    @property
-    def offered_cps(self) -> float:
-        return self.offered / self.duration if self.duration else 0.0
-
-    @property
-    def failure_fraction(self) -> float:
-        done = self.completed + self.failed
-        return self.failed / done if done else 0.0
-
-    def latency_summary(self):
-        return percentile_summary(self.latencies)
 
 
 class CrrLoadGenerator:

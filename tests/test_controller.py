@@ -5,12 +5,11 @@ import pytest
 
 from repro.controller import (ControllerConfig, FePlacement, Gateway,
                               HealthMonitor, NezhaController)
-from repro.controller.controller import bootstrap_learners
 from repro.controller.monitor import MutualPing
 from repro.core.offload import OffloadState
 from repro.fabric import Topology
 from repro.net import IPv4Address, MacAddress, Packet, TcpFlags
-from repro.sim import Engine, SeededRng
+from repro.sim import Engine
 from repro.vswitch import CostModel, VSwitch
 from repro.vswitch.rule_tables import Location
 
@@ -64,15 +63,6 @@ def test_all_learners_synced_ignores_uninterested():
     env.learners[1].refresh()
     # Learners 2..5 host no vNICs in this VNI: they do not gate sync.
     assert env.gateway.all_learners_synced(VNI, version)
-
-
-def test_bootstrap_learners_helper():
-    env = build_nezha_env(start_learners=False)
-    extra = bootstrap_learners(env.engine, env.gateway,
-                               [env.vswitch_a], interval=0.1,
-                               rng=SeededRng(1), start=False)
-    assert len(extra) == 1
-    assert extra[0] in env.gateway.learners
 
 
 # -- HealthMonitor ---------------------------------------------------------------------

@@ -126,16 +126,6 @@ def test_fail_fe_without_fes_is_noop():
     assert env.orchestrator.fail_fe(env.vswitches[-1]) == 0
 
 
-def test_selector_share_diagnostics():
-    env, handle = active_env(n_fes=2)
-    from repro.net.five_tuple import FiveTuple, PROTO_TCP
-    flows = [FiveTuple(TENANT_A, TENANT_B, PROTO_TCP, 1000 + i, 80)
-             for i in range(100)]
-    shares = handle.selector.share_of(flows)
-    assert sum(shares.values()) == 100
-    assert len(shares) == 2
-
-
 # -- frontend memory pressure -----------------------------------------------------------
 
 def test_fe_degrades_gracefully_when_flow_cache_full():

@@ -20,7 +20,7 @@ def test_result_rows_and_lookup():
     result = ExperimentResult("x", "demo", ["a", "b"])
     result.add_row(a=1, b=2.5)
     result.add_row(a=2, b=1e6)
-    assert result.column("a") == [1, 2]
+    assert [row["a"] for row in result.rows] == [1, 2]
     assert result.row_where("a", 2)["b"] == 1e6
     with pytest.raises(KeyError):
         result.row_where("a", 99)

@@ -24,10 +24,6 @@ FIG9_KWARGS = dict(fe_counts=(0, 2), duration=0.4, warmup=0.2,
                    concurrency_per_client=8, seed=3)
 FIG12_KWARGS = dict(load_levels=(8,), seed=2)
 FLEET_KWARGS = dict(n_vswitches=400, epochs=2, seed=0, shards=1, jobs=1)
-# One-point sweeps (``jobs=2`` clamps to 1), so a digest is what pins
-# them, not a jobs-identity rerun; fig14's bytes are the ~2 s failover.
-FIG11_KWARGS = dict(duration=3.0, seed=0)
-FIG14_KWARGS = dict(kill_at=1.0, duration=2.5, seed=0)
 
 #: The ``--fast`` tables (``QUICK_KWARGS``, else the defaults, seed 0).
 FAST_DIGESTS = {
@@ -43,8 +39,10 @@ CASES = [
     ("fig9", FIG9_KWARGS, "888fc94320600068"),
     ("fig12", FIG12_KWARGS, "569ef72087b24e5c"),
     ("fleet", FLEET_KWARGS, "791384cdf446f552"),
-    ("fig11", FIG11_KWARGS, "949f78223fdba60b"),
-    ("fig14", FIG14_KWARGS, "224492ec80bb2195"),
+    # One-point sweeps (``jobs=2`` clamps to 1), so a digest is what pins
+    # them, not a jobs-identity rerun; fig14's bytes are the ~2 s failover.
+    ("fig11", QUICK_KWARGS["fig11"], "949f78223fdba60b"),
+    ("fig14", QUICK_KWARGS["fig14"], "224492ec80bb2195"),
     ("policy_arena", QUICK_KWARGS["policy_arena"], "6558e6a2565dcb9c"),
 ] + [(name, QUICK_KWARGS.get(name, {}), digest)
      for name, digest in FAST_DIGESTS.items()]

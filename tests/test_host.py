@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.host import GuestTcp, SmartNic, Vm, VmCostModel
+from repro.host import GuestTcp, Vm, VmCostModel
 from repro.net import Packet, TcpFlags
 from repro.sim import Engine
 
@@ -84,19 +84,6 @@ def test_vm_kernel_overload_drops():
                 new_connection=True)
     engine.run(until=1.0)
     assert vm.kernel_drops > 0
-
-
-# -- SmartNic -----------------------------------------------------------------------
-
-def test_smartnic_composition():
-    engine = Engine()
-    from repro.fabric import Topology
-    topo = Topology.leaf_spine(engine, 1, 1)
-    nic = SmartNic(engine, topo.servers[0])
-    assert nic.cpu_utilization() == 0.0
-    # Packet buffers are pre-reserved, so memory is already partly used.
-    assert 0.0 < nic.memory_utilization() < 1.0
-    assert nic.name == topo.servers[0].name
 
 
 # -- GuestTcp end-to-end ----------------------------------------------------------------

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics import Cdf, RateMeter, TimeSeries, percentile, percentile_summary
-from repro.sim import Engine
+from repro.metrics import percentile, percentile_summary
 
 
 # -- percentile ---------------------------------------------------------------
@@ -43,125 +42,3 @@ def test_percentile_summary_labels():
 
 def test_percentile_summary_empty():
     assert percentile_summary([])["P99"] == 0.0
-
-
-# -- Cdf --------------------------------------------------------------------------
-
-def test_cdf_fraction_below():
-    cdf = Cdf(range(100))
-    assert cdf.fraction_below(49) == pytest.approx(0.5)
-    assert cdf.fraction_below(-1) == 0.0
-    assert cdf.fraction_below(1000) == 1.0
-
-
-def test_cdf_quantile_and_add():
-    cdf = Cdf()
-    cdf.extend([1, 2, 3])
-    cdf.add(4)
-    assert cdf.quantile(1.0) == 4
-    assert len(cdf) == 4
-
-
-def test_cdf_points_monotone():
-    cdf = Cdf(range(1000))
-    pts = cdf.points(50)
-    fractions = [f for _v, f in pts]
-    assert fractions == sorted(fractions)
-    assert pts[-1][1] == 1.0
-
-
-def test_cdf_empty_raises():
-    with pytest.raises(ValueError):
-        Cdf().fraction_below(1)
-
-
-# -- TimeSeries -----------------------------------------------------------------------
-
-def test_timeseries_record_and_stats():
-    ts = TimeSeries("util")
-    for t, v in [(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)]:
-        ts.record(t, v)
-    assert ts.mean() == pytest.approx(3.0)
-    assert ts.max() == 5.0
-    assert ts.mean(start=0.5) == pytest.approx(4.0)
-
-
-def test_timeseries_rejects_time_reversal():
-    ts = TimeSeries()
-    ts.record(1.0, 1.0)
-    with pytest.raises(ValueError):
-        ts.record(0.5, 2.0)
-
-
-def test_timeseries_resample():
-    ts = TimeSeries()
-    for i in range(10):
-        ts.record(i * 0.1, float(i))
-    buckets = ts.resample(0.5)
-    assert len(buckets) == 2
-    assert buckets[0][1] == pytest.approx(2.0)  # mean of 0..4
-
-
-def test_timeseries_sampler_process():
-    from repro.metrics.timeseries import sample_periodically
-    engine = Engine()
-    ts = TimeSeries("clock")
-    sample_periodically(engine, ts, lambda: engine.now, period=0.1)
-    engine.run(until=0.55)
-    assert len(ts) == 6  # t=0, .1, .2, .3, .4, .5
-
-
-# -- RateMeter ----------------------------------------------------------------------------
-
-def test_rate_meter_measures_rate():
-    engine = Engine()
-    meter = RateMeter(lambda: engine.now, window=1.0)
-    for i in range(10):
-        engine.call_at(i * 0.1, meter.mark)
-    engine.run()
-    # Only 0.9 s elapsed since the first mark, so the divisor is the
-    # elapsed time, not the full window: 10 events / 0.9 s.
-    assert meter.rate() == pytest.approx(10 / 0.9)
-    assert meter.total == 10
-
-
-def test_rate_meter_no_startup_bias():
-    """Early readings divide by elapsed time, not the full window."""
-    engine = Engine()
-    meter = RateMeter(lambda: engine.now, window=1.0)
-    for i in range(4):
-        engine.call_at(i * 0.05, meter.mark)
-    engine.call_at(0.2, lambda: None)
-    engine.run()
-    # 4 events over 0.2 s: the old code reported 4/s; unbiased is 20/s.
-    assert meter.rate() == pytest.approx(4 / 0.2)
-
-
-def test_rate_meter_full_window_unchanged():
-    """Once a full window has elapsed, rates match the old definition."""
-    engine = Engine()
-    meter = RateMeter(lambda: engine.now, window=1.0)
-    for i in range(30):
-        engine.call_at(i * 0.1, meter.mark)
-    engine.run()
-    # At t=2.9 the trailing 1 s window holds the marks at 2.0..2.9.
-    assert meter.rate() == pytest.approx(10.0)
-
-
-def test_rate_meter_no_marks_is_zero():
-    meter = RateMeter(lambda: 5.0, window=1.0)
-    assert meter.rate() == 0.0
-
-
-def test_rate_meter_window_expiry():
-    engine = Engine()
-    meter = RateMeter(lambda: engine.now, window=1.0)
-    meter.mark()
-    engine.call_at(5.0, lambda: None)
-    engine.run()
-    assert meter.rate() == 0.0
-
-
-def test_rate_meter_validation():
-    with pytest.raises(ValueError):
-        RateMeter(lambda: 0.0, window=0.0)

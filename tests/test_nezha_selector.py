@@ -1,5 +1,7 @@
 """Tests for the hash-based FE selector (repro.core.load_balancer)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import ConfigError
@@ -30,8 +32,8 @@ def test_pick_is_deterministic_per_flow():
 
 def test_flows_spread_across_fes():
     selector = FeSelector([loc(i) for i in range(1, 5)])
-    shares = selector.share_of(flows(400))
-    assert sum(shares.values()) == 400
+    shares = Counter(selector.pick(ft) for ft in flows(400))
+    assert len(shares) == 4
     assert all(count > 50 for count in shares.values())
 
 
@@ -53,37 +55,3 @@ def test_remove_shifts_only_affected_flows():
     assert all(location != loc(4) for location in after.values())
     moved_from_dead = [ft for ft in fts if before[ft] == loc(4)]
     assert moved_from_dead  # some flows were on the removed FE
-
-
-def test_reseed_redistributes():
-    selector = FeSelector([loc(1), loc(2), loc(3), loc(4)])
-    fts = flows(200)
-    before = {ft: selector.pick(ft) for ft in fts}
-    selector.reseed(99)
-    after = {ft: selector.pick(ft) for ft in fts}
-    assert any(before[ft] != after[ft] for ft in fts)
-
-
-def test_pin_elephant_flow():
-    selector = FeSelector([loc(1), loc(2)])
-    elephant = flows(1)[0]
-    target = loc(2)
-    selector.pin(elephant, target)
-    assert selector.pick(elephant) == target
-    selector.unpin(elephant)
-    # Back to hash-based decision (may or may not equal target).
-    assert selector.pick(elephant) in (loc(1), loc(2))
-
-
-def test_pin_requires_active_fe():
-    selector = FeSelector([loc(1)])
-    with pytest.raises(ConfigError):
-        selector.pin(flows(1)[0], loc(9))
-
-
-def test_removing_fe_clears_its_pins():
-    selector = FeSelector([loc(1), loc(2)])
-    elephant = flows(1)[0]
-    selector.pin(elephant, loc(2))
-    selector.remove(loc(2))
-    assert selector.pick(elephant) == loc(1)

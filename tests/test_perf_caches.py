@@ -90,12 +90,17 @@ def test_name_index_tracks_direct_chain_mutation():
     chain, _acl, _cm = make_chain()
     assert chain.table("nat44") is None
     nat = Nat44Table()
-    chain.tables.insert(1, nat)          # direct list surgery, as tests do
+    chain.insert_table(1, nat)
     assert chain.table("nat44") is nat
     base = chain.memory_bytes()
     nat.add_mapping(A, IPv4Address("203.0.113.1"))
     assert chain.memory_bytes() == base + nat.entry_bytes
-    chain.tables.remove(nat)
+    chain.remove_table(nat)
+    assert chain.table("nat44") is None
+    # The chain is immutable: an in-place edit raises instead of leaving
+    # the name index and cached aggregates stale.
+    with pytest.raises(AttributeError):
+        chain.tables.append(nat)
     assert chain.table("nat44") is None
 
 

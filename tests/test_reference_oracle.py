@@ -74,11 +74,11 @@ def _world(variant, reference, cores):
     if variant == "nat":
         nat = Nat44Table()
         nat.add_mapping(TENANT_A, IPv4Address("192.168.9.9"))
-        chain.tables.insert(1, nat)
+        chain.insert_table(1, nat)
     elif variant == "mirror":
         mirror = MirrorTable()
         mirror.add_mirror(TENANT_B, 32, spare.underlay_ip)
-        chain.tables.append(mirror)
+        chain.insert_table(len(chain.tables), mirror)
     elif variant == "vnic_rate":
         vnic.rate_limit_bps = RATE_BPS
     elif variant == "flow_rate":

@@ -255,31 +255,6 @@ def test_yield_garbage_crashes_process():
         engine.run()
 
 
-def test_all_of_collects_results():
-    engine = Engine()
-    results = []
-
-    def worker(delay, value):
-        yield Timeout(delay)
-        return value
-
-    def parent():
-        procs = [engine.process(worker(d, d * 10)) for d in (3.0, 1.0, 2.0)]
-        values = yield engine.all_of(procs)
-        results.append((engine.now, values))
-
-    engine.process(parent())
-    engine.run()
-    assert results == [(3.0, [30.0, 10.0, 20.0])]
-
-
-def test_all_of_empty_fires_immediately():
-    engine = Engine()
-    evt = engine.all_of([])
-    assert evt.fired
-    assert evt.value == []
-
-
 def test_step_executes_single_callback():
     engine = Engine()
     order = []

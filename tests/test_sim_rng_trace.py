@@ -1,13 +1,8 @@
 """Unit tests for SeededRng and Trace."""
 
-import math
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.sim import Engine, SeededRng, Trace
-from repro.sim.rng import make_rng
 
 
 # -- SeededRng ------------------------------------------------------------------
@@ -29,72 +24,6 @@ def test_child_streams_are_deterministic():
     c1 = parent.child("flow")
     c2 = SeededRng(3).child("flow")
     assert [c1.randint(0, 100) for _ in range(5)] == [c2.randint(0, 100) for _ in range(5)]
-
-
-def test_make_rng_defaults_to_zero_seed():
-    assert make_rng(None).seed == 0
-    assert make_rng(42).seed == 42
-
-
-def test_poisson_zero_rate():
-    assert SeededRng(1).poisson(0) == 0
-    assert SeededRng(1).poisson(-5) == 0
-
-
-def test_poisson_mean_small_lambda():
-    rng = SeededRng(1)
-    draws = [rng.poisson(3.0) for _ in range(4000)]
-    assert sum(draws) / len(draws) == pytest.approx(3.0, rel=0.1)
-
-
-def test_poisson_mean_large_lambda():
-    rng = SeededRng(1)
-    draws = [rng.poisson(200.0) for _ in range(2000)]
-    assert sum(draws) / len(draws) == pytest.approx(200.0, rel=0.05)
-
-
-def test_zipf_weights_normalized_and_decreasing():
-    weights = SeededRng(1).zipf_weights(50, skew=1.2)
-    assert sum(weights) == pytest.approx(1.0)
-    assert all(weights[i] >= weights[i + 1] for i in range(len(weights) - 1))
-
-
-def test_weighted_index_respects_weights():
-    rng = SeededRng(1)
-    weights = [0.0, 1.0, 0.0]
-    assert all(rng.weighted_index(weights) == 1 for _ in range(20))
-
-
-@given(st.integers(0, 2**31), st.floats(1.1, 5.0))
-@settings(max_examples=30, deadline=None)
-def test_bounded_pareto_stays_in_bounds(seed, alpha):
-    rng = SeededRng(seed, "bp")
-    for _ in range(20):
-        x = rng.bounded_pareto(alpha, 2.0, 50.0)
-        assert 2.0 <= x <= 50.0
-
-
-def test_bounded_pareto_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        SeededRng(1).bounded_pareto(1.5, 5.0, 5.0)
-
-
-def test_heavy_tail_produces_tail_samples():
-    rng = SeededRng(1)
-    draws = [rng.heavy_tail(0.0, 0.5, tail_prob=0.1, tail_alpha=1.2, tail_xmin=10.0)
-             for _ in range(2000)]
-    assert max(draws) > 10.0       # tail reached
-    assert sorted(draws)[len(draws) // 2] < 3.0  # body dominates the median
-
-
-def test_state_roundtrip():
-    rng = SeededRng(5)
-    rng.random()
-    state = rng.getstate()
-    a = [rng.random() for _ in range(5)]
-    rng.setstate(state)
-    b = [rng.random() for _ in range(5)]
-    assert a == b
 
 
 # -- Trace -----------------------------------------------------------------------

@@ -284,7 +284,7 @@ def build_nat_cloud():
     external = IPv4Address("203.0.113.1")
     nat = Nat44Table()
     nat.add_mapping(TENANT_A, external)
-    cloud.vnic_a.slow_path.tables.insert(1, nat)
+    cloud.vnic_a.slow_path.insert_table(1, nat)
     cloud.vswitch_a.add_vnic_alias(VNI, external, cloud.vnic_a)
     # The peer's mapping must route the external address to server A.
     wire_mapping(cloud.vnic_b.slow_path.table("vnic_server_mapping"),

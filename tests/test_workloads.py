@@ -3,6 +3,7 @@
 import pytest
 
 from repro.host import GuestTcp, Vm
+from repro.metrics import percentile_summary
 from repro.sim import SeededRng
 from repro.workloads import (ConcurrentFlowHolder, CrrLoadGenerator,
                              ElephantFlow, SynFlood)
@@ -33,8 +34,8 @@ def test_crr_achieves_offered_rate_under_capacity():
     result = gen.result
     assert result.offered == pytest.approx(100, rel=0.4)
     assert result.completed == result.offered  # no drops at light load
-    assert result.failure_fraction == 0.0
-    assert 0 < result.achieved_cps <= result.offered_cps * 1.01
+    assert result.failed == 0
+    assert 0 < result.completed <= result.offered
 
 
 def test_crr_saturates_at_vswitch_capacity():
@@ -52,7 +53,7 @@ def test_crr_latency_summary():
     cloud, gen = crr_setup(rate_cps=30)
     gen.run(duration=1.0)
     cloud.engine.run(until=3.0)
-    summary = gen.result.latency_summary()
+    summary = percentile_summary(gen.result.latencies)
     assert 0 < summary["avg"] < 0.1
     assert summary["P99"] >= summary["P50"]
 

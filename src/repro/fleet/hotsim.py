@@ -115,7 +115,9 @@ def simulate_hot_epoch(seed: int, demand_ratio: float, granted: bool,
     epoch at 10K are the fleet's dominant wall-clock cost; the peer
     vNIC's guest is run-aware and only counts, so a fluid run stays one
     descriptor from the sender's kernel to the sink — telemetry
-    installed or not: no template here carries a span.
+    installed or not: no template here carries a span. Only the SYN and
+    the session opener cross per packet; the runs queued behind the SYN
+    stay runs, since ``psh|ack`` leaves ``SYN_SENT`` unchanged (§5.5).
     """
     retained = 1.0 if granted else demand_ratio
     rate_pps = min(BASE_PPS * retained, MAX_PPS)

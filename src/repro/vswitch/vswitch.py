@@ -826,9 +826,13 @@ class LocalDatapath(Datapath):
         packets of a long-lived flow. Eligibility mirrors
         :meth:`_classify_run` (FULL hit, FSM-quiet) plus the flow-record
         fast-path conditions; anything else re-materializes into the
-        burst path."""
+        burst path. A session opener goes alone, as in a burst."""
         vs = self.vswitch
         entry = vs.session_table.lookup(vnic.vni, packet.five_tuple())
+        if entry is None and count > 1:
+            Datapath.handle_tx_run(self, vnic, packet, 1)
+            count -= 1
+            entry = vs.session_table.lookup(vnic.vni, packet.five_tuple())
         if (entry is None or entry.pre_actions is None
                 or entry.state is None
                 or not self._fsm_quiet(entry, Direction.TX, packet)
@@ -853,10 +857,13 @@ class LocalDatapath(Datapath):
         if entry.pre_actions is None or entry.state is None:
             vs.stats.cpu_drops += count
             return
+        if (entry.state.tcp_state is not fsm_snap
+                and self._fsm_quiet(entry, Direction.TX, packet)):
+            fsm_snap = entry.state.tcp_state    # n quiet packets stay quiet
         if not self._tx_run_eligible(entry, fsm_snap):
-            # Event boundary (FSM moved, route/policy changed) landed
-            # while the run sat in the CPU queue: re-materialize and
-            # replay the per-packet completion.
+            # Event boundary (the template now moves the FSM, route or
+            # policy changed) landed while the run sat in the CPU queue:
+            # re-materialize and replay the per-packet completion.
             self._complete_tx_batch(vnic, entry,
                                     [packet.copy() for _ in range(count)])
             return
@@ -998,7 +1005,9 @@ class LocalDatapath(Datapath):
         if entry.pre_actions is None or entry.state is None:
             vs.stats.cpu_drops += count
             return
-        if entry.slot < 0 or entry.state.tcp_state is not fsm_snap:
+        if entry.slot < 0 or (
+                entry.state.tcp_state is not fsm_snap
+                and not self._fsm_quiet(entry, Direction.RX, packet)):
             self._complete_rx_batch(vnic, entry,
                                     [packet.copy() for _ in range(count)])
             return

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from repro.host.vm import Vm
 from repro.net.addr import IPv4Address
 from repro.net.five_tuple import FiveTuple, PROTO_TCP
@@ -24,7 +26,9 @@ class ElephantFlow:
     packet plus a count, advanced analytically, copies materialized only
     at event boundaries. Every aggregate (counts, bytes, CPU cycles, link
     busy time) equals the burst form's; mid-burst timestamps collapse,
-    which is why a caller has to ask for it.
+    which is why a caller has to ask for it. Every run carries the one
+    template the flow builds, so nothing downstream may mutate it in
+    place (NAT, mirror, span and a moved FSM copy first).
     """
 
     def __init__(self, engine: Engine, vm: Vm, vnic: Vnic,
@@ -60,6 +64,10 @@ class ElephantFlow:
                           self.dport, TcpFlags.of("psh", "ack"),
                           self.payload)
 
+    @cached_property
+    def _template(self) -> Packet:
+        return self._data_packet()
+
     def _loop(self):
         gap = 1.0 / self.rate_pps
         if self.engine.now < self._stop_at:
@@ -74,7 +82,7 @@ class ElephantFlow:
                 self.sent += 1
                 yield self.engine.timeout(gap)
             elif self.fluid:
-                self.vm.send_run(self.vnic, self._data_packet(), self.burst)
+                self.vm.send_run(self.vnic, self._template, self.burst)
                 self.sent += self.burst
                 yield self.engine.timeout(gap * self.burst)
             else:

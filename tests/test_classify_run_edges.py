@@ -8,12 +8,15 @@ SessionState. Hand-picked where ``test_reference_oracle.py`` generates:
 these three interleavings are the ones a run classifier gets wrong.
 """
 
+import inspect
+import textwrap
 from dataclasses import asdict
 
 import pytest
 
 from repro.net import Packet, TcpFlags
-from repro.vswitch import TcpState
+from repro.vswitch import CostModel, TcpState
+from repro.vswitch import vswitch as vswitch_module
 from repro.vswitch.session_table import EntryMode
 from repro.vswitch.state import StatsPolicy
 
@@ -154,3 +157,131 @@ def test_edge_case_identical_to_per_packet_replay(scenario):
     """Against the per-packet reference: counters, drops and FSM match
     exactly."""
     assert scenario(reference=False) == scenario(reference=True)
+
+
+# -- fluid completion: the live FSM rule -----------------------------------
+#
+# A fluid run is charged against the FSM state of the moment; a packet
+# charged before it (one core, so completions keep charge order) may move
+# the FSM before the run completes. The run still completes as a run when
+# its template leaves the *live* state unchanged, and re-materializes
+# into the per-packet replay when it does not.
+
+
+def _fluid_mutant():
+    """``LocalDatapath`` with ``_complete_tx_fluid`` recompiled from its
+    own source minus the live-state check: a queued run completes as a
+    run whatever the FSM did meanwhile."""
+    method = vswitch_module.LocalDatapath._complete_tx_fluid
+    source = textwrap.dedent(inspect.getsource(method))
+    old = "and self._fsm_quiet(entry, Direction.TX, packet)):"
+    assert source.count(old) == 1, f"mutation site moved: {old!r}"
+    namespace = dict(vars(vswitch_module))
+    exec(compile(source.replace(old, "):"), vswitch_module.__file__,
+                 "exec"), namespace)
+    return type("MutantDatapath", (vswitch_module.LocalDatapath,),
+                {"_complete_tx_fluid": namespace["_complete_tx_fluid"]})
+
+
+def _one_core_cloud(datapath_cls=None):
+    cost_model = CostModel.testbed()
+    cost_model.cores = 1
+    cloud = build_cloud(cost_model=cost_model)
+    if datapath_cls is not None:
+        cloud.vswitch_a.set_datapath(cloud.vnic_a.vnic_id,
+                                     datapath_cls(cloud.vswitch_a))
+    for vnic in (cloud.vnic_a, cloud.vnic_b):
+        vnic.attach_guest(lambda pkt: None, lambda pkt, count: None)
+    return cloud
+
+
+def _send(cloud, packet, n, fluid):
+    """``n`` copies of ``packet`` from A as one run or one burst; returns
+    what A's server put on the fabric meanwhile, by call shape."""
+    server = cloud.vswitch_a.server
+    sent = []
+    server.send_to_fabric = lambda pkt: sent.append(("single", 1))
+    server.send_to_fabric_burst = lambda pkts: sent.append(
+        ("burst", len(pkts)))
+    server.send_to_fabric_run = lambda pkt, count: sent.append(
+        ("run", count))
+    if fluid:
+        cloud.vswitch_a.send_from_vnic_run(cloud.vnic_a, packet, n)
+    else:
+        cloud.vswitch_a.send_from_vnic_burst(
+            cloud.vnic_a, [packet.copy() for _ in range(n)])
+    return sent
+
+
+def _observed(cloud, sent):
+    return (sent, asdict(cloud.vswitch_a.stats),
+            _flow_counters(cloud.vswitch_a, ack().five_tuple()))
+
+
+def _syn_lands_under_queued_run(fluid):
+    """The hot micro-sim's case: the session exists at ``NONE`` (a data
+    packet opened it), the held-back SYN is charged, then a ``psh|ack``
+    run is charged against ``NONE``; the SYN completes first and moves
+    the FSM to ``SYN_SENT``, which ``psh|ack`` leaves unchanged."""
+    cloud = _one_core_cloud()
+    vs, vnic = cloud.vswitch_a, cloud.vnic_a
+    vs.send_from_vnic(vnic, ack(flags=("psh", "ack")))
+    cloud.engine.run(until=cloud.engine.now + 0.1)
+    entry = vs.session_table.lookup(VNI, ack().five_tuple())
+    assert entry.state.tcp_state is TcpState.NONE
+    entry.state.stats_policy = StatsPolicy.FULL
+    vs.send_from_vnic(vnic, ack(flags=("syn",), payload=b""))
+    sent = _send(cloud, ack(flags=("psh", "ack")), 5, fluid)
+    cloud.engine.run(until=cloud.engine.now + 0.1)
+    assert entry.state.tcp_state is TcpState.SYN_SENT
+    return _observed(cloud, sent)
+
+
+def _synack_lands_under_queued_run(fluid, datapath_cls=None):
+    """The boundary: A is in ``SYN_SENT``, B's SYN/ACK reaches A's CPU
+    queue, then an initiator ``ack`` run is charged against
+    ``SYN_SENT`` (quiet there). The SYN/ACK completes first; under
+    ``SYN_RECEIVED`` the first ``ack`` establishes the session, so the
+    run must replay per packet."""
+    cloud = _one_core_cloud(datapath_cls)
+    vs, vnic = cloud.vswitch_a, cloud.vnic_a
+    vs.send_from_vnic(vnic, ack(flags=("syn",), payload=b""))
+    cloud.engine.run(until=cloud.engine.now + 0.1)
+    entry = vs.session_table.lookup(VNI, ack().five_tuple())
+    assert entry.state.tcp_state is TcpState.SYN_SENT
+    entry.state.stats_policy = StatsPolicy.FULL
+    vs.datapath_for(vnic).handle_rx(vnic, Packet.tcp(
+        TENANT_B, TENANT_A, 80, 1000, TcpFlags.of("syn", "ack")))
+    sent = _send(cloud, ack(), 4, fluid)
+    cloud.engine.run(until=cloud.engine.now + 0.1)
+    return _observed(cloud, sent)
+
+
+def test_fluid_run_survives_a_quiet_fsm_move():
+    """Charged at ``NONE``, completed under ``SYN_SENT``: the SYN and one
+    run on the wire, and every counter and flow record the burst
+    form's."""
+    fluid = _syn_lands_under_queued_run(fluid=True)
+    assert fluid[0] == [("single", 1), ("run", 5)]
+    assert fluid[1:] == _syn_lands_under_queued_run(fluid=False)[1:]
+
+
+def _assert_rematerializes(datapath_cls=None):
+    fluid = _synack_lands_under_queued_run(True, datapath_cls)
+    assert fluid[2][-1] is TcpState.ESTABLISHED, "queued run kept as a run"
+    assert fluid == _synack_lands_under_queued_run(False)
+    assert fluid[0] == [("burst", 4)]
+
+
+def test_fluid_run_rematerializes_when_the_live_state_moves_it():
+    """Charged at ``SYN_SENT``, completed under ``SYN_RECEIVED``: the
+    template is not quiet there, so the run replays per packet and the
+    first ``ack`` reaches ``ESTABLISHED`` — as in the burst form."""
+    _assert_rematerializes()
+
+
+def test_live_state_rule_trips_on_its_mutant():
+    """A fluid completion that accepts any live state completes the run
+    in ``SYN_RECEIVED`` and never establishes the session."""
+    with pytest.raises(AssertionError, match="queued run kept as a run"):
+        _assert_rematerializes(_fluid_mutant())

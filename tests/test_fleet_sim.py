@@ -23,7 +23,10 @@ from repro.errors import ConfigError
 from repro.fleet import (FleetCoordinator, FleetFlowStore, FleetParams,
                          demand_units, make_shards, partition,
                          run_shard_epoch, simulate_hot_epoch, vswitch_seed)
+from repro.net.packet import Packet
 from repro.workloads.fleet import FleetCapacity, HotspotKind, VSwitchDemand
+
+from tests.test_telemetry_integration import _python_calls
 
 FLEET_KWARGS = dict(n_vswitches=200, epochs=2, seed=0)
 
@@ -492,9 +495,13 @@ def test_store_layout_matches_recorded_digest(shards, digest):
 def test_hot_sim_fluid_fast_forward_is_output_identical():
     """simulate_hot_epoch(fluid=True) — the default — must return the
     same measurements as the per-packet fluid=False run: the §5.5
-    fast-forward is a wall-clock optimization, never an output one."""
+    fast-forward is a wall-clock optimization, never an output one.
+    Ratios 1.5 and 5.0 queue a run charged at ``NONE`` behind the SYN
+    that moves the session to ``SYN_SENT``: the run must still complete
+    as the burst form's per-packet replay would."""
     for seed, ratio, granted in ((7, 3.0, False), (11, 6.0, False),
-                                 (11, 6.0, True), (23, 1.2, False)):
+                                 (11, 6.0, True), (23, 1.2, False),
+                                 (7, 1.5, False), (29, 5.0, False)):
         fast = simulate_hot_epoch(seed=seed, demand_ratio=ratio,
                                   granted=granted, fluid=True)
         slow = simulate_hot_epoch(seed=seed, demand_ratio=ratio,
@@ -504,7 +511,6 @@ def test_hot_sim_fluid_fast_forward_is_output_identical():
 
 def _count_packet_copies(monkeypatch):
     """Count ``Packet.copy`` calls by the function that made them."""
-    from repro.net.packet import Packet
     copies = Counter()
     real_copy = Packet.copy
 
@@ -518,18 +524,63 @@ def _count_packet_copies(monkeypatch):
 
 def test_hot_sim_fluid_sink_copies_nothing_on_delivery(monkeypatch):
     """The micro-sim's sink is run-aware and count-only: a fluid run
-    reaches it as (template, count). The copies left are the sender
-    side's re-materializations at a session miss or an FSM boundary."""
+    reaches it as (template, count). The one copy left is the session
+    opener, which pays the slow path alone as the burst form's first
+    packet does; every later packet of the flow stays a run, including
+    the runs queued while the SYN moved the FSM to ``SYN_SENT``."""
     copies = _count_packet_copies(monkeypatch)
-    fast = simulate_hot_epoch(seed=7, demand_ratio=3.0, granted=False,
-                              fluid=True)
-    assert copies["deliver_run"] == 0
-    assert sum(copies.values()) < fast["sim_delivered"] // 10
+    for ratio in (1.0, 1.5, 3.0, 5.0):
+        copies.clear()
+        fast = simulate_hot_epoch(seed=7, demand_ratio=ratio,
+                                  granted=False, fluid=True)
+        assert sum(copies.values()) == 1, (ratio, copies)
+        assert fast["sim_delivered"] > 0
     copies.clear()
-    slow = simulate_hot_epoch(seed=7, demand_ratio=3.0, granted=False,
+    slow = simulate_hot_epoch(seed=7, demand_ratio=5.0, granted=False,
                               fluid=False)
     assert not copies                        # the burst path never copies
     assert fast == slow and fast["sim_delivered"] > 0
+
+
+@pytest.mark.parametrize("ratio", [1.5, 5.0])
+def test_hot_sim_fluid_packets_cross_the_fabric_as_runs(ratio):
+    """Clock-free census of one fluid hot micro-sim: only the SYN and the
+    session opener reach the peer's per-packet sink; every later packet
+    crosses switch, link and receiver inside a run, so no burst reaches
+    a link and no TX completion replays a run per packet. (Before runs
+    survived the SYN's FSM move and the opener went alone, these read
+    33 / 81, 2 / 5 and 2 / 5 at ratios 1.5 / 5.0.)"""
+    _, calls = _python_calls(lambda: simulate_hot_epoch(
+        seed=7, demand_ratio=ratio, granted=False, fluid=True))
+    assert calls["vswitch.py", "VSwitch._fabric_sink"] == 2
+    assert calls["link.py", "Link.transmit_burst"] == 0
+    assert calls["vswitch.py", "LocalDatapath._complete_tx_batch"] == 0
+    assert calls["link.py", "Link.transmit_run"] > 0
+
+
+def test_hot_sim_fluid_template_is_never_mutated(monkeypatch):
+    """The fluid elephant hands one template packet to every run of its
+    flow, so no hop may rewrite it in place: after the micro-sims its
+    bytes — memoized and re-encoded from its headers — are a freshly
+    built data packet's."""
+    from repro.fleet import hotsim
+    flows = []
+
+    class RecordingFlow(hotsim.ElephantFlow):
+        def run(self, duration):
+            flows.append(self)
+            return super().run(duration)
+
+    monkeypatch.setattr(hotsim, "ElephantFlow", RecordingFlow)
+    for ratio in (1.0, 1.5, 5.0):
+        simulate_hot_epoch(seed=7, demand_ratio=ratio, granted=False)
+    for flow in flows:
+        assert "_template" in vars(flow)      # the runs carried it
+        template, fresh = flow._template, flow._data_packet()
+        assert template.encode() == fresh.encode()
+        assert Packet(template.layers, template.payload).encode() == \
+            fresh.encode()
+        assert template.meta == {}
 
 
 # -- the experiment: byte-identity across shard counts ----------------------

@@ -13,7 +13,7 @@ longhand per-packet architecture does.
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.host.vm import Vm, VmCostModel
 from repro.net import IPv4Address, Packet, TcpFlags
@@ -109,6 +109,8 @@ def _run(program, variant, reference, exact, cores):
         elif kind == "burst":
             vs.send_from_vnic_burst(vnic, [_packet(side, s) for s in args[0]])
         elif kind == "run":
+            for spec in args[2:]:       # single packets charged just before
+                vs.send_from_vnic(vnic, _packet(side, spec))
             vs.send_from_vnic_run(vnic, _packet(side, args[0]), args[1])
         elif kind == "flood":            # 96 new sessions at one instant
             for i in range(96):
@@ -176,14 +178,33 @@ def test_bursts_match_reference(program, variant):
     _agree(program, variant, exact=False, cores=1)
 
 
+# A data run that opens its session: the opener goes alone, the rest is
+# one run (under NAT or mirroring the rest still materializes).
+_OPENER = [("run", 0, (3, 0, 100), 4), ("run", 1, (3, 0, 60), 3)]
+# A SYN charged just before a data run of the same session, both at
+# ``NONE``: the SYN completes first, so the run completes under
+# ``SYN_SENT``, which its ``psh|ack`` template leaves unchanged.
+_SYN_UNDER_RUN = [("run", 0, (3, 0, 100), 2),
+                  ("run", 0, (3, 0, 100), 4, (0, 0, 0)),
+                  ("run", 1, (1, 0, 0), 1), ("run", 0, (2, 0, 10), 3)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(RUNS, st.sampled_from(VARIANTS))
+@example(_OPENER, "plain")
+@example(_OPENER, "nat")
+@example(_OPENER, "mirror")
+@example(_SYN_UNDER_RUN, "plain")
+@example(_SYN_UNDER_RUN, "nat")
+@example(_SYN_UNDER_RUN, "mirror")
 def test_fluid_runs_match_reference(program, variant):
     """``send_from_vnic_run(template, n)``: the fluid TX path, and the
     only way the RX side sees a run of n > 1 (a burst crosses the link as
     single arrivals). Compared like bursts, but on eight cores — one run
     job against n per-packet jobs spread over them: a run's packets are
-    identical, so their order cannot matter."""
+    identical, so their order cannot matter. The generated programs send
+    one run per step; the explicit examples also charge single packets
+    just before a run (``("run", side, spec, n, *specs)``)."""
     _agree(program, variant, exact=False)
 
 

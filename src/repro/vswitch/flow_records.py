@@ -15,10 +15,10 @@ and any other point that reads the state object (see DESIGN.md §5.5).
 Two deliberate deviations from a naive one-column-per-field layout:
 
 * **QoS tokens** stay in the shared per-(vNIC, class) token buckets —
-  flow-level limits are class-scoped, not session-scoped — and runs
-  consume them through the closed-form
-  :meth:`~repro.vswitch.qos.TokenBucket.allow_run`, which admits the
-  same prefix of the run that per-packet policing would;
+  flow-level limits are class-scoped, not session-scoped — and a run
+  consumes them in one :meth:`~repro.vswitch.qos.TokenBucket.allow`
+  call with ``n`` packets, which admits the same prefix of the run that
+  per-packet policing would;
 * the **flags column** is a cache (entry mode + stats policy snapshot)
   refreshed on every charge, never the source of truth: policy changes
   arrive through slow control paths (Nezha notify) that bypass slots.

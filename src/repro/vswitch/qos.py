@@ -28,39 +28,21 @@ class TokenBucket:
         self.conformed = 0
         self.dropped = 0
 
-    def allow(self, nbytes: int, now: float) -> bool:
-        """Consume tokens for a packet; False means police (drop)."""
-        elapsed = max(0.0, now - self.last_refill)
-        self.last_refill = now
-        self.tokens = min(self.burst_bytes,
-                          self.tokens + elapsed * self.rate_bytes_per_s)
-        if self.tokens >= nbytes:
-            self.tokens -= nbytes
-            self.conformed += 1
-            return True
-        self.dropped += 1
-        return False
+    def allow(self, nbytes: int, now: float, n: int = 1) -> int:
+        """Police ``n`` same-size packets observed at ``now``; returns how
+        many conform (a prefix — admitted packets are the first ``k``),
+        so one packet reads 1 (pass) or 0 (police).
 
-    def allow_run(self, nbytes: int, n: int, now: float) -> int:
-        """Police ``n`` same-size packets observed at one instant; returns
-        how many conform (a prefix — admitted packets are the first ``k``).
-
-        Exactly equivalent to ``n`` sequential :meth:`allow` calls at
-        ``now``: the bucket refills once (elapsed is zero from the second
-        call on), then floor-consumes whole packets until tokens run
-        short, after which every remaining call drops with tokens
-        unchanged.
+        Exactly ``n`` one-packet calls at ``now``: the bucket refills once
+        (elapsed is zero from the second call on), then floor-consumes
+        whole packets by repeated subtraction (not ``k * nbytes``, so the
+        float token state is bit-identical) until tokens run short, after
+        which every remaining packet drops with tokens unchanged.
         """
         elapsed = max(0.0, now - self.last_refill)
         self.last_refill = now
         tokens = min(self.burst_bytes,
                      self.tokens + elapsed * self.rate_bytes_per_s)
-        if nbytes <= 0:
-            self.tokens = tokens
-            self.conformed += n
-            return n
-        # Repeated subtraction (not k*nbytes) so the float token state is
-        # bit-identical to the per-packet path's.
         k = 0
         while k < n and tokens >= nbytes:
             tokens -= nbytes
@@ -79,7 +61,9 @@ class QosEnforcer:
         self._buckets: Dict[Tuple[int, int], TokenBucket] = {}
 
     def allow(self, vnic_id: int, qos_class: int, rate_bps: float,
-              nbytes: int, now: float) -> bool:
+              nbytes: int, now: float, n: int = 1) -> int:
+        """Police ``n`` packets in the (vNIC, class) bucket; returns the
+        conforming prefix size (see :meth:`TokenBucket.allow`)."""
         key = (vnic_id, qos_class)
         bucket = self._buckets.get(key)
         if bucket is None or \
@@ -87,16 +71,4 @@ class QosEnforcer:
             bucket = TokenBucket(rate_bps, self.burst_bytes)
             bucket.last_refill = now
             self._buckets[key] = bucket
-        return bucket.allow(nbytes, now)
-
-    def allow_run(self, vnic_id: int, qos_class: int, rate_bps: float,
-                  nbytes: int, n: int, now: float) -> int:
-        """Run form of :meth:`allow`; returns the conforming prefix size."""
-        key = (vnic_id, qos_class)
-        bucket = self._buckets.get(key)
-        if bucket is None or \
-                bucket.rate_bytes_per_s != rate_bps / 8.0:
-            bucket = TokenBucket(rate_bps, self.burst_bytes)
-            bucket.last_refill = now
-            self._buckets[key] = bucket
-        return bucket.allow_run(nbytes, n, now)
+        return bucket.allow(nbytes, now, n)

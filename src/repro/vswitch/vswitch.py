@@ -257,10 +257,12 @@ class VSwitch:
 
     # -- CPU-charged execution helper -------------------------------------------------------
 
-    def charge(self, cycles: float, fn: Callable[[], None]) -> bool:
-        """Run ``fn`` after ``cycles`` of CPU time; False = drop-tail."""
+    def charge(self, cycles: float, fn: Callable[..., None],
+               *args) -> bool:
+        """Run ``fn(*args)`` after ``cycles`` of CPU time; False =
+        drop-tail."""
         if self.cpu.try_submit_call(cycles, self.cost_model.max_cpu_backlog,
-                                    fn):
+                                    fn, *args):
             return True
         self.stats.cpu_drops += 1
         self.trace.emit("pkt.cpu_drop", vswitch=self.name)
@@ -345,7 +347,7 @@ class VSwitch:
             self._answer_probe(packet)
             return
         if type(after) is VxlanHeader:
-            self._handle_overlay_rx(packet, after.vni)
+            self._handle_overlay_rx(packet, after.vni, _strip_overlay(packet))
             return
         # Probe replies and unknown traffic terminate here.
         reply_port = packet.meta.get("probe_reply_port")
@@ -376,11 +378,13 @@ class VSwitch:
 
         self.charge(self.cost_model.fast_path_cycles, reply)
 
-    def _handle_overlay_rx(self, packet: Packet, vni: int) -> None:
+    def _handle_overlay_rx(self, packet: Packet, vni: int,
+                           outer_src: IPv4Address) -> None:
+        """One overlay arrival, stripped by the caller (``outer_src``)."""
         self.stats.rx_packets += 1
         if _spans.ACTIVE:
             _spans.hop(packet, "vswitch_rx", self.engine.now)
-        outer_src, inner_ip = _strip_overlay(packet)
+        inner_ip = packet.layers[0]
         vnic = self.vnic_for(vni, inner_ip.dst)
         if vnic is None:
             if (self.overlay_fallback is not None
@@ -403,7 +407,10 @@ class VSwitch:
 
         Only VXLAN overlay traffic rides runs (the fluid TX path emits
         nothing else); a span-carrying or non-overlay template falls
-        back to per-packet sinking of materialized copies."""
+        back to per-packet sinking of copies. Only a hosted vNIC's own
+        address keeps the run: for an unknown or fronted vNIC, or a NAT
+        alias, ``count`` copies of the stripped template take the
+        per-packet path, which may rewrite their headers."""
         if self.crashed:
             self.stats.crashed_drops += count
             return
@@ -412,32 +419,15 @@ class VSwitch:
             for _ in range(count):
                 self._fabric_sink(packet.copy())
             return
-        self.stats.rx_packets += count
-        outer_src, inner_ip = _strip_overlay(packet)
+        outer_src = _strip_overlay(packet)
         vni = vxlan.vni
-        vnic = self.vnic_for(vni, inner_ip.dst)
-        if vnic is None:
-            # Fallback consumption is a function of packet content, so one
-            # probe decides the whole (identical-packet) run.
-            if (self.overlay_fallback is not None
-                    and self.overlay_fallback(packet.copy(), vni, outer_src)):
-                for _ in range(count - 1):
-                    self.overlay_fallback(packet.copy(), vni, outer_src)
-                return
-            self.stats.unknown_vnic_drops += count
+        dst = packet.layers[0].dst
+        vnic = self.vnic_for(vni, dst)
+        if vnic is None or dst != vnic.tenant_ip:
             for _ in range(count):
-                self.trace.emit("pkt.unknown_vnic", vswitch=self.name,
-                                vni=vni)
+                self._handle_overlay_rx(packet.copy(), vni, outer_src)
             return
-        if inner_ip.dst != vnic.tenant_ip:
-            # NAT alias ingress rewrites headers per packet: materialize.
-            for _ in range(count):
-                copy = packet.copy()
-                copy.meta["nat_original_dst"] = copy.expect(IPv4Header).dst
-                copy.expect(IPv4Header).dst = vnic.tenant_ip
-                copy.invalidate_flow_cache()
-                self.datapath_for(vnic).handle_rx(vnic, copy, outer_src)
-            return
+        self.stats.rx_packets += count
         self.datapath_for(vnic).handle_rx_run(vnic, packet, count, outer_src)
 
     # -- underlay transmission helper ----------------------------------------------------------
@@ -549,14 +539,14 @@ def _underlay_frame(packet: Packet):
 
 def _strip_overlay(packet: Packet):
     """Pop the VXLAN transport off an overlay arrival the sink classified
-    (``Eth / IPv4 / UDP / VXLAN`` in slots 0-3) with one ``decap``;
-    returns ``(outer source IP, inner IPv4)``."""
+    (``Eth / IPv4 / UDP / VXLAN`` in slots 0-3) with one ``decap``,
+    leaving the inner IPv4 in slot 0; returns the outer source IP."""
     layers = packet.layers
     if (len(layers) < 6 or type(layers[4]) is not EthernetHeader
             or type(layers[5]) is not IPv4Header):
         raise PacketError("overlay frame lacks the inner Ethernet / IPv4")
     packet.decap(5)
-    return layers[1].src, layers[5]
+    return layers[1].src
 
 
 class LocalDatapath(Datapath):
@@ -649,9 +639,9 @@ class LocalDatapath(Datapath):
         ``entry is None`` means ``packets[index]`` must take the
         per-packet path (miss, STATE_ONLY residue, or an FSM-advancing
         packet). ``fsm_snap`` is the TCP FSM state the run was classified
-        against: completion may process the run aggregately only while
-        the live state still equals it (the CPU queue can delay
-        completion past an FSM-advancing packet of the same session).
+        against: the CPU queue can delay completion past an FSM-advancing
+        packet of the same session, so completion replays the run per
+        packet when the live state differs and moves one of its packets.
         """
         vs = self.vswitch
         first = packets[index]
@@ -688,8 +678,8 @@ class LocalDatapath(Datapath):
 
     def _account_run(self, entry, direction: Direction, pre, n: int,
                      nbytes: int) -> bool:
-        """Verdict and flow-record accounting of one run, shared by the
-        four run completions: an ACL drop counts and traces all ``n``
+        """Verdict and flow-record accounting of one run, shared by both
+        run completions: an ACL drop counts and traces all ``n``
         packets and only touches the record; otherwise ``n`` packets /
         ``nbytes`` land in the entry's record columns. False = dropped."""
         vs = self.vswitch
@@ -727,106 +717,18 @@ class LocalDatapath(Datapath):
             if entry is None:
                 self._tx_single(vnic, packets[index - 1])
                 continue
+            k = len(run)
             vs.charge_batch(
-                cycles + len(run) * encap, len(run),
-                lambda e=entry, r=run, s=snap, b=nbytes:
-                    self._complete_tx_batch(vnic, e, r, s, b))
-
-    def _tx_run_eligible(self, entry, fsm_snap) -> bool:
-        """May a charged TX run complete through the flow-record fast
-        path? Requires a live slot, an unmoved TCP FSM (every packet was
-        verified quiet against ``fsm_snap`` at classify time), and no
-        per-packet header work (NAT rewrite, mirroring)."""
-        if entry.slot < 0:
-            return False
-        if fsm_snap is not None and entry.state.tcp_state is not fsm_snap:
-            return False
-        pre = entry.pre_actions.tx
-        return pre.nat_src is None and pre.mirror_to is None
-
-    def _complete_tx_batch(self, vnic: Vnic, entry, packets,
-                           fsm_snap=None, run_bytes: int = -1) -> None:
-        vs = self.vswitch
-        if entry.pre_actions is None or entry.state is None:
-            # Offloaded (entry demoted) while the job sat in the CPU
-            # queue; the burst is lost like any in-flight packets during
-            # a reconfiguration.
-            vs.stats.cpu_drops += len(packets)
-            return
-        if run_bytes >= 0 and self._tx_run_eligible(entry, fsm_snap):
-            self._complete_tx_run(vnic, entry, packets, run_bytes)
-            return
-        routed = []
-        for packet in packets:
-            self._advance_tcp(entry, Direction.TX, packet)
-            entry.state.touch(vs.engine.now)
-            action = process_pkt(Direction.TX, entry.pre_actions,
-                                 entry.state, packet.wire_length)
-            if action.is_drop:
-                vs.stats.acl_drops += 1
-                vs.trace.emit("pkt.acl_drop", vswitch=vs.name,
-                              direction="tx")
-                continue
-            pre = entry.pre_actions.tx
-            if not _qos_admits(vs, vnic, pre, packet.wire_length):
-                continue
-            if pre.nat_src is not None:
-                packet.inner_ipv4().src = pre.nat_src
-                packet.invalidate_flow_cache()
-            if (vnic.stateful_decap
-                    and entry.state.decap_overlay_src is not None):
-                action.next_hop_ip = entry.state.decap_overlay_src
-                action.next_hop_mac = None
-            routed.append((packet, action))
-        vs.forward_overlay_burst(routed, entry)
-
-    def _complete_tx_run(self, vnic: Vnic, entry, packets,
-                         run_bytes: int) -> None:
-        """Aggregate TX completion: the whole run is charged, counted,
-        and routed without touching per-packet state objects — flow
-        statistics land in the session table's record columns, QoS runs
-        per packet only when a rate limit is actually attached, and the
-        forward reuses the entry's encap template. Per-packet
-        observables (acl/qos/no-route traces, admitted prefixes) are
-        identical to the per-packet loop."""
-        vs = self.vswitch
-        pre = entry.pre_actions.tx
-        if not self._account_run(entry, Direction.TX, pre, len(packets),
-                                 run_bytes):
-            return
-        if (vnic.rate_limit_bps is not None
-                or pre.rate_limit_bps is not None):
-            out = [p for p in packets
-                   if _qos_admits(vs, vnic, pre, p.wire_length)]
-            if not out:
-                return
-        else:
-            out = packets
-        next_hop_ip, next_hop_mac = _tx_next_hop(vnic, entry.state, pre)
-        if next_hop_ip is None:
-            vs.stats.no_route_drops += len(out)
-            for _ in range(len(out)):
-                vs.trace.emit("pkt.no_route", vswitch=vs.name)
-            return
-        if _spans.ACTIVE:
-            now = vs.engine.now
-            for packet in out:
-                _spans.hop(packet, "fabric_tx", now)
-        entropy = 49152 + (out[0].five_tuple().hash() & 0x3FFF)
-        tmpl = vs.encap_template(entry, next_hop_ip,
-                                 next_hop_mac or MacAddress.broadcast(),
-                                 pre.vni, entropy)
-        vs.stats.forwarded += len(out)
-        vs.server.send_to_fabric_burst([tmpl.wrap(p) for p in out])
-
-    # -- fluid TX -----------------------------------------------------------------
+                cycles + k * encap, k,
+                lambda e=entry, r=run, k=k, s=snap, b=nbytes:
+                    self._complete_tx(vnic, e, r, k, s, b))
 
     def handle_tx_run(self, vnic: Vnic, packet: Packet, count: int) -> None:
         """Fluid TX: one template packet stands for ``count`` identical
         packets of a long-lived flow. Eligibility mirrors
-        :meth:`_classify_run` (FULL hit, FSM-quiet) plus the flow-record
-        fast-path conditions; anything else re-materializes into the
-        burst path. A session opener goes alone, as in a burst."""
+        :meth:`_classify_run` (FULL hit, FSM-quiet) plus no per-packet
+        header work; anything else re-materializes into the burst path.
+        A session opener goes alone, as in a burst."""
         vs = self.vswitch
         entry = vs.session_table.lookup(vnic.vni, packet.five_tuple())
         if entry is None and count > 1:
@@ -848,73 +750,118 @@ class LocalDatapath(Datapath):
         snap = entry.state.tcp_state
         vs.charge_batch(
             cycles, count,
-            lambda: self._complete_tx_fluid(vnic, entry, packet, count,
-                                            snap, wire))
+            lambda: self._complete_tx(vnic, entry, packet, count, snap,
+                                      count * wire))
 
-    def _complete_tx_fluid(self, vnic: Vnic, entry, packet: Packet,
-                           count: int, fsm_snap, wire: int) -> None:
+    def _complete_tx(self, vnic: Vnic, entry, packets, count: int,
+                     fsm_snap, nbytes: int) -> None:
+        """Complete a charged TX run of ``count`` packets / ``nbytes``
+        bytes: a burst's own ``packets`` list, or a fluid run's one
+        template packet. It completes in aggregate (one verdict and
+        record charge, QoS as a prefix, one train or run descriptor)
+        unless its entry lost its record slot, it needs NAT or mirroring,
+        or the FSM moved off ``fsm_snap`` while it sat in the CPU queue to
+        a state one of its packets is not quiet in: then it replays
+        through :meth:`_tx_one` (a fluid run on copies of its template)
+        and leaves as one train."""
         vs = self.vswitch
-        if entry.pre_actions is None or entry.state is None:
+        state = entry.state
+        if entry.pre_actions is None or state is None:
+            # Offloaded (entry demoted) while the job sat in the CPU
+            # queue: lost like any in-flight packets of a reconfiguration.
             vs.stats.cpu_drops += count
             return
-        if (entry.state.tcp_state is not fsm_snap
-                and self._fsm_quiet(entry, Direction.TX, packet)):
-            fsm_snap = entry.state.tcp_state    # n quiet packets stay quiet
-        if not self._tx_run_eligible(entry, fsm_snap):
-            # Event boundary (the template now moves the FSM, route or
-            # policy changed) landed while the run sat in the CPU queue:
-            # re-materialize and replay the per-packet completion.
-            self._complete_tx_batch(vnic, entry,
-                                    [packet.copy() for _ in range(count)])
-            return
+        fluid = type(packets) is Packet
         pre = entry.pre_actions.tx
-        if not self._account_run(entry, Direction.TX, pre, count,
-                                 count * wire):
+        replay = (entry.slot < 0 or pre.nat_src is not None
+                  or pre.mirror_to is not None)
+        if not replay and state.tcp_state is not fsm_snap:
+            # n packets quiet in the live state leave it unchanged.
+            for packet in ((packets,) if fluid else packets):
+                if not self._fsm_quiet(entry, Direction.TX, packet):
+                    replay = True
+                    break
+        if replay:
+            if fluid:
+                packets = [packets.copy() for _ in range(count)]
+            routed: List[Tuple[Packet, FinalAction]] = []
+            for packet in packets:
+                self._tx_one(vnic, entry, packet, routed)
+            vs.forward_overlay_burst(routed, entry)
             return
-        k = count
+        if not self._account_run(entry, Direction.TX, pre, count, nbytes):
+            return
         if (vnic.rate_limit_bps is not None
                 or pre.rate_limit_bps is not None):
-            k = _qos_admits_run(vs, vnic, pre, wire, count)
-            if k == 0:
+            if fluid:
+                count = _qos_admits(vs, vnic, pre, packets.wire_length, count)
+            else:
+                packets = [p for p in packets
+                           if _qos_admits(vs, vnic, pre, p.wire_length)]
+                count = len(packets)
+            if not count:
                 return
-        next_hop_ip, next_hop_mac = _tx_next_hop(vnic, entry.state, pre)
-        vs.forward_overlay_run(entry, packet, k, next_hop_ip, next_hop_mac,
-                               pre.vni)
+        next_hop_ip, next_hop_mac = _tx_next_hop(vnic, state, pre)
+        if fluid:
+            vs.forward_overlay_run(entry, packets, count, next_hop_ip,
+                                   next_hop_mac, pre.vni)
+            return
+        if next_hop_ip is None:
+            vs.stats.no_route_drops += count
+            for _ in range(count):
+                vs.trace.emit("pkt.no_route", vswitch=vs.name)
+            return
+        if _spans.ACTIVE:
+            now = vs.engine.now
+            for packet in packets:
+                _spans.hop(packet, "fabric_tx", now)
+        entropy = 49152 + (packets[0].five_tuple().hash() & 0x3FFF)
+        tmpl = vs.encap_template(entry, next_hop_ip,
+                                 next_hop_mac or MacAddress.broadcast(),
+                                 pre.vni, entropy)
+        vs.stats.forwarded += count
+        vs.server.send_to_fabric_burst([tmpl.wrap(p) for p in packets])
 
     def _tx_single(self, vnic: Vnic, packet: Packet) -> None:
         vs = self.vswitch
         entry, cycles = self._lookup_or_create(vnic, packet, Direction.TX)
-        if entry is None:
+        if entry is not None:
+            vs.charge(cycles + vs.cost_model.encap_cycles, self._tx_one,
+                      vnic, entry, packet)
+
+    def _tx_one(self, vnic: Vnic, entry, packet: Packet,
+                routed: Optional[list] = None) -> None:
+        """The per-packet TX body a single is charged with and a replay
+        runs: FSM, verdict, QoS, NAT and the stateful-decap route, then
+        the forward — alone, or into the replay's ``routed`` train."""
+        vs = self.vswitch
+        state = entry.state
+        if entry.pre_actions is None or state is None:
+            # Offloaded (entry demoted) while the job sat in the CPU
+            # queue: lost like any in-flight packet of a reconfiguration.
+            vs.stats.cpu_drops += 1
             return
-
-        def complete():
-            if entry.pre_actions is None or entry.state is None:
-                # The vNIC was offloaded (entry demoted) while this job sat
-                # in the CPU queue; the packet is lost like any in-flight
-                # packet during a reconfiguration.
-                vs.stats.cpu_drops += 1
-                return
-            self._advance_tcp(entry, Direction.TX, packet)
-            entry.state.touch(vs.engine.now)
-            action = process_pkt(Direction.TX, entry.pre_actions,
-                                 entry.state, packet.wire_length)
-            if action.is_drop:
-                vs.stats.acl_drops += 1
-                vs.trace.emit("pkt.acl_drop", vswitch=vs.name, direction="tx")
-                return
-            pre = entry.pre_actions.tx
-            if not _qos_admits(vs, vnic, pre, packet.wire_length):
-                return
-            if pre.nat_src is not None:
-                packet.inner_ipv4().src = pre.nat_src
-                packet.invalidate_flow_cache()
-            if (vnic.stateful_decap
-                    and entry.state.decap_overlay_src is not None):
-                action.next_hop_ip = entry.state.decap_overlay_src
-                action.next_hop_mac = None
+        self._advance_tcp(entry, Direction.TX, packet)
+        state.touch(vs.engine.now)
+        action = process_pkt(Direction.TX, entry.pre_actions, state,
+                             packet.wire_length)
+        if action.is_drop:
+            vs.stats.acl_drops += 1
+            vs.trace.emit("pkt.acl_drop", vswitch=vs.name, direction="tx")
+            return
+        pre = entry.pre_actions.tx
+        if not _qos_admits(vs, vnic, pre, packet.wire_length):
+            return
+        if pre.nat_src is not None:
+            packet.inner_ipv4().src = pre.nat_src
+            packet.invalidate_flow_cache()
+        if vnic.stateful_decap and state.decap_overlay_src is not None:
+            action.next_hop_ip = state.decap_overlay_src
+            action.next_hop_mac = None
+        if routed is None:
             vs.forward_overlay(packet, action)
-
-        vs.charge(cycles + vs.cost_model.encap_cycles, complete)
+        else:
+            routed.append((packet, action))
 
     # -- RX --------------------------------------------------------------------------
 
@@ -936,46 +883,11 @@ class LocalDatapath(Datapath):
                 continue
             if vnic.stateful_decap and overlay_src is not None:
                 entry.state.decap_overlay_src = IPv4Address(overlay_src)
+            k = len(run)
             vs.charge_batch(
-                cycles, len(run),
-                lambda e=entry, r=run, s=snap, b=nbytes:
-                    self._complete_rx_batch(vnic, e, r, s, b))
-
-    def _complete_rx_batch(self, vnic: Vnic, entry, packets,
-                           fsm_snap=None, run_bytes: int = -1) -> None:
-        vs = self.vswitch
-        if entry.pre_actions is None or entry.state is None:
-            vs.stats.cpu_drops += len(packets)
-            return
-        if (run_bytes >= 0 and entry.slot >= 0
-                and (fsm_snap is None
-                     or entry.state.tcp_state is fsm_snap)):
-            self._complete_rx_run(vnic, entry, packets, run_bytes)
-            return
-        for packet in packets:
-            self._advance_tcp(entry, Direction.RX, packet)
-            entry.state.touch(vs.engine.now)
-            action = process_pkt(Direction.RX, entry.pre_actions,
-                                 entry.state, packet.wire_length)
-            if action.is_drop:
-                vs.stats.acl_drops += 1
-                vs.trace.emit("pkt.acl_drop", vswitch=vs.name,
-                              direction="rx")
-                continue
-            vs.stats.delivered += 1
-            vnic.deliver(packet)
-
-    def _complete_rx_run(self, vnic: Vnic, entry, packets,
-                         run_bytes: int) -> None:
-        """Aggregate RX completion: mirror of :meth:`_complete_tx_run`
-        (the RX pipeline has no QoS or NAT stage)."""
-        n = len(packets)
-        if self._account_run(entry, Direction.RX, entry.pre_actions.rx, n,
-                             run_bytes):
-            self.vswitch.stats.delivered += n
-            vnic.deliver_burst(packets)
-
-    # -- fluid RX -----------------------------------------------------------------
+                cycles, k,
+                lambda e=entry, r=run, k=k, s=snap, b=nbytes:
+                    self._complete_rx(vnic, e, r, k, s, b))
 
     def handle_rx_run(self, vnic: Vnic, packet: Packet, count: int,
                       overlay_src: Optional[IPv4Address] = None) -> None:
@@ -996,25 +908,39 @@ class LocalDatapath(Datapath):
         snap = entry.state.tcp_state
         vs.charge_batch(
             cycles, count,
-            lambda: self._complete_rx_fluid(vnic, entry, packet, count,
-                                            snap, wire))
+            lambda: self._complete_rx(vnic, entry, packet, count, snap,
+                                      count * wire))
 
-    def _complete_rx_fluid(self, vnic: Vnic, entry, packet: Packet,
-                           count: int, fsm_snap, wire: int) -> None:
+    def _complete_rx(self, vnic: Vnic, entry, packets, count: int,
+                     fsm_snap, nbytes: int) -> None:
+        """Mirror of :meth:`_complete_tx` without QoS or NAT: delivers
+        in aggregate, or replays through :meth:`_rx_one`."""
         vs = self.vswitch
-        if entry.pre_actions is None or entry.state is None:
+        state = entry.state
+        if entry.pre_actions is None or state is None:
             vs.stats.cpu_drops += count
             return
-        if entry.slot < 0 or (
-                entry.state.tcp_state is not fsm_snap
-                and not self._fsm_quiet(entry, Direction.RX, packet)):
-            self._complete_rx_batch(vnic, entry,
-                                    [packet.copy() for _ in range(count)])
+        fluid = type(packets) is Packet
+        replay = entry.slot < 0
+        if not replay and state.tcp_state is not fsm_snap:
+            # n packets quiet in the live state leave it unchanged.
+            for packet in ((packets,) if fluid else packets):
+                if not self._fsm_quiet(entry, Direction.RX, packet):
+                    replay = True
+                    break
+        if replay:
+            if fluid:
+                packets = [packets.copy() for _ in range(count)]
+            for packet in packets:
+                self._rx_one(vnic, entry, packet)
             return
         if self._account_run(entry, Direction.RX, entry.pre_actions.rx,
-                             count, count * wire):
+                             count, nbytes):
             vs.stats.delivered += count
-            vnic.deliver_run(packet, count)
+            if fluid:
+                vnic.deliver_run(packets, count)
+            else:
+                vnic.deliver_burst(packets)
 
     def _rx_single(self, vnic: Vnic, packet: Packet,
                    overlay_src: Optional[IPv4Address] = None) -> None:
@@ -1026,23 +952,25 @@ class LocalDatapath(Datapath):
             # Stateful decap (§5.2): remember the overlay source so the
             # response returns through it (the LB), not to the client.
             entry.state.decap_overlay_src = IPv4Address(overlay_src)
+        vs.charge(cycles, self._rx_one, vnic, entry, packet)
 
-        def complete():
-            if entry.pre_actions is None or entry.state is None:
-                vs.stats.cpu_drops += 1
-                return
-            self._advance_tcp(entry, Direction.RX, packet)
-            entry.state.touch(vs.engine.now)
-            action = process_pkt(Direction.RX, entry.pre_actions,
-                                 entry.state, packet.wire_length)
-            if action.is_drop:
-                vs.stats.acl_drops += 1
-                vs.trace.emit("pkt.acl_drop", vswitch=vs.name, direction="rx")
-                return
-            vs.stats.delivered += 1
-            vnic.deliver(packet)
-
-        vs.charge(cycles, complete)
+    def _rx_one(self, vnic: Vnic, entry, packet: Packet) -> None:
+        """The per-packet RX body (see :meth:`_tx_one`)."""
+        vs = self.vswitch
+        state = entry.state
+        if entry.pre_actions is None or state is None:
+            vs.stats.cpu_drops += 1
+            return
+        self._advance_tcp(entry, Direction.RX, packet)
+        state.touch(vs.engine.now)
+        action = process_pkt(Direction.RX, entry.pre_actions, state,
+                             packet.wire_length)
+        if action.is_drop:
+            vs.stats.acl_drops += 1
+            vs.trace.emit("pkt.acl_drop", vswitch=vs.name, direction="rx")
+            return
+        vs.stats.delivered += 1
+        vnic.deliver(packet)
 
 
 def _tx_next_hop(vnic: Vnic, state, pre):
@@ -1053,9 +981,12 @@ def _tx_next_hop(vnic: Vnic, state, pre):
     return pre.next_hop_ip, pre.next_hop_mac
 
 
-def _qos_admits(vs: "VSwitch", vnic: Vnic, pre, nbytes: int,
-                vnic_level: bool = True) -> bool:
-    """Police the vNIC-level and flow-level egress rate limits.
+def _qos_admits(vs: "VSwitch", vnic: Vnic, pre, nbytes: int, n: int = 1,
+                vnic_level: bool = True) -> int:
+    """Police ``n`` same-size packets at one instant through the
+    vNIC-level and flow-level egress rate limits; returns the admitted
+    prefix size, so one packet reads 1 (pass) or 0 (drop). Packets the
+    vNIC-level bucket rejects never reach the flow-level one.
 
     ``vnic_level=False`` at an FE: a frontend sees only the flows hashed
     to it, so the vNIC-level (VM-level) limit must be enforced where all
@@ -1063,34 +994,14 @@ def _qos_admits(vs: "VSwitch", vnic: Vnic, pre, nbytes: int,
     only.
     """
     now = vs.engine.now
-    if vnic_level and vnic.rate_limit_bps is not None:
-        if not vs.qos.allow(vnic.vnic_id, -1, vnic.rate_limit_bps,
-                            nbytes, now):
-            vs.stats.qos_drops += 1
-            return False
-    if pre is not None and pre.rate_limit_bps is not None:
-        if not vs.qos.allow(vnic.vnic_id, pre.qos_class,
-                            pre.rate_limit_bps, nbytes, now):
-            vs.stats.qos_drops += 1
-            return False
-    return True
-
-
-def _qos_admits_run(vs: "VSwitch", vnic: Vnic, pre, nbytes: int, n: int,
-                    vnic_level: bool = True) -> int:
-    """Run form of :func:`_qos_admits` for ``n`` same-size packets at one
-    instant; returns the admitted prefix length. Bucket token state and
-    drop counts match ``n`` sequential per-packet calls exactly: packets
-    rejected by the vNIC-level bucket never reach the flow-level one."""
-    now = vs.engine.now
     k = n
     if vnic_level and vnic.rate_limit_bps is not None:
-        k = vs.qos.allow_run(vnic.vnic_id, -1, vnic.rate_limit_bps,
-                             nbytes, n, now)
+        k = vs.qos.allow(vnic.vnic_id, -1, vnic.rate_limit_bps, nbytes,
+                         now, n)
         vs.stats.qos_drops += n - k
     if k and pre is not None and pre.rate_limit_bps is not None:
-        admitted = vs.qos.allow_run(vnic.vnic_id, pre.qos_class,
-                                    pre.rate_limit_bps, nbytes, k, now)
+        admitted = vs.qos.allow(vnic.vnic_id, pre.qos_class,
+                                pre.rate_limit_bps, nbytes, now, k)
         vs.stats.qos_drops += k - admitted
         k = admitted
     return k

@@ -159,37 +159,39 @@ def test_edge_case_identical_to_per_packet_replay(scenario):
     assert scenario(reference=False) == scenario(reference=True)
 
 
-# -- fluid completion: the live FSM rule -----------------------------------
+# -- run completion: the live FSM rule --------------------------------------
 #
-# A fluid run is charged against the FSM state of the moment; a packet
-# charged before it (one core, so completions keep charge order) may move
-# the FSM before the run completes. The run still completes as a run when
-# its template leaves the *live* state unchanged, and re-materializes
-# into the per-packet replay when it does not.
+# A run (a burst's or a fluid one) is charged against the FSM state of the
+# moment; a packet charged before it (one core, so completions keep
+# charge order) may move the FSM before the run completes. The run still
+# completes in aggregate when its packets leave the *live* state
+# unchanged, and replays per packet when they do not.
 
 
-def _fluid_mutant():
-    """``LocalDatapath`` with ``_complete_tx_fluid`` recompiled from its
-    own source minus the live-state check: a queued run completes as a
-    run whatever the FSM did meanwhile."""
-    method = vswitch_module.LocalDatapath._complete_tx_fluid
+def _live_state_mutant(method_name):
+    """``LocalDatapath`` with ``method_name`` (``_complete_tx`` or
+    ``_complete_rx``) recompiled from its own source minus the live-state
+    check: a queued run completes in aggregate whatever the FSM did
+    meanwhile."""
+    method = getattr(vswitch_module.LocalDatapath, method_name)
     source = textwrap.dedent(inspect.getsource(method))
-    old = "and self._fsm_quiet(entry, Direction.TX, packet)):"
+    old = "if not replay and state.tcp_state is not fsm_snap:"
     assert source.count(old) == 1, f"mutation site moved: {old!r}"
     namespace = dict(vars(vswitch_module))
-    exec(compile(source.replace(old, "):"), vswitch_module.__file__,
+    exec(compile(source.replace(old, "if False:"), vswitch_module.__file__,
                  "exec"), namespace)
     return type("MutantDatapath", (vswitch_module.LocalDatapath,),
-                {"_complete_tx_fluid": namespace["_complete_tx_fluid"]})
+                {method_name: namespace[method_name]})
 
 
-def _one_core_cloud(datapath_cls=None):
+def _one_core_cloud(datapath_cls=None, vswitch="a"):
     cost_model = CostModel.testbed()
     cost_model.cores = 1
     cloud = build_cloud(cost_model=cost_model)
     if datapath_cls is not None:
-        cloud.vswitch_a.set_datapath(cloud.vnic_a.vnic_id,
-                                     datapath_cls(cloud.vswitch_a))
+        vs = getattr(cloud, f"vswitch_{vswitch}")
+        vs.set_datapath(getattr(cloud, f"vnic_{vswitch}").vnic_id,
+                        datapath_cls(vs))
     for vnic in (cloud.vnic_a, cloud.vnic_b):
         vnic.attach_guest(lambda pkt: None, lambda pkt, count: None)
     return cloud
@@ -213,9 +215,22 @@ def _send(cloud, packet, n, fluid):
     return sent
 
 
-def _observed(cloud, sent):
-    return (sent, asdict(cloud.vswitch_a.stats),
-            _flow_counters(cloud.vswitch_a, ack().five_tuple()))
+def _observed(cloud, sent, vswitch="a"):
+    vs = getattr(cloud, f"vswitch_{vswitch}")
+    return (sent, asdict(vs.stats), _flow_counters(vs, ack().five_tuple()))
+
+
+def _count_process_pkt(monkeypatch):
+    """Count the datapath's per-packet pipeline runs (``process_pkt``)."""
+    calls = []
+    real = vswitch_module.process_pkt
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(vswitch_module, "process_pkt", counting)
+    return calls
 
 
 def _syn_lands_under_queued_run(fluid):
@@ -257,13 +272,50 @@ def _synack_lands_under_queued_run(fluid, datapath_cls=None):
     return _observed(cloud, sent)
 
 
-def test_fluid_run_survives_a_quiet_fsm_move():
-    """Charged at ``NONE``, completed under ``SYN_SENT``: the SYN and one
-    run on the wire, and every counter and flow record the burst
-    form's."""
+def _synack_sent_under_queued_rx_run(fluid, datapath_cls=None):
+    """The RX boundary, on B: A's SYN arrived as RX (``SYN_SENT``), B's
+    own SYN/ACK is charged, then an initiator ``ack`` RX run is charged
+    against ``SYN_SENT``. The SYN/ACK completes first and moves the
+    state to ``SYN_RECEIVED``, so the run must replay per packet.
+    Returns B's deliveries by call shape, stats and flow record."""
+    cloud = _one_core_cloud(datapath_cls, vswitch="b")
+    vs, vnic = cloud.vswitch_b, cloud.vnic_b
+    delivered = []
+    vnic.attach_guest(lambda pkt: delivered.append(("single", 1)),
+                      lambda pkt, count: delivered.append(("run", count)))
+    cloud.vswitch_a.send_from_vnic(cloud.vnic_a,
+                                   ack(flags=("syn",), payload=b""))
+    cloud.engine.run(until=cloud.engine.now + 0.1)
+    entry = vs.session_table.lookup(VNI, ack().five_tuple())
+    assert entry.state.tcp_state is TcpState.SYN_SENT
+    entry.state.stats_policy = StatsPolicy.FULL
+    delivered.clear()
+    vs.send_from_vnic(vnic, Packet.tcp(TENANT_B, TENANT_A, 80, 1000,
+                                       TcpFlags.of("syn", "ack")))
+    datapath = vs.datapath_for(vnic)
+    if fluid:
+        datapath.handle_rx_run(vnic, ack(), 4)
+    else:
+        datapath.handle_rx_burst(vnic, [ack() for _ in range(4)])
+    cloud.engine.run(until=cloud.engine.now + 0.1)
+    return _observed(cloud, delivered, vswitch="b")
+
+
+def test_fluid_run_survives_a_quiet_fsm_move(monkeypatch):
+    """Charged at ``NONE``, completed under ``SYN_SENT``: both forms
+    complete the queued run in aggregate (three pipeline runs: the
+    opener, its arrival at B, the SYN), the fluid form puts the SYN and
+    one run on the wire, and every counter and flow record is the
+    burst form's."""
+    calls = _count_process_pkt(monkeypatch)
     fluid = _syn_lands_under_queued_run(fluid=True)
+    assert len(calls) == 3, calls
+    calls.clear()
+    burst = _syn_lands_under_queued_run(fluid=False)
+    assert len(calls) == 3, calls
     assert fluid[0] == [("single", 1), ("run", 5)]
-    assert fluid[1:] == _syn_lands_under_queued_run(fluid=False)[1:]
+    assert burst[0] == [("single", 1), ("burst", 5)]
+    assert fluid[1:] == burst[1:]
 
 
 def _assert_rematerializes(datapath_cls=None):
@@ -273,6 +325,15 @@ def _assert_rematerializes(datapath_cls=None):
     assert fluid[0] == [("burst", 4)]
 
 
+def _assert_rx_replays(datapath_cls=None):
+    for fluid in (True, False):
+        observed = _synack_sent_under_queued_rx_run(fluid, datapath_cls)
+        assert observed[2][-1] is TcpState.ESTABLISHED, \
+            "queued RX run kept as a run"
+        assert observed[0] == [("single", 1)] * 4
+    assert observed == _synack_sent_under_queued_rx_run(True)
+
+
 def test_fluid_run_rematerializes_when_the_live_state_moves_it():
     """Charged at ``SYN_SENT``, completed under ``SYN_RECEIVED``: the
     template is not quiet there, so the run replays per packet and the
@@ -280,8 +341,22 @@ def test_fluid_run_rematerializes_when_the_live_state_moves_it():
     _assert_rematerializes()
 
 
+def test_rx_run_replays_when_the_live_state_moves_it():
+    """B's mirror of the boundary: an RX run queued behind B's own
+    SYN/ACK replays per packet, in both forms, and the first ``ack``
+    establishes B's session."""
+    _assert_rx_replays()
+
+
 def test_live_state_rule_trips_on_its_mutant():
-    """A fluid completion that accepts any live state completes the run
+    """A TX completion that accepts any live state completes the run
     in ``SYN_RECEIVED`` and never establishes the session."""
     with pytest.raises(AssertionError, match="queued run kept as a run"):
-        _assert_rematerializes(_fluid_mutant())
+        _assert_rematerializes(_live_state_mutant("_complete_tx"))
+
+
+def test_rx_live_state_rule_trips_on_its_mutant():
+    """The same mutation of the RX completion keeps B's queued run in
+    aggregate under ``SYN_RECEIVED``."""
+    with pytest.raises(AssertionError, match="queued RX run kept as a run"):
+        _assert_rx_replays(_live_state_mutant("_complete_rx"))

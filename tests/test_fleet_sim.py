@@ -545,16 +545,31 @@ def test_hot_sim_fluid_sink_copies_nothing_on_delivery(monkeypatch):
 @pytest.mark.parametrize("ratio", [1.5, 5.0])
 def test_hot_sim_fluid_packets_cross_the_fabric_as_runs(ratio):
     """Clock-free census of one fluid hot micro-sim: only the SYN and the
-    session opener reach the peer's per-packet sink; every later packet
-    crosses switch, link and receiver inside a run, so no burst reaches
-    a link and no TX completion replays a run per packet. (Before runs
-    survived the SYN's FSM move and the opener went alone, these read
-    33 / 81, 2 / 5 and 2 / 5 at ratios 1.5 / 5.0.)"""
+    session opener reach the peer's per-packet sink and the per-packet
+    TX / RX bodies; every later packet crosses switch, link and receiver
+    inside a run, so no burst reaches a link and no completion replays a
+    run per packet (the replay's train emitter never runs). (Before runs
+    survived the SYN's FSM move and the opener went alone, the sink and
+    the TX replay read 33 / 81 and 2 / 5 at ratios 1.5 / 5.0.)"""
+    from repro.fabric import link
+    from repro.vswitch import vswitch
     _, calls = _python_calls(lambda: simulate_hot_epoch(
         seed=7, demand_ratio=ratio, granted=False, fluid=True))
-    assert calls["vswitch.py", "VSwitch._fabric_sink"] == 2
-    assert calls["link.py", "Link.transmit_burst"] == 0
-    assert calls["vswitch.py", "LocalDatapath._complete_tx_batch"] == 0
+    census = {
+        ("vswitch.py", "VSwitch._fabric_sink"): 2,
+        ("vswitch.py", "LocalDatapath._tx_one"): 2,
+        ("vswitch.py", "LocalDatapath._rx_one"): 2,
+        ("vswitch.py", "VSwitch.forward_overlay_burst"): 0,
+        ("link.py", "Link.transmit_burst"): 0,
+    }
+    modules = {"vswitch.py": vswitch, "link.py": link}
+    for (filename, qualname), expected in census.items():
+        # A counter reads 0 for a name that no longer exists: check it
+        # does, so a rename cannot pass the census by counting nothing.
+        cls_name, method = qualname.split(".")
+        assert callable(getattr(getattr(modules[filename], cls_name),
+                                method, None)), qualname
+        assert calls[filename, qualname] == expected, qualname
     assert calls["link.py", "Link.transmit_run"] > 0
 
 

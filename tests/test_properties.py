@@ -204,3 +204,94 @@ def test_token_bucket_refills_over_time():
     assert bucket.allow(1000, now=0.0)          # burst drained
     assert not bucket.allow(500, now=0.1)       # only 100B refilled
     assert bucket.allow(500, now=0.6)           # 600B refilled by now
+
+
+# -- QoS run form == n one-packet calls -----------------------------------------
+
+qos_arrivals = st.lists(
+    st.tuples(st.floats(0.0, 0.05), st.integers(40, 1500),
+              st.integers(1, 40)),
+    min_size=1, max_size=20)
+
+
+@given(st.floats(1e3, 1e8), st.integers(100, 20_000), qos_arrivals)
+@settings(max_examples=60, deadline=None)
+def test_token_bucket_run_equals_one_packet_calls(rate_bps, burst, arrivals):
+    """``allow(nbytes, now, n)`` admits the same ``k`` as ``n`` one-packet
+    calls at ``now``, and leaves bit-identical tokens and equal
+    conformed / dropped counts."""
+    from repro.vswitch.qos import TokenBucket
+    run, one = TokenBucket(rate_bps, burst), TokenBucket(rate_bps, burst)
+    now = 0.0
+    for gap, nbytes, n in arrivals:
+        now += gap
+        k = run.allow(nbytes, now, n)
+        assert k == sum(one.allow(nbytes, now) for _ in range(n))
+        assert run.tokens.hex() == one.tokens.hex()
+        assert (run.conformed, run.dropped) == (one.conformed, one.dropped)
+
+
+def _qos_point(vnic_rate, flow_rate, burst):
+    """The fields ``_qos_admits`` reads: a vSwitch (clock, enforcer,
+    stats), a rate-limited vNIC and a flow-level pre-action."""
+    from types import SimpleNamespace
+    from repro.vswitch.qos import QosEnforcer
+    vs = SimpleNamespace(engine=SimpleNamespace(now=0.0),
+                         qos=QosEnforcer(burst),
+                         stats=SimpleNamespace(qos_drops=0))
+    vnic = SimpleNamespace(vnic_id=1, rate_limit_bps=vnic_rate)
+    pre = SimpleNamespace(rate_limit_bps=flow_rate, qos_class=3)
+    return vs, vnic, pre
+
+
+def _bucket(vs, qos_class):
+    bucket = vs.qos._buckets.get((1, qos_class))
+    return None if bucket is None else (
+        bucket.tokens.hex(), bucket.last_refill, bucket.conformed,
+        bucket.dropped)
+
+
+def _check_qos_admits_run(admits, vnic_rate, flow_rate, burst, arrivals):
+    """``admits(…, n)`` against ``n`` one-packet calls on a vNIC-level
+    plus flow-level bucket pair: the same prefix, the same ``qos_drops``
+    and the same state in both buckets."""
+    run = _qos_point(vnic_rate, flow_rate, burst)
+    one = _qos_point(vnic_rate, flow_rate, burst)
+    for gap, nbytes, n in arrivals:
+        run[0].engine.now += gap
+        one[0].engine.now += gap
+        k = admits(*run, nbytes, n)
+        singles = [admits(*one, nbytes) for _ in range(n)]
+        assert _bucket(run[0], -1) == _bucket(one[0], -1), \
+            "vNIC-level bucket"
+        assert _bucket(run[0], 3) == _bucket(one[0], 3), "flow-level bucket"
+        assert singles == [1] * k + [0] * (n - k), "admitted prefix"
+        assert run[0].stats.qos_drops == one[0].stats.qos_drops, "qos_drops"
+
+
+@given(st.floats(1e3, 1e8), st.floats(1e3, 1e8), st.integers(100, 20_000),
+       qos_arrivals)
+@settings(max_examples=60, deadline=None)
+def test_qos_admits_run_equals_one_packet_calls(vnic_rate, flow_rate, burst,
+                                                arrivals):
+    from repro.vswitch.vswitch import _qos_admits
+    _check_qos_admits_run(_qos_admits, vnic_rate, flow_rate, burst, arrivals)
+
+
+def test_qos_admits_run_trips_on_its_mutant():
+    """A run form that polices the flow-level bucket with all ``n``
+    packets instead of the ``k`` the vNIC-level bucket admitted leaves
+    the flow-level bucket in a state no one-packet sequence reaches."""
+    import inspect
+    import textwrap
+    from repro.vswitch import vswitch as vswitch_module
+    source = textwrap.dedent(inspect.getsource(vswitch_module._qos_admits))
+    old = "pre.rate_limit_bps, nbytes, now, k)"
+    assert source.count(old) == 1, f"mutation site moved: {old!r}"
+    namespace = dict(vars(vswitch_module))
+    exec(compile(source.replace(old, "pre.rate_limit_bps, nbytes, now, n)"),
+                 vswitch_module.__file__, "exec"), namespace)
+    # 3 000 B of burst admit 3 of 5 1 000 B packets at the vNIC level.
+    with pytest.raises(AssertionError, match="flow-level bucket"):
+        _check_qos_admits_run(namespace["_qos_admits"], 8000.0, 8e6, 3000,
+                              [(0.0, 1000, 5)])

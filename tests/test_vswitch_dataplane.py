@@ -457,3 +457,82 @@ def test_vm_send_burst_drop_tail_rejects_whole_bursts(cloud):
     assert vm.conns_opened == 1600
     assert vm.kernel_drops > 0
     assert vm.kernel_drops % 8 == 0  # whole bursts, never partial
+
+
+# -- fluid arrivals the run cannot stay a run for ---------------------------------
+
+from collections import Counter
+
+from repro.net.packet import make_underlay_transport
+
+EXTERNAL_B = IPv4Address("203.0.113.9")
+UNHOSTED = IPv4Address("192.168.0.77")
+
+
+def _sink_arrivals(case, fluid, n=4):
+    """``n`` identical overlay packets reach vSwitch B's sink as one run
+    (``_fabric_sink_run``) or as ``n`` single arrivals (``_fabric_sink``),
+    addressed to (a) an unknown vNIC, (b) a vNIC B fronts through
+    ``overlay_fallback``, or (c) B's NAT alias. Returns B's stats, trace
+    counts, what was handed on, and the tenant template's bytes."""
+    cloud = build_cloud()
+    vs = cloud.vswitch_b
+    vs.trace.enable_all()
+    handed = []
+
+    def record(packet):
+        ip = packet.layers[0]
+        handed.append((ip.src, ip.dst, packet.meta.get("nat_original_dst"),
+                       packet.encode()))
+
+    cloud.vnic_b.attach_guest(record)
+    dst = {"unknown": UNHOSTED, "fronted": UNHOSTED,
+           "alias": EXTERNAL_B}[case]
+    if case == "fronted":
+        def front(packet, vni, outer_src):
+            record(packet)
+            handed.append((vni, outer_src))
+            return True
+        vs.overlay_fallback = front
+    if case == "alias":
+        vs.add_vnic_alias(VNI, EXTERNAL_B, cloud.vnic_b)
+    server_a = cloud.topo.servers[0]
+    template = Packet.tcp(TENANT_A, dst, 1000, 80, TcpFlags.of("syn"))
+    fresh = Packet.tcp(TENANT_A, dst, 1000, 80, TcpFlags.of("syn"))
+
+    def frame():
+        return make_underlay_transport(
+            server_a.mac, vs.server.mac, server_a.underlay_ip,
+            vs.server.underlay_ip, template, vni=VNI)
+
+    if fluid:
+        vs._fabric_sink_run(frame(), n)
+    else:
+        for _ in range(n):
+            vs._fabric_sink(frame().copy())
+    run(cloud)
+    # Re-encoded from its header objects: an in-place rewrite shows even
+    # where it skipped invalidating the memoized bytes.
+    template_bytes = Packet(template.layers, template.payload).encode()
+    assert template_bytes == fresh.encode()
+    return (asdict(vs.stats), Counter(r.kind for r in vs.trace.records()),
+            handed, template_bytes)
+
+
+@pytest.mark.parametrize("case", ["unknown", "fronted", "alias"])
+def test_run_sink_fallbacks_equal_single_arrivals(case):
+    """The run sink's per-packet fallbacks: every counter, trace record,
+    handed-on packet (``dst`` rewritten and ``nat_original_dst`` set at
+    the alias) and the template's own bytes equal ``n`` single sinks'."""
+    run_form = _sink_arrivals(case, fluid=True)
+    assert run_form == _sink_arrivals(case, fluid=False)
+    stats, traces, handed, _ = run_form
+    assert stats["rx_packets"] == 4
+    if case == "unknown":
+        assert stats["unknown_vnic_drops"] == 4 and not handed
+        assert traces["pkt.unknown_vnic"] == 4
+    elif case == "fronted":
+        assert stats["unknown_vnic_drops"] == 0 and len(handed) == 8
+    else:
+        assert stats["delivered"] == 4
+        assert all(h[1] == TENANT_B and h[2] == EXTERNAL_B for h in handed)

@@ -149,9 +149,6 @@ class FrontendInstance:
                 # aging for embryonic sessions reclaims it (§5.1, §7.3).
                 self.stats.acl_drops += 1
                 return
-            if pre_actions.tx.nat_src is not None:
-                packet.inner_ipv4().src = pre_actions.tx.nat_src
-                packet.invalidate_flow_cache()
             if (self.vnic.stateful_decap
                     and state.decap_overlay_src is not None):
                 # §5.2: the response must return to the recorded overlay
@@ -187,18 +184,10 @@ class FrontendInstance:
         """
         if not self.active or vni != self.vnic.vni:
             return False
+        if packet.expect(IPv4Header).dst != self.vnic.tenant_ip:
+            return False
         vs = self.vswitch
         cm = vs.cost_model
-        inner_ip = packet.expect(IPv4Header)
-        if inner_ip.dst != self.vnic.tenant_ip:
-            # NAT44 alias: ingress may target the vNIC's external address.
-            nat = self.slow_path.table("nat44")
-            internal = nat.internal_for(inner_ip.dst) if nat else None
-            if internal != self.vnic.tenant_ip or internal is None:
-                return False
-            packet.meta["nat_original_dst"] = inner_ip.dst
-            inner_ip.dst = internal
-            packet.invalidate_flow_cache()
         pre_actions, cycles, _was_miss = self._flows_for(packet, Direction.RX)
         if pre_actions is None:
             self.stats.no_preaction_drops += 1

@@ -16,8 +16,7 @@ from repro.net.addr import IPv4Address
 from repro.vswitch.actions import Verdict
 from repro.vswitch.costs import MB, CostModel
 from repro.vswitch.rule_tables import (AclRule, AclTable, MappingTable,
-                                       PolicyRouteTable, QosTable,
-                                       RouteTable)
+                                       QosTable, RouteTable, StageTable)
 from repro.vswitch.slow_path import SlowPath
 from repro.vswitch.vswitch import make_standard_chain
 
@@ -48,7 +47,7 @@ class MiddleboxProfile:
             return make_standard_chain(cost_model, acl=acl,
                                        advanced=self.advanced_chain)
         # ACL-bypassing chain (transit router): 4 tables.
-        tables = [QosTable(), PolicyRouteTable(), RouteTable(),
+        tables = [QosTable(), StageTable("policy_route"), RouteTable(),
                   MappingTable(entry_bytes=cost_model.mapping_entry_bytes)]
         tables[2].add_route(IPv4Address("0.0.0.0"), 0)
         return SlowPath(tables, cost_model)

@@ -49,8 +49,8 @@ class Packet:
     innermost ones, so :meth:`encap`/:meth:`decap`/:meth:`decap_until`
     keep the key and adjust the length by the layers moved, and
     :meth:`wrapped` hands both to the packet it builds around the same
-    header objects (only the encoded bytes are dropped). Code that
-    mutates header fields in place (the NAT rewrites) must call
+    header objects (only the encoded bytes are dropped). Nothing in the
+    datapath edits a header field in place; code that does must call
     :meth:`invalidate_flow_cache` afterwards (see DESIGN.md §3).
     """
 
@@ -151,7 +151,7 @@ class Packet:
 
     def invalidate_flow_cache(self) -> None:
         """Drop the memoized flow key / wire length / encoded bytes after
-        an in-place header mutation (NAT rewrites, layer surgery)."""
+        an in-place header mutation (an address rewrite, layer surgery)."""
         self._ft = None
         self._wire = None
         self._enc = None
@@ -374,7 +374,7 @@ class EncapTemplate:
     packet (as is the synthetic inner Ethernet, one shared constant), and
     nothing downstream mutates them in place (the underlay only
     decrements the outer IPv4 TTL, and :meth:`Packet.copy` shallow-copies
-    layers before any NAT surgery). They are built once here and shared
+    layers before any header edit). They are built once here and shared
     across wraps.
     The outer IPv4 and UDP headers carry per-packet lengths and the TTL
     is mutated in flight, so they stay per-wrap.

@@ -3,9 +3,10 @@
 This package implements the paper's Fig 1 architecture:
 
 * **slow path** — per-vNIC rule-table chain (ACL, QoS, policy, VXLAN
-  routing, vNIC-server mapping, plus optional mirror/flow-log/policy
-  routing); a lookup computes *bidirectional pre-actions* and costs CPU
-  proportional to table count, ACL size and packet size;
+  routing, vNIC-server mapping, plus the advanced chain's mirror /
+  flow-log / policy-routing stages, which hold no rules); a lookup
+  computes *bidirectional pre-actions* and costs CPU proportional to
+  table count, ACL size and packet size;
 * **fast path** — the session table caching bidirectional flows
   (VPC ID + 5-tuple → pre-actions) together with per-session *state*
   (TCP FSM, first-packet direction, statistics, aging);
@@ -21,9 +22,8 @@ from repro.vswitch.actions import (
 )
 from repro.vswitch.costs import CostModel
 from repro.vswitch.rule_tables import (
-    AclRule, AclTable, FlowLogTable, Location, MappingEntry, MappingTable,
-    MirrorTable, Nat44Table, PolicyRouteTable, QosTable, RouteTable,
-    RuleTable,
+    AclRule, AclTable, Location, MappingEntry, MappingTable, QosTable,
+    RouteTable, RuleTable, StageTable,
 )
 from repro.vswitch.session_table import SessionEntry, SessionTable
 from repro.vswitch.slow_path import SlowPath
@@ -40,9 +40,7 @@ __all__ = [
     "process_pkt",
     "CostModel",
     "RuleTable", "AclTable", "AclRule", "RouteTable", "QosTable",
-    "MappingTable", "MappingEntry", "Location", "MirrorTable", "FlowLogTable",
-    "Nat44Table",
-    "PolicyRouteTable",
+    "MappingTable", "MappingEntry", "Location", "StageTable",
     "SessionTable", "SessionEntry",
     "SessionState", "StatsPolicy",
     "SlowPath",

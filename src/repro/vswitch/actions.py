@@ -57,16 +57,10 @@ class PreAction:
     next_hop_ip: Optional[IPv4Address] = None
     next_hop_mac: Optional[MacAddress] = None
     vni: int = 0
-    # NAT44 rewrite to apply to the inner header, if any.
-    nat_src: Optional[IPv4Address] = None
-    nat_dst: Optional[IPv4Address] = None
-    nat_src_port: Optional[int] = None
-    nat_dst_port: Optional[int] = None
     # QoS classification.
     qos_class: int = 0
     rate_limit_bps: Optional[float] = None
-    # Advanced features.
-    mirror_to: Optional[IPv4Address] = None
+    # Rule-table-involved state (§3.2.2).
     stats_policy: StatsPolicy = StatsPolicy.NONE
     # Stateful-ACL marker: verdicts may be overridden by session state.
     stateful_acl: bool = True
@@ -103,7 +97,6 @@ class FinalAction:
     next_hop_ip: Optional[IPv4Address] = None
     next_hop_mac: Optional[MacAddress] = None
     vni: int = 0
-    mirror_to: Optional[IPv4Address] = None
     reason: str = ""
 
     @property
@@ -145,11 +138,10 @@ def process_pkt(direction: Direction, pre_actions: PreActions,
         return FinalAction(ActionKind.DROP, reason="acl")
     state.record_packet(direction, wire_length)
     if direction is Direction.RX:
-        return FinalAction(ActionKind.DELIVER, mirror_to=pre.mirror_to)
+        return FinalAction(ActionKind.DELIVER)
     return FinalAction(
         ActionKind.FORWARD,
         next_hop_ip=pre.next_hop_ip,
         next_hop_mac=pre.next_hop_mac,
         vni=pre.vni,
-        mirror_to=pre.mirror_to,
     )

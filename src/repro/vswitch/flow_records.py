@@ -26,8 +26,8 @@ Two deliberate deviations from a naive one-column-per-field layout:
 The same columns carry fluid runs (``ElephantFlow(fluid=True)``): one
 descriptor (template packet + count) crosses the whole pipeline, charged
 with closed-form packet/byte/cycle deltas, and re-materializes into
-per-packet processing at event boundaries (FSM changes, NAT, mirrors,
-telemetry spans, offload demotion). ``tests/reference_datapath.py`` is
+per-packet processing at event boundaries (FSM changes, telemetry
+spans, offload demotion). ``tests/reference_datapath.py`` is
 the per-packet oracle both forms are differentially tested against.
 """
 

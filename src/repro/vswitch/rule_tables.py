@@ -5,7 +5,9 @@ into the bidirectional :class:`~repro.vswitch.actions.PreActions`, and
 reports its memory footprint (what Nezha frees on the BE by moving the
 table to FEs). A basic vNIC chain has five tables — ACL, QoS, policy,
 VXLAN routing, vNIC-server mapping (§2.2.2) — and advanced features
-(policy routing, mirroring, flow logging) push it toward twelve.
+(policy routing, mirroring, flow logging) push it toward twelve. No
+experiment populates those advanced stages, so they are rule-less
+:class:`StageTable` lookups that cost what a table costs and do nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from repro.errors import TableError
 from repro.net.addr import IPv4Address, MacAddress
 from repro.net.five_tuple import FiveTuple
 from repro.vswitch.actions import Direction, PreActions, Verdict
-from repro.vswitch.state import StatsPolicy
 
 
 @dataclass
@@ -412,143 +413,21 @@ class MappingTable(RuleTable):
         return len(self._entries)
 
 
-# -- advanced / optional tables ------------------------------------------------------------
+# -- lookup stages no run populates -------------------------------------------------
 
 
-class PolicyRouteTable(RuleTable):
-    """Policy-based routing: per-prefix next-hop overrides."""
+class StageTable(RuleTable):
+    """A chain stage that holds no rules: the policy-route, mirror and
+    flow-log positions of §2.2.2's chains. It applies nothing and pins
+    no memory, but it is a table of the chain, so every lookup still
+    pays its per-table cost."""
 
-    name = "policy_route"
-
-    def __init__(self, rule_bytes: int = 40) -> None:
+    def __init__(self, name: str) -> None:
         super().__init__()
-        self._overrides: List[Tuple[IPv4Address, int, IPv4Address, MacAddress]] = []
-        self.rule_bytes = rule_bytes
-
-    def add_override(self, prefix: IPv4Address, length: int,
-                     next_hop_ip: IPv4Address, next_hop_mac: MacAddress) -> None:
-        self._overrides.append((prefix, length, next_hop_ip, next_hop_mac))
-        self._bump()
+        self.name = name
 
     def apply(self, ctx: LookupContext, pre: PreActions) -> None:
-        for prefix, length, hop_ip, hop_mac in self._overrides:
-            if ctx.five_tuple.dst_ip.in_prefix(prefix, length):
-                pre.tx.next_hop_ip = hop_ip
-                pre.tx.next_hop_mac = hop_mac
-                return
+        pass
 
     def memory_bytes(self) -> int:
-        return len(self._overrides) * self.rule_bytes
-
-    def rule_count(self) -> int:
-        return len(self._overrides)
-
-
-class MirrorTable(RuleTable):
-    """Traffic mirroring: matching flows get a mirror destination."""
-
-    name = "mirror"
-
-    def __init__(self, rule_bytes: int = 40) -> None:
-        super().__init__()
-        self._rules: List[Tuple[IPv4Address, int, IPv4Address]] = []
-        self.rule_bytes = rule_bytes
-
-    def add_mirror(self, prefix: IPv4Address, length: int,
-                   mirror_to: IPv4Address) -> None:
-        self._rules.append((prefix, length, mirror_to))
-        self._bump()
-
-    def apply(self, ctx: LookupContext, pre: PreActions) -> None:
-        for prefix, length, target in self._rules:
-            if (ctx.five_tuple.dst_ip.in_prefix(prefix, length)
-                    or ctx.five_tuple.src_ip.in_prefix(prefix, length)):
-                pre.tx.mirror_to = target
-                pre.rx.mirror_to = target
-                return
-
-    def memory_bytes(self) -> int:
-        return len(self._rules) * self.rule_bytes
-
-    def rule_count(self) -> int:
-        return len(self._rules)
-
-
-class FlowLogTable(RuleTable):
-    """Flow logging: decides the statistics policy — the canonical
-    *rule-table-involved* state source (§3.2.2)."""
-
-    name = "flow_log"
-
-    def __init__(self, rule_bytes: int = 40) -> None:
-        super().__init__()
-        self._rules: List[Tuple[IPv4Address, int, StatsPolicy]] = []
-        self.rule_bytes = rule_bytes
-
-    def add_policy(self, prefix: IPv4Address, length: int,
-                   policy: StatsPolicy) -> None:
-        self._rules.append((prefix, length, policy))
-        self._bump()
-
-    def clear(self) -> None:
-        self._rules.clear()
-        self._bump()
-
-    def apply(self, ctx: LookupContext, pre: PreActions) -> None:
-        for prefix, length, policy in self._rules:
-            if (ctx.five_tuple.src_ip.in_prefix(prefix, length)
-                    or ctx.five_tuple.dst_ip.in_prefix(prefix, length)):
-                pre.tx.stats_policy = policy
-                pre.rx.stats_policy = policy
-                return
-
-    def memory_bytes(self) -> int:
-        return len(self._rules) * self.rule_bytes
-
-    def rule_count(self) -> int:
-        return len(self._rules)
-
-
-class Nat44Table(RuleTable):
-    """Source-NAT44: static internal→external address mappings (§2.1 lists
-    NAT among the vSwitch's tenant-configured NFs).
-
-    TX packets from a mapped internal address leave with the external
-    source (``pre.tx.nat_src``); RX packets addressed to the external
-    address are translated back (``pre.rx.nat_dst``) before delivery. The
-    hosting vSwitch must register the external address as a vNIC alias so
-    ingress dispatch finds the right vNIC.
-    """
-
-    name = "nat44"
-
-    def __init__(self, entry_bytes: int = 48) -> None:
-        super().__init__()
-        self._by_internal: Dict[int, IPv4Address] = {}
-        self._by_external: Dict[int, IPv4Address] = {}
-        self.entry_bytes = entry_bytes
-
-    def add_mapping(self, internal: IPv4Address,
-                    external: IPv4Address) -> None:
-        internal, external = IPv4Address(internal), IPv4Address(external)
-        self._by_internal[internal.value] = external
-        self._by_external[external.value] = internal
-        self._bump()
-
-    def external_for(self, internal: IPv4Address) -> Optional[IPv4Address]:
-        return self._by_internal.get(IPv4Address(internal).value)
-
-    def internal_for(self, external: IPv4Address) -> Optional[IPv4Address]:
-        return self._by_external.get(IPv4Address(external).value)
-
-    def apply(self, ctx: LookupContext, pre: PreActions) -> None:
-        external = self._by_internal.get(ctx.five_tuple.src_ip.value)
-        if external is not None:
-            pre.tx.nat_src = external
-            pre.rx.nat_dst = ctx.five_tuple.src_ip
-
-    def memory_bytes(self) -> int:
-        return len(self._by_internal) * self.entry_bytes
-
-    def rule_count(self) -> int:
-        return len(self._by_internal)
+        return 0

@@ -12,8 +12,8 @@ dict probe per table plus a multiply-add for the byte term. Tables
 invalidate the caches through :meth:`invalidate_caches`, wired up via
 ``RuleTable._attach`` at construction (every mutator calls
 ``RuleTable._bump``; see DESIGN.md §3 for the invariant). The chain
-itself is a tuple: :meth:`insert_table` / :meth:`remove_table` are the
-only ways to change it, and both refresh the caches.
+itself is a tuple fixed at construction, so the name index never goes
+stale.
 """
 
 from __future__ import annotations
@@ -35,34 +35,12 @@ class SlowPath:
         self._acl_rule_count: Optional[int] = None
         self._memory_bytes: Optional[int] = None
         self._static_cycles: Optional[float] = None
-        self._by_name: Dict[str, RuleTable] = {}
-        self._on_tables_changed()
-
-    def insert_table(self, index: int, table: RuleTable) -> None:
-        """Put ``table`` at chain position ``index`` (``list.insert``
-        semantics)."""
-        tables = list(self.tables)
-        tables.insert(index, table)
-        self.tables = tuple(tables)
-        self._on_tables_changed()
-
-    def remove_table(self, table: RuleTable) -> None:
-        """Take ``table`` out of the chain (``ValueError`` if absent)."""
-        tables = list(self.tables)
-        tables.remove(table)
-        self.tables = tuple(tables)
-        self._on_tables_changed()
-
-    def _on_tables_changed(self) -> None:
-        """Rebuild the name index and re-wire invalidation after the
-        chain's table sequence itself changed."""
         for table in self.tables:
-            if self not in table._chains:
-                table._attach(self)
+            table._attach(self)
         # First occurrence wins on duplicate names (the advanced 12-table
-        # chain repeats table types).
-        self._by_name = {t.name: t for t in reversed(self.tables)}
-        self.invalidate_caches()
+        # chain repeats table names).
+        self._by_name: Dict[str, RuleTable] = {
+            t.name: t for t in reversed(self.tables)}
 
     def invalidate_caches(self) -> None:
         """Drop every chain-level cache; called when a table mutates."""

@@ -41,9 +41,8 @@ from repro.vswitch.actions import (ActionKind, Direction, FinalAction,
                                    PreActions, Verdict, process_pkt,
                                    resolve_verdict)
 from repro.vswitch.costs import CostModel
-from repro.vswitch.rule_tables import (AclTable, FlowLogTable, LookupContext,
-                                       MappingTable, MirrorTable,
-                                       PolicyRouteTable, QosTable, RouteTable)
+from repro.vswitch.rule_tables import (AclTable, LookupContext, MappingTable,
+                                       QosTable, RouteTable, StageTable)
 from repro.vswitch.session_table import EntryMode, SessionTable
 from repro.vswitch.slow_path import SlowPath
 from repro.vswitch.state import SessionState
@@ -69,7 +68,7 @@ class VSwitchStats:
     crashed_drops: int = 0
     slow_path_lookups: int = 0
     fast_path_hits: int = 0
-    mirrored: int = 0
+    mirrored: int = 0           # always 0; perfbench's sim_digest hashes it
     qos_drops: int = 0
     probes_answered: int = 0
     nsh_received: int = 0
@@ -204,12 +203,6 @@ class VSwitch:
         self.mem.free_all(f"be_meta:{vnic_id}")
         self.mem.alloc(f"rules:{vnic_id}", vnic.table_memory_bytes())
         vnic.offloaded = False
-
-    def add_vnic_alias(self, vni: int, ip: IPv4Address, vnic: Vnic) -> None:
-        """Register an extra ingress address for a vNIC (e.g. its NAT44
-        external address): arriving packets are translated back to the
-        tenant address before processing."""
-        self._vnic_by_addr[(vni, IPv4Address(ip).value)] = vnic
 
     def vnic_for(self, vni: int, tenant_ip: IPv4Address) -> Optional[Vnic]:
         return self._vnic_by_addr.get((vni, IPv4Address(tenant_ip).value))
@@ -384,8 +377,7 @@ class VSwitch:
         self.stats.rx_packets += 1
         if _spans.ACTIVE:
             _spans.hop(packet, "vswitch_rx", self.engine.now)
-        inner_ip = packet.layers[0]
-        vnic = self.vnic_for(vni, inner_ip.dst)
+        vnic = self.vnic_for(vni, packet.layers[0].dst)
         if vnic is None:
             if (self.overlay_fallback is not None
                     and self.overlay_fallback(packet, vni, outer_src)):
@@ -393,13 +385,6 @@ class VSwitch:
             self.stats.unknown_vnic_drops += 1
             self.trace.emit("pkt.unknown_vnic", vswitch=self.name, vni=vni)
             return
-        if inner_ip.dst != vnic.tenant_ip:
-            # Arrived via a vNIC alias (NAT44 external address): translate
-            # back before the session lookup so bidirectional flows share
-            # one entry.
-            packet.meta["nat_original_dst"] = inner_ip.dst
-            inner_ip.dst = vnic.tenant_ip
-            packet.invalidate_flow_cache()
         self.datapath_for(vnic).handle_rx(vnic, packet, outer_src)
 
     def _fabric_sink_run(self, packet: Packet, count: int) -> None:
@@ -407,10 +392,9 @@ class VSwitch:
 
         Only VXLAN overlay traffic rides runs (the fluid TX path emits
         nothing else); a span-carrying or non-overlay template falls
-        back to per-packet sinking of copies. Only a hosted vNIC's own
-        address keeps the run: for an unknown or fronted vNIC, or a NAT
-        alias, ``count`` copies of the stripped template take the
-        per-packet path, which may rewrite their headers."""
+        back to per-packet sinking of copies. Only a hosted vNIC keeps
+        the run: for an unknown or fronted vNIC, ``count`` copies of the
+        stripped template take the per-packet path."""
         if self.crashed:
             self.stats.crashed_drops += count
             return
@@ -421,9 +405,8 @@ class VSwitch:
             return
         outer_src = _strip_overlay(packet)
         vni = vxlan.vni
-        dst = packet.layers[0].dst
-        vnic = self.vnic_for(vni, dst)
-        if vnic is None or dst != vnic.tenant_ip:
+        vnic = self.vnic_for(vni, packet.layers[0].dst)
+        if vnic is None:
             for _ in range(count):
                 self._handle_overlay_rx(packet.copy(), vni, outer_src)
             return
@@ -447,13 +430,6 @@ class VSwitch:
             packet, vni=action.vni, src_port=entropy)
         self.stats.forwarded += 1
         self.server.send_to_fabric(wrapped)
-        if action.mirror_to is not None:
-            self.stats.mirrored += 1
-            mirror = make_underlay_transport(
-                self.server.mac, MacAddress.broadcast(),
-                self.server.underlay_ip, action.mirror_to,
-                packet.copy(), vni=action.vni, src_port=entropy)
-            self.server.send_to_fabric(mirror)
 
     def encap_template(self, entry, next_hop_ip: IPv4Address,
                        next_hop_mac: MacAddress, vni: int,
@@ -475,11 +451,11 @@ class VSwitch:
             self, routed: List[Tuple[Packet, FinalAction]],
             entry=None) -> None:
         """Encapsulate a burst of (packet, action) pairs and emit them to
-        the fabric as one serialized train. Per-packet encapsulation,
-        entropy, and mirror handling match :meth:`forward_overlay`
-        exactly; only the uplink scheduling is coalesced. The constant
-        outer headers come from the session ``entry``'s cached
-        :class:`EncapTemplate` (a one-off template without an entry)."""
+        the fabric as one serialized train. Per-packet encapsulation and
+        entropy match :meth:`forward_overlay` exactly; only the uplink
+        scheduling is coalesced. The constant outer headers come from the
+        session ``entry``'s cached :class:`EncapTemplate` (a one-off
+        template without an entry)."""
         out: List[Packet] = []
         for packet, action in routed:
             if action.next_hop_ip is None:
@@ -495,12 +471,6 @@ class VSwitch:
                 action.vni, entropy)
             self.stats.forwarded += 1
             out.append(tmpl.wrap(packet))
-            if action.mirror_to is not None:
-                self.stats.mirrored += 1
-                out.append(make_underlay_transport(
-                    self.server.mac, MacAddress.broadcast(),
-                    self.server.underlay_ip, action.mirror_to,
-                    packet.copy(), vni=action.vni, src_port=entropy))
         if out:
             self.server.send_to_fabric_burst(out)
 
@@ -726,9 +696,9 @@ class LocalDatapath(Datapath):
     def handle_tx_run(self, vnic: Vnic, packet: Packet, count: int) -> None:
         """Fluid TX: one template packet stands for ``count`` identical
         packets of a long-lived flow. Eligibility mirrors
-        :meth:`_classify_run` (FULL hit, FSM-quiet) plus no per-packet
-        header work; anything else re-materializes into the burst path.
-        A session opener goes alone, as in a burst."""
+        :meth:`_classify_run` (FULL hit, FSM-quiet); anything else
+        re-materializes into the burst path. A session opener goes
+        alone, as in a burst."""
         vs = self.vswitch
         entry = vs.session_table.lookup(vnic.vni, packet.five_tuple())
         if entry is None and count > 1:
@@ -737,9 +707,7 @@ class LocalDatapath(Datapath):
             entry = vs.session_table.lookup(vnic.vni, packet.five_tuple())
         if (entry is None or entry.pre_actions is None
                 or entry.state is None
-                or not self._fsm_quiet(entry, Direction.TX, packet)
-                or entry.pre_actions.tx.nat_src is not None
-                or entry.pre_actions.tx.mirror_to is not None):
+                or not self._fsm_quiet(entry, Direction.TX, packet)):
             Datapath.handle_tx_run(self, vnic, packet, count)
             return
         vs.stats.fast_path_hits += count
@@ -759,11 +727,11 @@ class LocalDatapath(Datapath):
         bytes: a burst's own ``packets`` list, or a fluid run's one
         template packet. It completes in aggregate (one verdict and
         record charge, QoS as a prefix, one train or run descriptor)
-        unless its entry lost its record slot, it needs NAT or mirroring,
-        or the FSM moved off ``fsm_snap`` while it sat in the CPU queue to
-        a state one of its packets is not quiet in: then it replays
-        through :meth:`_tx_one` (a fluid run on copies of its template)
-        and leaves as one train."""
+        unless its entry lost its record slot, or the FSM moved off
+        ``fsm_snap`` while it sat in the CPU queue to a state one of its
+        packets is not quiet in: then it replays through :meth:`_tx_one`
+        (a fluid run on copies of its template) and leaves as one
+        train."""
         vs = self.vswitch
         state = entry.state
         if entry.pre_actions is None or state is None:
@@ -773,8 +741,7 @@ class LocalDatapath(Datapath):
             return
         fluid = type(packets) is Packet
         pre = entry.pre_actions.tx
-        replay = (entry.slot < 0 or pre.nat_src is not None
-                  or pre.mirror_to is not None)
+        replay = entry.slot < 0
         if not replay and state.tcp_state is not fsm_snap:
             # n packets quiet in the live state leave it unchanged.
             for packet in ((packets,) if fluid else packets):
@@ -832,7 +799,7 @@ class LocalDatapath(Datapath):
     def _tx_one(self, vnic: Vnic, entry, packet: Packet,
                 routed: Optional[list] = None) -> None:
         """The per-packet TX body a single is charged with and a replay
-        runs: FSM, verdict, QoS, NAT and the stateful-decap route, then
+        runs: FSM, verdict, QoS and the stateful-decap route, then
         the forward — alone, or into the replay's ``routed`` train."""
         vs = self.vswitch
         state = entry.state
@@ -852,9 +819,6 @@ class LocalDatapath(Datapath):
         pre = entry.pre_actions.tx
         if not _qos_admits(vs, vnic, pre, packet.wire_length):
             return
-        if pre.nat_src is not None:
-            packet.inner_ipv4().src = pre.nat_src
-            packet.invalidate_flow_cache()
         if vnic.stateful_decap and state.decap_overlay_src is not None:
             action.next_hop_ip = state.decap_overlay_src
             action.next_hop_mac = None
@@ -891,7 +855,7 @@ class LocalDatapath(Datapath):
 
     def handle_rx_run(self, vnic: Vnic, packet: Packet, count: int,
                       overlay_src: Optional[IPv4Address] = None) -> None:
-        """Fluid RX: mirror of :meth:`handle_tx_run` (no QoS/NAT stage)."""
+        """Fluid RX: mirror of :meth:`handle_tx_run` (no QoS stage)."""
         vs = self.vswitch
         entry = vs.session_table.lookup(vnic.vni, packet.five_tuple())
         if (entry is None or entry.pre_actions is None
@@ -913,7 +877,7 @@ class LocalDatapath(Datapath):
 
     def _complete_rx(self, vnic: Vnic, entry, packets, count: int,
                      fsm_snap, nbytes: int) -> None:
-        """Mirror of :meth:`_complete_tx` without QoS or NAT: delivers
+        """Mirror of :meth:`_complete_tx` without QoS: delivers
         in aggregate, or replays through :meth:`_rx_one`."""
         vs = self.vswitch
         state = entry.state
@@ -1012,18 +976,20 @@ def make_standard_chain(cost_model: CostModel,
                         mapping: Optional[MappingTable] = None,
                         advanced: bool = False) -> SlowPath:
     """Build the basic 5-table chain (§2.2.2), optionally the 12-table
-    advanced variant with policy routing, mirroring and flow logging."""
+    advanced variant with policy-routing, mirroring and flow-logging
+    stages (rule-less :class:`StageTable` lookups)."""
     tables: List = [
         acl or AclTable(),
         QosTable(),
-        PolicyRouteTable(),
+        StageTable("policy_route"),
         RouteTable(),
         mapping or MappingTable(entry_bytes=cost_model.mapping_entry_bytes),
     ]
     route = tables[3]
     route.add_route(IPv4Address("0.0.0.0"), 0)  # default: route everything
     if advanced:
-        tables.extend([MirrorTable(), FlowLogTable(),
-                       PolicyRouteTable(), MirrorTable(),
-                       FlowLogTable(), QosTable(), PolicyRouteTable()])
+        tables.extend([StageTable("mirror"), StageTable("flow_log"),
+                       StageTable("policy_route"), StageTable("mirror"),
+                       StageTable("flow_log"), QosTable(),
+                       StageTable("policy_route")])
     return SlowPath(tables, cost_model)

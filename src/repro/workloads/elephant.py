@@ -28,7 +28,7 @@ class ElephantFlow:
     busy time) equals the burst form's; mid-burst timestamps collapse,
     which is why a caller has to ask for it. Every run carries the one
     template the flow builds, so nothing downstream may mutate it in
-    place (NAT, mirror, span and a moved FSM copy first).
+    place (a span and a moved FSM copy first).
     """
 
     def __init__(self, engine: Engine, vm: Vm, vnic: Vnic,

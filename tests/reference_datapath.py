@@ -103,9 +103,6 @@ class ReferenceDatapath(Datapath):
         pre = entry.pre_actions.tx
         if not _qos_admits(vs, vnic, pre, packet.wire_length):
             return
-        if pre.nat_src is not None:
-            packet.inner_ipv4().src = pre.nat_src
-            packet.invalidate_flow_cache()
         if vnic.stateful_decap and state.decap_overlay_src is not None:
             action.next_hop_ip, action.next_hop_mac = (
                 state.decap_overlay_src, None)

@@ -5,6 +5,8 @@ sha256 of the rendered fig9 / fig11 / fig12 / fig14 / fleet /
 policy_arena tables at scaled-down parameters, and of every model-based
 experiment and chaos as ``python -m repro.experiments <id> --fast``
 renders them, each recorded at the parent of the commit that added it.
+``test_parallel_determinism.py`` renders the multi-point sweeps at
+``jobs=2`` against the same kind of digest.
 A change that moves a digest changed simulated behaviour — re-record
 only when that is the point of the change, and say so.
 """

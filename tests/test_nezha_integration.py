@@ -7,9 +7,9 @@ scaling, and FE failure.
 
 import pytest
 
-from repro.net import IPv4Address, Packet, TcpFlags
+from repro.net import Packet, TcpFlags
 from repro.vswitch import (
-    AclRule, AclTable, Direction, StatsPolicy, Verdict,
+    AclRule, AclTable, Direction, RuleTable, SlowPath, StatsPolicy, Verdict,
 )
 from repro.vswitch.session_table import EntryMode
 from repro.vswitch.state import SessionState
@@ -231,15 +231,25 @@ def test_fe_tx_drop_leaves_be_state_for_aging(nezha_env):
 
 # -- notify packets (§3.2.2) ---------------------------------------------------------------------
 
+class FullStatsTable(RuleTable):
+    """A flow-log stage that logs every flow in full (§3.2.2)."""
+
+    name = "flow_log"
+
+    def apply(self, ctx, pre):
+        pre.tx.stats_policy = pre.rx.stats_policy = StatsPolicy.FULL
+
+    def memory_bytes(self):
+        return 0
+
+
 def test_notify_updates_rule_involved_state():
     env = build_nezha_env()
-    # Flow-log policy table: TX lookups discover a stats policy the BE's
-    # carried state lacks -> notify.
-    from repro.vswitch.rule_tables import FlowLogTable
-    flow_log = FlowLogTable()
-    flow_log.add_policy(IPv4Address("192.168.0.0"), 24, StatsPolicy.FULL)
+    # TX lookups discover a stats policy the BE's carried state lacks ->
+    # notify.
     chain = env.vnic_b.slow_path
-    chain.insert_table(len(chain.tables), flow_log)
+    env.vnic_b.slow_path = SlowPath(chain.tables + (FullStatsTable(),),
+                                    chain.cost_model)
     handle = offload_b(env)
     env.vnic_a.attach_guest(lambda pkt: None)
     send_tx(env, env.vswitch_b, env.vnic_b, TENANT_B, TENANT_A, 2000, 8080)
@@ -445,47 +455,3 @@ def test_vm_level_rate_limit_enforced_at_be_single_point():
     env.engine.run(until=env.engine.now + t + 0.5)
     assert env.vswitch_b.stats.qos_drops > 40
     assert handle.backend.stats.tx_relayed < 60
-
-
-# -- NAT44 on the split pipeline ----------------------------------------------------
-
-def test_nat44_works_offloaded():
-    """A source-NATed vNIC keeps translating after Nezha offloads it: the
-    FE applies the egress rewrite and accepts ingress on the external
-    alias."""
-    from repro.vswitch import Nat44Table
-    env = build_nezha_env()
-    external = IPv4Address("203.0.113.9")
-    nat = Nat44Table()
-    nat.add_mapping(TENANT_B, external)
-    env.vnic_b.slow_path.insert_table(1, nat)
-    env.vswitch_b.add_vnic_alias(VNI, external, env.vnic_b)
-    # Remote senders reach the external address via the gateway entry.
-    from repro.vswitch.rule_tables import Location
-    server_b = env.topo.servers[1]
-    env.gateway.set_locations(VNI, external,
-                              [Location(server_b.underlay_ip, server_b.mac)])
-    env.learners[0].refresh()
-    handle = offload_b(env)
-    # Gateway entry for the external alias must follow the FEs too.
-    env.gateway.set_locations(VNI, external, handle.fe_locations)
-    env.engine.run(until=env.engine.now + 0.2)
-
-    # TX: B -> A leaves with the external source (rewritten at the FE).
-    got_a = []
-    env.vnic_a.attach_guest(got_a.append)
-    send_tx(env, env.vswitch_b, env.vnic_b, TENANT_B, TENANT_A, 2000, 8080)
-    env.engine.run(until=env.engine.now + 0.1)
-    assert len(got_a) == 1
-    assert got_a[0].inner_ipv4().src == external
-
-    # RX: A answers the external address; the FE translates back and the
-    # BE delivers to the tenant address.
-    got_b = []
-    env.vnic_b.attach_guest(got_b.append)
-    send_tx(env, env.vswitch_a, env.vnic_a, TENANT_A, external, 8080, 2000,
-            flags="syn|ack")
-    env.engine.run(until=env.engine.now + 0.1)
-    assert len(got_b) == 1
-    assert got_b[0].inner_ipv4().dst == TENANT_B
-    assert got_b[0].meta["nat_original_dst"] == external

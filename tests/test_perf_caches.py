@@ -23,7 +23,7 @@ from repro.sim import Engine
 from repro.vswitch.actions import Direction, Verdict
 from repro.vswitch.costs import CostModel
 from repro.vswitch.rule_tables import (AclRule, AclTable, MappingEntry,
-                                       Nat44Table, QosRule)
+                                       QosRule)
 from repro.vswitch.vswitch import make_standard_chain
 
 A = IPv4Address("10.0.0.1")
@@ -88,20 +88,12 @@ def test_qos_add_rule_invalidates_chain():
 
 def test_name_index_tracks_direct_chain_mutation():
     chain, _acl, _cm = make_chain()
-    assert chain.table("nat44") is None
-    nat = Nat44Table()
-    chain.insert_table(1, nat)
-    assert chain.table("nat44") is nat
-    base = chain.memory_bytes()
-    nat.add_mapping(A, IPv4Address("203.0.113.1"))
-    assert chain.memory_bytes() == base + nat.entry_bytes
-    chain.remove_table(nat)
-    assert chain.table("nat44") is None
     # The chain is immutable: an in-place edit raises instead of leaving
     # the name index and cached aggregates stale.
+    extra = AclTable()
     with pytest.raises(AttributeError):
-        chain.tables.append(nat)
-    assert chain.table("nat44") is None
+        chain.tables.append(extra)
+    assert extra not in chain.tables and chain.table("acl") is chain.tables[0]
 
 
 def test_name_index_first_occurrence_wins():

@@ -4,8 +4,8 @@ A *program* is a list of steps applied to two identical clouds — one on
 :class:`LocalDatapath`, one on ``tests/reference_datapath.py`` — at the
 same virtual instants: a side sends 1-6 packets, or a control event lands
 (demotion, an aging sweep, a stats-policy change, a flood). vNIC A
-carries one feature variant per example (NAT, mirror, vNIC- or flow-level
-rate limit, stateful decap). This replaces the per-switch on≡off suites:
+carries one feature variant per example (vNIC- or flow-level rate limit,
+stateful decap). This replaces the per-switch on≡off suites:
 those showed two paths agree, this shows the one path left does what the
 longhand per-packet architecture does.
 """
@@ -16,9 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.host.vm import Vm, VmCostModel
-from repro.net import IPv4Address, Packet, TcpFlags
+from repro.net import Packet, TcpFlags
 from repro.vswitch import CostModel
-from repro.vswitch.rule_tables import MirrorTable, Nat44Table, QosRule
+from repro.vswitch.rule_tables import QosRule
 from repro.vswitch.state import StatsPolicy
 
 from tests.conftest import TENANT_A, TENANT_B, VNI, build_cloud, wire_mapping
@@ -27,7 +27,7 @@ from tests.reference_datapath import install_reference
 FLAGS = (("syn",), ("syn", "ack"), ("ack",), ("psh", "ack"), ("fin", "ack"),
          ("rst",))
 UDP = len(FLAGS)
-VARIANTS = ("plain", "nat", "mirror", "vnic_rate", "flow_rate", "decap")
+VARIANTS = ("plain", "vnic_rate", "flow_rate", "decap")
 # Between steps. With timestamps compared: short, so the next step (a
 # demotion, a policy change) lands while the far side's jobs are still
 # queued. Where instants differ by design, long enough to quiesce.
@@ -71,15 +71,7 @@ def _world(variant, reference, cores):
     spare = cloud.topo.servers[2]          # no vSwitch: a packet sink
     vnic, chain = cloud.vnic_a, cloud.vnic_a.slow_path
     cloud.vswitch_a.qos.burst_bytes = BUCKET_BYTES
-    if variant == "nat":
-        nat = Nat44Table()
-        nat.add_mapping(TENANT_A, IPv4Address("192.168.9.9"))
-        chain.insert_table(1, nat)
-    elif variant == "mirror":
-        mirror = MirrorTable()
-        mirror.add_mirror(TENANT_B, 32, spare.underlay_ip)
-        chain.insert_table(len(chain.tables), mirror)
-    elif variant == "vnic_rate":
+    if variant == "vnic_rate":
         vnic.rate_limit_bps = RATE_BPS
     elif variant == "flow_rate":
         chain.table("qos").add_rule(QosRule(1, 1, rate_limit_bps=RATE_BPS))
@@ -179,7 +171,7 @@ def test_bursts_match_reference(program, variant):
 
 
 # A data run that opens its session: the opener goes alone, the rest is
-# one run (under NAT or mirroring the rest still materializes).
+# one run.
 _OPENER = [("run", 0, (3, 0, 100), 4), ("run", 1, (3, 0, 60), 3)]
 # A SYN charged just before a data run of the same session, both at
 # ``NONE``: the SYN completes first, so the run completes under
@@ -192,11 +184,7 @@ _SYN_UNDER_RUN = [("run", 0, (3, 0, 100), 2),
 @settings(max_examples=200, deadline=None)
 @given(RUNS, st.sampled_from(VARIANTS))
 @example(_OPENER, "plain")
-@example(_OPENER, "nat")
-@example(_OPENER, "mirror")
 @example(_SYN_UNDER_RUN, "plain")
-@example(_SYN_UNDER_RUN, "nat")
-@example(_SYN_UNDER_RUN, "mirror")
 def test_fluid_runs_match_reference(program, variant):
     """``send_from_vnic_run(template, n)``: the fluid TX path, and the
     only way the RX side sees a run of n > 1 (a burst crosses the link as

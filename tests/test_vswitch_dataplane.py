@@ -273,85 +273,6 @@ def test_unlimited_vnic_never_qos_drops(cloud):
     assert cloud.vswitch_a.stats.qos_drops == 0
 
 
-# -- vSwitch-level NAT44 (§2.1) --------------------------------------------------------
-
-def build_nat_cloud():
-    """vnic_a is source-NATed to an external address; the peer only ever
-    sees (and answers) the external address."""
-    from repro.vswitch import Nat44Table
-    from tests.conftest import wire_mapping
-    cloud = build_cloud()
-    external = IPv4Address("203.0.113.1")
-    nat = Nat44Table()
-    nat.add_mapping(TENANT_A, external)
-    cloud.vnic_a.slow_path.insert_table(1, nat)
-    cloud.vswitch_a.add_vnic_alias(VNI, external, cloud.vnic_a)
-    # The peer's mapping must route the external address to server A.
-    wire_mapping(cloud.vnic_b.slow_path.table("vnic_server_mapping"),
-                 VNI, external, cloud.topo.servers[0])
-    return cloud, external
-
-
-def test_nat44_rewrites_source_on_egress():
-    cloud, external = build_nat_cloud()
-    got = []
-    cloud.vnic_b.attach_guest(got.append)
-    cloud.vswitch_a.send_from_vnic(cloud.vnic_a, syn())
-    run(cloud)
-    assert len(got) == 1
-    assert got[0].inner_ipv4().src == external      # translated
-    assert got[0].inner_ipv4().dst == TENANT_B
-
-
-def test_nat44_reverse_translation_on_ingress():
-    cloud, external = build_nat_cloud()
-    got_b, got_a = [], []
-    cloud.vnic_b.attach_guest(got_b.append)
-    cloud.vnic_a.attach_guest(got_a.append)
-    cloud.vswitch_a.send_from_vnic(cloud.vnic_a, syn())
-    run(cloud)
-    # B answers the external address.
-    reply = Packet.tcp(TENANT_B, external, 80, 1000,
-                       TcpFlags.of("syn", "ack"))
-    cloud.vswitch_b.send_from_vnic(cloud.vnic_b, reply)
-    run(cloud)
-    assert len(got_a) == 1
-    # Delivered with the internal address restored + original recorded.
-    assert got_a[0].inner_ipv4().dst == TENANT_A
-    assert got_a[0].meta["nat_original_dst"] == external
-
-
-def test_nat44_shares_one_session_bidirectionally():
-    cloud, external = build_nat_cloud()
-    cloud.vnic_b.attach_guest(lambda pkt: None)
-    cloud.vnic_a.attach_guest(lambda pkt: None)
-    cloud.vswitch_a.send_from_vnic(cloud.vnic_a, syn())
-    run(cloud)
-    reply = Packet.tcp(TENANT_B, external, 80, 1000,
-                       TcpFlags.of("syn", "ack"))
-    cloud.vswitch_b.send_from_vnic(cloud.vnic_b, reply)
-    run(cloud)
-    # One session entry at A despite the address translation: the reverse
-    # translation happens before the session lookup.
-    a_sessions = [e for e in cloud.vswitch_a.session_table
-                  if e.vni == VNI]
-    assert len(a_sessions) == 1
-    assert cloud.vswitch_a.stats.slow_path_lookups == 1
-
-
-def test_nat44_table_lookups():
-    from repro.vswitch import Nat44Table
-    nat = Nat44Table(entry_bytes=48)
-    nat.add_mapping(IPv4Address("10.0.0.1"), IPv4Address("198.51.100.1"))
-    assert nat.external_for(IPv4Address("10.0.0.1")) == \
-        IPv4Address("198.51.100.1")
-    assert nat.internal_for(IPv4Address("198.51.100.1")) == \
-        IPv4Address("10.0.0.1")
-    assert nat.external_for(IPv4Address("10.0.0.2")) is None
-    assert nat.rule_count() == 1
-    assert nat.memory_bytes() == 48
-
-
 # -- burst datapath --------------------------------------------------------------
 
 from dataclasses import asdict
@@ -465,16 +386,15 @@ from collections import Counter
 
 from repro.net.packet import make_underlay_transport
 
-EXTERNAL_B = IPv4Address("203.0.113.9")
 UNHOSTED = IPv4Address("192.168.0.77")
 
 
 def _sink_arrivals(case, fluid, n=4):
     """``n`` identical overlay packets reach vSwitch B's sink as one run
     (``_fabric_sink_run``) or as ``n`` single arrivals (``_fabric_sink``),
-    addressed to (a) an unknown vNIC, (b) a vNIC B fronts through
-    ``overlay_fallback``, or (c) B's NAT alias. Returns B's stats, trace
-    counts, what was handed on, and the tenant template's bytes."""
+    addressed to (a) an unknown vNIC or (b) a vNIC B fronts through
+    ``overlay_fallback``. Returns B's stats, trace counts, what was
+    handed on, and the tenant template's bytes."""
     cloud = build_cloud()
     vs = cloud.vswitch_b
     vs.trace.enable_all()
@@ -482,23 +402,18 @@ def _sink_arrivals(case, fluid, n=4):
 
     def record(packet):
         ip = packet.layers[0]
-        handed.append((ip.src, ip.dst, packet.meta.get("nat_original_dst"),
-                       packet.encode()))
+        handed.append((ip.src, ip.dst, packet.encode()))
 
     cloud.vnic_b.attach_guest(record)
-    dst = {"unknown": UNHOSTED, "fronted": UNHOSTED,
-           "alias": EXTERNAL_B}[case]
     if case == "fronted":
         def front(packet, vni, outer_src):
             record(packet)
             handed.append((vni, outer_src))
             return True
         vs.overlay_fallback = front
-    if case == "alias":
-        vs.add_vnic_alias(VNI, EXTERNAL_B, cloud.vnic_b)
     server_a = cloud.topo.servers[0]
-    template = Packet.tcp(TENANT_A, dst, 1000, 80, TcpFlags.of("syn"))
-    fresh = Packet.tcp(TENANT_A, dst, 1000, 80, TcpFlags.of("syn"))
+    template = Packet.tcp(TENANT_A, UNHOSTED, 1000, 80, TcpFlags.of("syn"))
+    fresh = Packet.tcp(TENANT_A, UNHOSTED, 1000, 80, TcpFlags.of("syn"))
 
     def frame():
         return make_underlay_transport(
@@ -519,11 +434,11 @@ def _sink_arrivals(case, fluid, n=4):
             handed, template_bytes)
 
 
-@pytest.mark.parametrize("case", ["unknown", "fronted", "alias"])
+@pytest.mark.parametrize("case", ["unknown", "fronted"])
 def test_run_sink_fallbacks_equal_single_arrivals(case):
     """The run sink's per-packet fallbacks: every counter, trace record,
-    handed-on packet (``dst`` rewritten and ``nat_original_dst`` set at
-    the alias) and the template's own bytes equal ``n`` single sinks'."""
+    handed-on packet and the template's own bytes equal ``n`` single
+    sinks'."""
     run_form = _sink_arrivals(case, fluid=True)
     assert run_form == _sink_arrivals(case, fluid=False)
     stats, traces, handed, _ = run_form
@@ -531,8 +446,5 @@ def test_run_sink_fallbacks_equal_single_arrivals(case):
     if case == "unknown":
         assert stats["unknown_vnic_drops"] == 4 and not handed
         assert traces["pkt.unknown_vnic"] == 4
-    elif case == "fronted":
-        assert stats["unknown_vnic_drops"] == 0 and len(handed) == 8
     else:
-        assert stats["delivered"] == 4
-        assert all(h[1] == TENANT_B and h[2] == EXTERNAL_B for h in handed)
+        assert stats["unknown_vnic_drops"] == 0 and len(handed) == 8

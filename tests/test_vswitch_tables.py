@@ -4,9 +4,8 @@ import pytest
 
 from repro.net import FiveTuple, IPv4Address, MacAddress, PROTO_TCP, PROTO_UDP
 from repro.vswitch import (
-    AclRule, AclTable, CostModel, Direction, FlowLogTable, MappingEntry,
-    MappingTable, MirrorTable, PolicyRouteTable, PreActions, QosTable,
-    RouteTable, SlowPath, StatsPolicy, Verdict,
+    AclRule, AclTable, CostModel, Direction, MappingEntry, MappingTable,
+    PreActions, QosTable, RouteTable, SlowPath, Verdict,
 )
 from repro.vswitch.rule_tables import LookupContext, QosRule
 from repro.vswitch.vswitch import make_standard_chain
@@ -193,34 +192,6 @@ def test_mapping_remove_and_memory():
     assert mapping.memory_bytes() == 0
 
 
-# -- advanced tables ------------------------------------------------------------------
-
-def test_policy_route_override():
-    policy = PolicyRouteTable()
-    policy.add_override(IPv4Address("192.168.0.0"), 24,
-                        IPv4Address("10.9.9.9"), MacAddress(9))
-    pre = PreActions()
-    policy.apply(ctx(), pre)
-    assert pre.tx.next_hop_ip == IPv4Address("10.9.9.9")
-
-
-def test_mirror_table_sets_target_both_ways():
-    mirror = MirrorTable()
-    mirror.add_mirror(IPv4Address("192.168.0.0"), 24, IPv4Address("10.7.7.7"))
-    pre = PreActions()
-    mirror.apply(ctx(), pre)
-    assert pre.tx.mirror_to == IPv4Address("10.7.7.7")
-    assert pre.rx.mirror_to == IPv4Address("10.7.7.7")
-
-
-def test_flow_log_sets_stats_policy():
-    flow_log = FlowLogTable()
-    flow_log.add_policy(IPv4Address("192.168.0.0"), 24, StatsPolicy.FULL)
-    pre = PreActions()
-    flow_log.apply(ctx(), pre)
-    assert pre.tx.stats_policy is StatsPolicy.FULL
-
-
 # -- SlowPath ------------------------------------------------------------------------------
 
 def test_standard_chain_has_five_tables():
@@ -231,6 +202,37 @@ def test_standard_chain_has_five_tables():
 def test_advanced_chain_has_twelve_tables():
     chain = make_standard_chain(CostModel.testbed(), advanced=True)
     assert len(chain.tables) == 12
+
+
+BASIC = ("acl", "qos", "policy_route", "route", "vnic_server_mapping")
+ADVANCED = BASIC + ("mirror", "flow_log", "policy_route", "mirror",
+                    "flow_log", "qos", "policy_route")
+#: name -> (table names in order, lookup_cost(64), lookup_cost(1500),
+#: memory_bytes()) on the testbed cost model, recorded before the
+#: rule-less stages became ``StageTable``s.
+PINNED_CHAINS = {
+    "basic": (BASIC, 1473.76, 1962.0, 32),
+    "advanced": (ADVANCED, 2733.76, 3222.0, 32),
+    "load-balancer": (ADVANCED, 2906.884066890119, 3395.1240668901187,
+                      12832),
+    "nat-gateway": (ADVANCED, 2929.688099031881, 3417.9280990318807, 19232),
+    "transit-router": (BASIC[1:], 1473.76, 1962.0, 32),
+}
+
+
+def test_chains_keep_every_lookup_stage():
+    """Fig 2, Table 3 and every CPS number charge a lookup by its chain's
+    length, so a stage that holds no rules still has to be there."""
+    from repro.middlebox.base import lb_profile, nat_profile, tr_profile
+    cm = CostModel.testbed()
+    chains = {"basic": make_standard_chain(cm),
+              "advanced": make_standard_chain(cm, advanced=True)}
+    for profile in (lb_profile(), nat_profile(), tr_profile()):
+        chains[profile.name] = profile.build_chain(cm)
+    for name, chain in chains.items():
+        got = (tuple(t.name for t in chain.tables), chain.lookup_cost(64),
+               chain.lookup_cost(1500), chain.memory_bytes())
+        assert got == PINNED_CHAINS[name], f"{name} chain moved"
 
 
 def test_slow_path_cost_grows_with_tables_rules_and_bytes():

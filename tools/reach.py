@@ -53,7 +53,7 @@ REASONS = {
     "unit": "live API only unit tests call (queries, teardown, setters)",
     "item1": "policy branches the quick arena does not fire (PAM, SuperNIC)",
     "item2a": "§4.3 scale-in / fallback: live policy branches no run drives",
-    "item4": "QoS, NAT44 and burst shapes only the reference oracle drives",
+    "item4": "burst shapes only the reference oracle drives",
     "item6": "ConcurrentFlowHolder, waiting on the hot micro-sim rework",
     "item7": "MutualPing / watch_links, waiting on gray-failure chaos",
 }

@@ -28,7 +28,7 @@ from repro.vswitch.actions import Direction, process_pkt
 from repro.vswitch.rule_tables import LookupContext
 from repro.vswitch.session_table import EntryMode
 from repro.vswitch.state import SessionState
-from repro.vswitch.tcp_fsm import tcp_transition
+from repro.vswitch.tcp_fsm import TCP_STEP
 from repro.vswitch.vnic import Vnic
 from repro.vswitch.vswitch import Datapath, VSwitch
 from repro.core.header import NezhaMeta, KIND_TX, build_nezha_hop
@@ -93,9 +93,9 @@ class BackendInstance(Datapath):
                  packet: Packet) -> None:
         tcp = packet.find(TcpHeader)
         if tcp is not None:
-            from_initiator = state.first_direction == direction
-            state.tcp_state = tcp_transition(state.tcp_state,
-                                             from_initiator, tcp.flags)
+            state.tcp_state = TCP_STEP[state.tcp_state,
+                                       state.first_direction is direction,
+                                       tcp.flags.bits]
         state.touch(self.vswitch.engine.now)
 
     # -- TX: VM → BE → FE -----------------------------------------------------------

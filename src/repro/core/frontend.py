@@ -184,7 +184,7 @@ class FrontendInstance:
         """
         if not self.active or vni != self.vnic.vni:
             return False
-        if packet.expect(IPv4Header).dst != self.vnic.tenant_ip:
+        if packet.expect(IPv4Header).dst.value != self.vnic.tenant_ip.value:
             return False
         vs = self.vswitch
         cm = vs.cost_model

@@ -96,42 +96,65 @@ class NezhaMeta:
     notify_policy: Optional[StatsPolicy] = None
 
     def to_context(self) -> NshContext:
-        entries = {NshContext.DIRECTION: self.kind,
-                   NshContext.VNIC: _VNIC.pack(self.vnic_id)}
-        if self.state is not None:
-            entries[NshContext.STATE] = self.state.to_wire()
-        if self.pre_actions is not None:
-            entries[NshContext.PRE_ACTIONS] = encode_pre_actions(
-                self.pre_actions)
-        if self.overlay_src is not None:
-            entries[NshContext.STATE_INIT] = self.overlay_src.to_bytes()
-        if self.notify_five_tuple is not None:
-            entries[NshContext.NOTIFY] = (
-                encode_five_tuple(self.notify_five_tuple)
-                + (self.notify_policy or StatsPolicy.NONE).to_wire())
-        return NshContext(entries)
+        """The hop's sealed context, shared read-only by every hop that
+        carries the same TLV payload (:func:`_sealed_context`)."""
+        state, pre, src = self.state, self.pre_actions, self.overlay_src
+        notify = self.notify_five_tuple
+        return _sealed_context(
+            self.kind, self.vnic_id,
+            None if state is None else state.to_wire(),
+            None if pre is None else encode_pre_actions(pre),
+            None if src is None else src.to_bytes(),
+            None if notify is None else (
+                encode_five_tuple(notify)
+                + (self.notify_policy or StatsPolicy.NONE).to_wire()))
 
     @classmethod
     def from_context(cls, ctx: NshContext) -> "NezhaMeta":
-        """A decoded *snapshot*: every field is rebuilt from the TLV
-        bytes, so the FE never sees the BE's live ``SessionState``."""
-        entries = ctx.entries
-        (vnic_id,) = _VNIC.unpack(ctx.get(NshContext.VNIC))
-        meta = cls(ctx.get(NshContext.DIRECTION), vnic_id)
-        blob = entries.get(NshContext.STATE)
+        """A decoded *snapshot*: the sealed bytes decode once per distinct
+        value (:func:`_decode_context`), but the ``SessionState`` is
+        rebuilt from its blob for every hop, so the FE never sees the
+        BE's live state and no two hops share one."""
+        kind, vnic_id, state, pre, src, notify, policy = _decode_context(
+            ctx.encode())
+        if state is not None:
+            state = SessionState.from_wire(state)
+        return cls(kind, vnic_id, state, pre, src, notify, policy)
+
+
+@lru_cache(maxsize=4096)
+def _sealed_context(kind: bytes, vnic_id: int, state: Optional[bytes],
+                    pre_actions: Optional[bytes], state_init: Optional[bytes],
+                    notify: Optional[bytes]) -> NshContext:
+    """Interned by TLV payload: a vNIC's hops carry a handful of distinct
+    payloads, each validated once; the first hop built seals it, and the
+    hops that carry it share the (read-only) context."""
+    entries = {NshContext.DIRECTION: kind,
+               NshContext.VNIC: _VNIC.pack(vnic_id)}
+    for tlv_type, blob in ((NshContext.STATE, state),
+                           (NshContext.PRE_ACTIONS, pre_actions),
+                           (NshContext.STATE_INIT, state_init),
+                           (NshContext.NOTIFY, notify)):
         if blob is not None:
-            meta.state = SessionState.from_wire(blob)
-        blob = entries.get(NshContext.PRE_ACTIONS)
-        if blob is not None:
-            meta.pre_actions = decode_pre_actions(blob)
-        blob = entries.get(NshContext.STATE_INIT)
-        if blob is not None:
-            meta.overlay_src = IPv4Address.from_bytes(blob)
-        blob = entries.get(NshContext.NOTIFY)
-        if blob is not None:
-            meta.notify_five_tuple = decode_five_tuple(blob)
-            meta.notify_policy = StatsPolicy.from_wire(blob[13:14])
-        return meta
+            entries[tlv_type] = blob
+    return NshContext(entries)
+
+
+@lru_cache(maxsize=4096)
+def _decode_context(wire: bytes) -> tuple:
+    """One sealed context's fields, decoded once per distinct bytes; all
+    but the state blob are read-only values the hops share."""
+    ctx = NshContext.decode(wire)
+    (vnic_id,) = _VNIC.unpack(ctx.get(NshContext.VNIC))
+    pre = ctx.get_or(NshContext.PRE_ACTIONS, None)
+    src = ctx.get_or(NshContext.STATE_INIT, None)
+    notify = ctx.get_or(NshContext.NOTIFY, None)
+    return (ctx.get(NshContext.DIRECTION), vnic_id,
+            ctx.get_or(NshContext.STATE, None),
+            None if pre is None else decode_pre_actions(pre),
+            None if src is None else IPv4Address.from_bytes(src),
+            None if notify is None else decode_five_tuple(notify),
+            None if notify is None else StatsPolicy.from_wire(notify[13:14]))
 
 
 def build_nezha_hop(src_ip: IPv4Address, src_mac: MacAddress,
@@ -140,8 +163,9 @@ def build_nezha_hop(src_ip: IPv4Address, src_mac: MacAddress,
                     entropy: int = 0) -> Packet:
     """Wrap ``inner`` (or nothing, for a notify) for the BE↔FE hop.
 
-    Reading ``nsh.wire_length`` seals the context: the hop's one TLV
-    encode, and where an over-long context raises ``DecodeError``."""
+    Reading ``nsh.wire_length`` seals whatever context ``to_context``
+    returned that is not sealed yet: where an over-long context raises
+    ``DecodeError``."""
     nsh = NshHeader(spi=meta.vnic_id & 0xFFFFFF, si=255,
                     context=meta.to_context())
     udp_len = UdpHeader.wire_length + nsh.wire_length

@@ -10,6 +10,7 @@ because the session table stores bidirectional flows in a single entry.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from typing import Tuple
 
 from repro.net.addr import IPv4Address
@@ -25,7 +26,7 @@ class FiveTuple:
     """(src ip, dst ip, protocol, src port, dst port) — the flow key."""
 
     __slots__ = ("src_ip", "dst_ip", "proto", "src_port", "dst_port",
-                 "_hash", "_session_key", "_hash64")
+                 "_hash", "_session_key")
 
     def __init__(
         self,
@@ -45,11 +46,11 @@ class FiveTuple:
         self.src_port = int(src_port)
         self.dst_port = int(dst_port)
         # Tuples are immutable, so the dict hash — recomputed on every
-        # session-table probe otherwise — is precomputed once.
-        self._hash = hash((self.src_ip, self.dst_ip, self.proto,
+        # session-table probe otherwise — is precomputed once, from the
+        # address values (``__eq__`` compares those).
+        self._hash = hash((self.src_ip.value, self.dst_ip.value, self.proto,
                            self.src_port, self.dst_port))
         self._session_key: Tuple = None
-        self._hash64 = None
 
     def reversed(self) -> "FiveTuple":
         """The same session seen from the other direction."""
@@ -81,27 +82,14 @@ class FiveTuple:
         nonzero ``seed`` salts the digest, but every caller in the
         datapath uses the default.
 
-        The default-seed digest is memoized (fields are immutable): the
-        forwarding path derives VXLAN source-port entropy from it for
-        every encapsulated packet, which made one sha256 per forward the
-        hot-loop cost.
+        The digest is per session, not per packet: the BE picks an FE by
+        it and the forwarding path derives VXLAN source-port entropy from
+        it for every packet, and every packet parses its own flow key, so
+        it is interned by value (:func:`_flow_hash`), not memoized on the
+        key.
         """
-        if seed == 0:
-            cached = self._hash64
-            if cached is not None:
-                return cached
-        blob = (
-            seed.to_bytes(8, "big", signed=False)
-            + self.src_ip.to_bytes()
-            + self.dst_ip.to_bytes()
-            + bytes([self.proto])
-            + self.src_port.to_bytes(2, "big")
-            + self.dst_port.to_bytes(2, "big")
-        )
-        value = int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
-        if seed == 0:
-            self._hash64 = value
-        return value
+        return _flow_hash(seed, self.src_ip.value, self.dst_ip.value,
+                          self.proto, self.src_port, self.dst_port)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -122,3 +110,13 @@ class FiveTuple:
         proto = _PROTO_NAMES.get(self.proto, str(self.proto))
         return (f"FiveTuple({self.src_ip}:{self.src_port} -> "
                 f"{self.dst_ip}:{self.dst_port} {proto})")
+
+
+@lru_cache(maxsize=4096)
+def _flow_hash(seed: int, src: int, dst: int, proto: int, src_port: int,
+               dst_port: int) -> int:
+    """sha256 of the seed and the 5-tuple's wire bytes, first 8 bytes."""
+    blob = (seed.to_bytes(8, "big", signed=False) + src.to_bytes(4, "big")
+            + dst.to_bytes(4, "big") + bytes([proto])
+            + src_port.to_bytes(2, "big") + dst_port.to_bytes(2, "big"))
+    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")

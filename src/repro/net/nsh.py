@@ -43,12 +43,13 @@ class NshContext:
     itself is type-agnostic.
 
     :meth:`encode` seals the context: the TLV bytes are built once and
-    kept until the next :meth:`put`, and they are what
-    :attr:`wire_length` measures — so a hop's length on a link is the
-    length of bytes that exist, and a context no NSH header could carry
-    fails where it is sealed (when the hop is built). ``entries`` is
-    therefore read-only outside :meth:`put`: a direct write would leave
-    the sealed bytes stale.
+    kept, and they are what :attr:`wire_length` measures — so a hop's
+    length on a link is the length of bytes that exist, and a context no
+    NSH header could carry fails where it is sealed (when the hop is
+    built). A context is read-only once constructed: a write to
+    ``entries`` would leave the sealed bytes stale, and
+    :mod:`repro.core.header` shares one sealed context among every hop
+    that carries the same TLV payload.
     """
 
     # TLV types used by Nezha (see repro.core.header for the payloads).
@@ -73,12 +74,6 @@ class NshContext:
             raise DecodeError(f"TLV type out of range: {tlv_type}")
         if len(value) > 0xFF:
             raise DecodeError(f"TLV value too long: {len(value)}B")
-
-    def put(self, tlv_type: int, value: bytes) -> "NshContext":
-        self._validate(tlv_type, value)
-        self.entries[tlv_type] = value
-        self._enc = None
-        return self
 
     def get(self, tlv_type: int) -> bytes:
         try:

@@ -410,10 +410,10 @@ class EncapTemplate:
                 vni: int, src_port: int) -> bool:
         return (self.src_port == src_port
                 and self.vni == vni
-                and self.dst_ip == dst_ip
-                and self.dst_mac == dst_mac
-                and self.src_ip == src_ip
-                and self.src_mac == src_mac)
+                and self.dst_ip.value == dst_ip.value
+                and self.dst_mac.value == dst_mac.value
+                and self.src_ip.value == src_ip.value
+                and self.src_mac.value == src_mac.value)
 
     def wrap(self, inner: Packet) -> Packet:
         """Encapsulate ``inner``; value-identical to

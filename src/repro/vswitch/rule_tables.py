@@ -219,6 +219,7 @@ class RouteTable(RuleTable):
         super().__init__()
         # prefix length -> {masked prefix value -> blackhole?}
         self._by_len: Dict[int, Dict[int, bool]] = {}
+        self._lengths: Tuple[int, ...] = ()   # longest first, for lookup
         self._count = 0
         self.route_bytes = route_bytes
 
@@ -227,7 +228,10 @@ class RouteTable(RuleTable):
         if not 0 <= length <= 32:
             raise TableError(f"bad prefix length {length}")
         masked = prefix.value >> (32 - length) if length else 0
-        bucket = self._by_len.setdefault(length, {})
+        bucket = self._by_len.get(length)
+        if bucket is None:
+            bucket = self._by_len[length] = {}
+            self._lengths = tuple(sorted(self._by_len, reverse=True))
         if masked not in bucket:
             self._count += 1
         bucket[masked] = blackhole
@@ -235,7 +239,7 @@ class RouteTable(RuleTable):
 
     def lookup(self, dst: IPv4Address) -> Optional[bool]:
         """Returns blackhole flag of the longest match, or None."""
-        for length in sorted(self._by_len, reverse=True):
+        for length in self._lengths:
             masked = dst.value >> (32 - length) if length else 0
             bucket = self._by_len[length]
             if masked in bucket:

@@ -8,6 +8,7 @@ tracks enough to distinguish embryonic, established, and closing sessions
 from __future__ import annotations
 
 import enum
+from typing import Dict, Tuple
 
 from repro.net.tcp import TcpFlags
 
@@ -20,13 +21,18 @@ class TcpState(enum.Enum):
     FIN_WAIT = 4        # one side has sent FIN
     CLOSED = 5          # both FINs, or RST, observed
 
+    # Members are singletons, so identity hashing is exact, and it keeps
+    # a TCP_STEP probe in C (Enum's own hashes the name in Python).
+    __hash__ = object.__hash__
+
 
 def tcp_transition(current: TcpState, from_initiator: bool,
                    flags: TcpFlags) -> TcpState:
-    """Advance the session FSM for one observed packet.
+    """Advance the session FSM for one observed packet: the rule, longhand.
 
     ``from_initiator`` is True when the packet travels in the same
-    direction as the session's first packet.
+    direction as the session's first packet. The datapath reads the rule
+    through :data:`TCP_STEP`.
     """
     if flags.rst:
         return TcpState.CLOSED
@@ -51,3 +57,13 @@ def tcp_transition(current: TcpState, from_initiator: bool,
             return TcpState.CLOSED
         return current
     return current
+
+
+#: ``(state, from_initiator, flag bits) -> next state`` for every input
+#: :func:`tcp_transition` can see, filled from it when the module loads:
+#: a datapath FSM step is one probe.
+TCP_STEP: Dict[Tuple[TcpState, bool, int], TcpState] = {
+    (state, from_initiator, bits): tcp_transition(state, from_initiator,
+                                                  TcpFlags(bits))
+    for state in TcpState for from_initiator in (False, True)
+    for bits in range(64)}

@@ -46,7 +46,7 @@ from repro.vswitch.rule_tables import (AclTable, LookupContext, MappingTable,
 from repro.vswitch.session_table import EntryMode, SessionTable
 from repro.vswitch.slow_path import SlowPath
 from repro.vswitch.state import SessionState
-from repro.vswitch.tcp_fsm import tcp_transition
+from repro.vswitch.tcp_fsm import TCP_STEP
 from repro.vswitch.vnic import Vnic
 
 PROBE_PORT = 9527  # "flow direct" health-probe port (§4.4)
@@ -205,7 +205,7 @@ class VSwitch:
         vnic.offloaded = False
 
     def vnic_for(self, vni: int, tenant_ip: IPv4Address) -> Optional[Vnic]:
-        return self._vnic_by_addr.get((vni, IPv4Address(tenant_ip).value))
+        return self._vnic_by_addr.get((vni, tenant_ip.value))
 
     def set_datapath(self, vnic_id: int, datapath: Optional[Datapath]) -> None:
         """Override the datapath for one vNIC (None restores local)."""
@@ -528,8 +528,10 @@ class LocalDatapath(Datapath):
     # -- shared machinery ---------------------------------------------------------
 
     def _lookup_or_create(self, vnic: Vnic, packet: Packet,
-                          direction: Direction):
-        """Fast-path lookup, falling back to the slow path + session insert.
+                          direction: Direction, entry):
+        """Fast-path hit on ``entry`` — the session-table probe
+        :meth:`_classify_run` already made for ``packet`` — falling back
+        to the slow path + session insert on a miss (``entry`` None).
 
         Returns (entry, cycles) or (None, cycles) when the session table
         rejected the insert.
@@ -537,7 +539,6 @@ class LocalDatapath(Datapath):
         vs = self.vswitch
         ft = packet.five_tuple()
         nbytes = packet.wire_length
-        entry = vs.session_table.lookup(vnic.vni, ft)
         if entry is not None and entry.pre_actions is None:
             # A STATE_ONLY residue from a Nezha fallback: re-derive the
             # cached flow locally so the session survives un-offloading.
@@ -576,11 +577,12 @@ class LocalDatapath(Datapath):
     @staticmethod
     def _advance_tcp(entry, direction: Direction, packet: Packet) -> None:
         tcp = packet.find(TcpHeader)
-        if tcp is None or entry.state is None:
+        state = entry.state
+        if tcp is None or state is None:
             return
-        from_initiator = entry.state.first_direction == direction
-        entry.state.tcp_state = tcp_transition(
-            entry.state.tcp_state, from_initiator, tcp.flags)
+        state.tcp_state = TCP_STEP[state.tcp_state,
+                                   state.first_direction is direction,
+                                   tcp.flags.bits]
 
     # -- burst classification ------------------------------------------------------
 
@@ -594,9 +596,9 @@ class LocalDatapath(Datapath):
         if tcp is None:
             return True
         state = entry.state
-        from_initiator = state.first_direction == direction
-        return tcp_transition(state.tcp_state, from_initiator,
-                              tcp.flags) == state.tcp_state
+        current = state.tcp_state
+        return TCP_STEP[current, state.first_direction is direction,
+                        tcp.flags.bits] is current
 
     def _classify_run(self, vnic: Vnic, packets: List[Packet], index: int,
                       direction: Direction):
@@ -606,12 +608,14 @@ class LocalDatapath(Datapath):
 
         One session lookup covers the whole run. Returns
         ``(entry, run, cycles, next_index, fsm_snap, run_bytes)``;
-        ``entry is None`` means ``packets[index]`` must take the
-        per-packet path (miss, STATE_ONLY residue, or an FSM-advancing
-        packet). ``fsm_snap`` is the TCP FSM state the run was classified
-        against: the CPU queue can delay completion past an FSM-advancing
-        packet of the same session, so completion replays the run per
-        packet when the live state differs and moves one of its packets.
+        ``run is None`` means ``packets[index]`` must take the per-packet
+        path (miss, STATE_ONLY residue, or an FSM-advancing packet), and
+        ``entry`` is then what its probe found (None on a miss), handed
+        on so the single probes its session once. ``fsm_snap`` is the
+        TCP FSM state the run was classified against: the CPU queue can
+        delay completion past an FSM-advancing packet of the same
+        session, so completion replays the run per packet when the live
+        state differs and moves one of its packets.
         """
         vs = self.vswitch
         first = packets[index]
@@ -619,7 +623,7 @@ class LocalDatapath(Datapath):
         if (entry is None or entry.pre_actions is None
                 or entry.state is None
                 or not self._fsm_quiet(entry, direction, first)):
-            return None, None, 0.0, index + 1, None, 0
+            return entry, None, 0.0, index + 1, None, 0
         ft = first.five_tuple()
         # Same flow key => same inner proto, so one check covers the run:
         # non-TCP flows carry no FSM and every packet is trivially quiet.
@@ -684,8 +688,8 @@ class LocalDatapath(Datapath):
         while index < n:
             entry, run, cycles, index, snap, nbytes = self._classify_run(
                 vnic, packets, index, Direction.TX)
-            if entry is None:
-                self._tx_single(vnic, packets[index - 1])
+            if run is None:
+                self._tx_single(vnic, packets[index - 1], entry)
                 continue
             k = len(run)
             vs.charge_batch(
@@ -789,9 +793,10 @@ class LocalDatapath(Datapath):
         vs.stats.forwarded += count
         vs.server.send_to_fabric_burst([tmpl.wrap(p) for p in packets])
 
-    def _tx_single(self, vnic: Vnic, packet: Packet) -> None:
+    def _tx_single(self, vnic: Vnic, packet: Packet, entry) -> None:
         vs = self.vswitch
-        entry, cycles = self._lookup_or_create(vnic, packet, Direction.TX)
+        entry, cycles = self._lookup_or_create(vnic, packet, Direction.TX,
+                                               entry)
         if entry is not None:
             vs.charge(cycles + vs.cost_model.encap_cycles, self._tx_one,
                       vnic, entry, packet)
@@ -842,8 +847,8 @@ class LocalDatapath(Datapath):
         while index < n:
             entry, run, cycles, index, snap, nbytes = self._classify_run(
                 vnic, packets, index, Direction.RX)
-            if entry is None:
-                self._rx_single(vnic, packets[index - 1], overlay_src)
+            if run is None:
+                self._rx_single(vnic, packets[index - 1], overlay_src, entry)
                 continue
             if vnic.stateful_decap and overlay_src is not None:
                 entry.state.decap_overlay_src = IPv4Address(overlay_src)
@@ -907,9 +912,10 @@ class LocalDatapath(Datapath):
                 vnic.deliver_burst(packets)
 
     def _rx_single(self, vnic: Vnic, packet: Packet,
-                   overlay_src: Optional[IPv4Address] = None) -> None:
+                   overlay_src: Optional[IPv4Address], entry) -> None:
         vs = self.vswitch
-        entry, cycles = self._lookup_or_create(vnic, packet, Direction.RX)
+        entry, cycles = self._lookup_or_create(vnic, packet, Direction.RX,
+                                               entry)
         if entry is None:
             return
         if vnic.stateful_decap and overlay_src is not None:

@@ -210,8 +210,8 @@ def test_nsh_context_get_missing_raises():
     assert NshContext().get_or(NshContext.STATE, b"?") == b"?"
 
 
-def test_nsh_context_put_chainable():
-    ctx = NshContext().put(1, b"a").put(2, b"bb")
+def test_nsh_context_len_and_contains():
+    ctx = NshContext({1: b"a", 2: b"bb"})
     assert len(ctx) == 2
     assert 1 in ctx and 3 not in ctx
 

@@ -157,7 +157,7 @@ _EVERY_HEADER = [
     UdpHeader(5000, 4789, length=30),
     IcmpHeader(8, 0, identifier=3, sequence=4),
     VxlanHeader(77),
-    NshHeader(spi=5, si=200, context=NshContext().put(1, b"abcd")),
+    NshHeader(spi=5, si=200, context=NshContext({1: b"abcd"})),
 ]
 
 

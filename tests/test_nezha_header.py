@@ -5,8 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import DecodeError
-from repro.net import FiveTuple, IPv4Address, MacAddress, Packet, TcpFlags
-from repro.vswitch import Direction, PreActions, SessionState, StatsPolicy, Verdict
+from repro.net import (FiveTuple, IPv4Address, MacAddress, NshContext,
+                       Packet, TcpFlags)
+from repro.vswitch import (Direction, PreActions, SessionState, StatsPolicy,
+                           TcpState, Verdict)
 from repro.vswitch.rule_tables import Location
 from repro.core.header import (
     KIND_NOTIFY, KIND_RX, KIND_TX, NezhaMeta, build_nezha_hop,
@@ -151,6 +153,32 @@ def test_notify_hop_has_no_inner():
     assert back.notify_five_tuple == FiveTuple(A, B, 6, 1, 2)
 
 
+def test_decoded_hop_state_is_a_snapshot():
+    """Hops with equal TLV bytes share one sealed context and one decode,
+    yet each unwrap hands out its own ``SessionState``: writing to one
+    (as an FE's ``process_pkt`` may) leaves the next decode unchanged."""
+    def hop():
+        state = SessionState(first_direction=Direction.TX,
+                             stats_policy=StatsPolicy.FULL)
+        meta = NezhaMeta(kind=KIND_TX, vnic_id=12, state=state)
+        return build_nezha_hop(IPv4Address("10.2.0.1"), MacAddress(1), LOC,
+                               meta, inner=Packet.tcp(A, B, 1, 2,
+                                                      TcpFlags.of("syn")))
+
+    first, second, third = hop(), hop(), hop()
+    assert first.nsh().context is second.nsh().context
+    one = unwrap_nezha_hop(first).state
+    one.record_packet(Direction.TX, 1500)
+    one.tcp_state = TcpState.CLOSED
+    two = unwrap_nezha_hop(second).state
+    assert two is not one
+    assert two == SessionState(first_direction=Direction.TX,
+                               stats_policy=StatsPolicy.FULL)
+    two.record_packet(Direction.RX, 40)
+    assert unwrap_nezha_hop(third).state == SessionState(
+        first_direction=Direction.TX, stats_policy=StatsPolicy.FULL)
+
+
 def test_unwrap_requires_nsh():
     pkt = Packet.tcp(A, B, 1, 2, TcpFlags.of("syn"))
     with pytest.raises(DecodeError):
@@ -168,7 +196,9 @@ class _PaddedMeta(NezhaMeta):
         ctx = super().to_context()
         have = len(ctx.encode()) // 4
         # One filler TLV: a 1-word header plus the remaining words of value.
-        return ctx.put(0x7F, b"\xAA" * 4 * (self.words - have - 1))
+        # A new context: the one to_context returned is shared and sealed.
+        return NshContext({**ctx.entries,
+                           0x7F: b"\xAA" * 4 * (self.words - have - 1)})
 
 
 def _padded_hop(words):

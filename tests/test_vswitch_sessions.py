@@ -9,6 +9,7 @@ from repro.vswitch import (
     CostModel, Direction, PreActions, SessionState, SessionTable, TcpState,
     tcp_transition,
 )
+from repro.vswitch.tcp_fsm import TCP_STEP
 from repro.vswitch.session_table import (
     EntryMode, FLOWS_KEY_BYTES, STATE_KEY_BYTES,
 )
@@ -60,6 +61,37 @@ def test_fsm_ignores_stray_packets():
 def test_fsm_established_is_stable_under_data():
     assert tcp_transition(TcpState.ESTABLISHED, True,
                           TcpFlags.of("psh", "ack")) is TcpState.ESTABLISHED
+
+
+def _longhand_step(state, from_initiator, bits):
+    """The session FSM written out once more, on raw flag bits."""
+    syn, ack, fin, rst = (bool(bits & TcpFlags.SYN), bool(bits & TcpFlags.ACK),
+                          bool(bits & TcpFlags.FIN), bool(bits & TcpFlags.RST))
+    if rst:
+        return TcpState.CLOSED
+    if state is TcpState.NONE and syn and not ack and from_initiator:
+        return TcpState.SYN_SENT
+    if state is TcpState.SYN_SENT and syn and ack and not from_initiator:
+        return TcpState.SYN_RECEIVED
+    if state is TcpState.SYN_RECEIVED and ack and from_initiator:
+        return TcpState.ESTABLISHED
+    if state is TcpState.ESTABLISHED and fin:
+        return TcpState.FIN_WAIT
+    if state is TcpState.FIN_WAIT and fin:
+        return TcpState.CLOSED
+    return state
+
+
+def test_fsm_table_equals_longhand_rule():
+    """6 states x 2 directions x 64 flag sets: the table the datapath
+    probes is the rule, entry for entry, and holds nothing else."""
+    keys = [(state, from_initiator, bits) for state in TcpState
+            for from_initiator in (False, True) for bits in range(64)]
+    assert len(keys) == 6 * 2 * 64 == len(TCP_STEP)
+    for state, from_initiator, bits in keys:
+        want = _longhand_step(state, from_initiator, bits)
+        assert TCP_STEP[state, from_initiator, bits] is want
+        assert tcp_transition(state, from_initiator, TcpFlags(bits)) is want
 
 
 # -- SessionTable basics ---------------------------------------------------------------

@@ -112,6 +112,29 @@ def test_route_lpm_prefers_longest():
     assert route.lookup(IPv4Address("10.0.0.1")) is None
 
 
+def test_route_lpm_order_holds_across_interleaved_adds():
+    """Lengths arrive out of order, lookups run between the adds, and a
+    later add of a new length must still be probed before shorter ones:
+    every answer equals the longhand longest match over routes so far."""
+    adds = [("10.1.2.0", 24, True), ("10.0.0.0", 8, False),
+            ("0.0.0.0", 0, True), ("10.1.2.3", 32, False),
+            ("10.1.0.0", 16, True), ("10.1.2.0", 24, False),
+            ("10.1.2.128", 25, True), ("10.1.0.0", 16, False)]
+    probes = [IPv4Address(a) for a in ("10.1.2.3", "10.1.2.200", "10.1.9.9",
+                                       "10.7.7.7", "192.0.2.1", "10.1.2.4")]
+    route = RouteTable()
+    added = {}
+    for prefix, length, blackhole in adds:
+        route.add_route(IPv4Address(prefix), length, blackhole=blackhole)
+        added[(prefix, length)] = blackhole
+        for dst in probes:
+            matches = [(length_, hole) for (pfx, length_), hole
+                       in added.items()
+                       if dst.in_prefix(IPv4Address(pfx), length_)]
+            want = max(matches)[1] if matches else None
+            assert route.lookup(dst) is want, (dst, prefix, length)
+
+
 def test_route_unrouted_dst_drops_tx_unoverridably():
     route = RouteTable()
     route.add_route(IPv4Address("192.168.0.0"), 24)  # covers both ends

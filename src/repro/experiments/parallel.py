@@ -24,27 +24,29 @@ inside the point (see :func:`repro.sim.rng.derive_seed`), which is what
 makes replication across pool processes reproducible.
 
 :class:`ResidentPool` is the *stateful* counterpart for iterated
-computations (the fleet's epoch loop): long-lived worker processes that
-receive their state once (``init``), advance it in-process every
-round (``step``), and at the end apply a caller's ``fn`` to it where it
-lives (``collect``) — so IPC carries only small plain-data payloads,
-reports and ``fn``'s results, never the state itself. The determinism
-story is the same as :func:`sweep`'s: slots are assigned to workers as
-contiguous ascending slices and every reply merges in slot order, so
-the merged report list is byte-for-byte what the sequential loop would
-produce.
+computations (the fleet's epoch loop): two or more long-lived worker
+processes that receive their state once (``init``), advance it
+in-process every round (``step``), and at the end apply a caller's
+``fn`` to it where it lives (``collect``) — so IPC carries only small
+plain-data payloads, reports and ``fn``'s results, never the state
+itself. Its sequential path is the caller's own loop: with one
+effective worker the pool refuses to start. The determinism story is
+:func:`sweep`'s: slots go to workers as contiguous ascending slices and
+every reply merges in slot order, so the merged report list is
+byte-for-byte what that loop produces. Bytes and walls live in one
+record, ``runtime_stats()``; a round that fails closes the pool.
 """
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import os
 import pickle
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
-from typing import (Any, Callable, Iterable, List, Optional, Sequence, Tuple,
-                    TypeVar)
+from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from repro import telemetry as _telemetry
 from repro.sim.rng import derive_seed
@@ -219,84 +221,63 @@ class ResidentPool:
       and :meth:`step`/:meth:`collect` merge replies in worker =
       ascending-slot order — so the merged lists are identical to the
       sequential ``[worker_fn(s, payload) for s in states]``.
-    * **Degenerate pool.** With one effective worker (``jobs=1``, one
-      slot, or inside an existing pool worker) no process is spawned:
-      ``step`` and ``collect`` run the same calls inline in the calling
-      process (same call order, no pickling, zero IPC) — the
-      ``sweep(jobs=1)`` guarantee.
+    * **Two or more workers.** With one effective worker (``jobs=1``,
+      one slot, or inside an existing pool worker) the constructor
+      raises ``ValueError``: the caller runs that loop itself, in its
+      own process (``fleet.run`` does).
     * **Failure.** A worker that raises ships its traceback back and
       the coordinator raises :class:`ResidentWorkerError`; a worker
       that *dies* (kill, OOM) is detected by the reply poll loop and
-      surfaced the same way instead of hanging the run.
+      surfaced the same way instead of hanging the run. The failed
+      round closes the pool, so no later call reads its stale replies.
 
-    IPC accounting: every pickled message is counted, split by phase —
-    ``init_ipc_bytes``, ``step_ipc_bytes`` (one entry per step call),
-    ``collect_ipc_bytes`` — which is what lets callers *prove* state
+    One record, :meth:`runtime_stats`, holds the accounting: IPC bytes
+    and coordinator wall by phase (``step`` per call), and per-worker
+    handler walls and queue wait — which is what lets callers *prove*
     residency: step traffic stays flat while resident state grows.
     """
 
     def __init__(self, worker_fn: Callable[[Any, Any], Any],
                  states: Sequence[Any], jobs: Optional[int] = None) -> None:
-        self._states = list(states)
-        n_slots = len(self._states)
-        if n_slots == 0:
-            raise ValueError("ResidentPool needs at least one state slot")
-        self._jobs = resolve_jobs(jobs, n_slots)
+        states = list(states)
+        self.jobs = resolve_jobs(jobs, len(states))
+        if self.jobs < 2:
+            raise ValueError(
+                f"ResidentPool needs two or more effective workers, got "
+                f"{self.jobs} (jobs={jobs}, {len(states)} slots, in a pool "
+                f"worker: {_IN_WORKER}); run the loop in this process")
         self._workers: List[dict] = []
         self._closed = False
-        self.init_ipc_bytes = 0
-        self.step_ipc_bytes: List[int] = []
-        self.collect_ipc_bytes = 0
-        #: Coordinator-side wall clock per phase ("step" is per call).
-        self.phase_wall_s: dict = {"init": 0.0, "step": [], "collect": 0.0}
-        #: Per-worker runtime accounting from reply meta (worker-side
-        #: clocks): handler wall per phase, cumulative recv wait, steps.
-        #: The degenerate in-process pool keeps one pseudo-worker entry
-        #: so "--jobs 1 vs 2" reads from the same artifact shape.
-        self.worker_runtime: List[dict] = [
-            {"steps": 0, "init_wall_s": 0.0, "step_wall_s": 0.0,
-             "collect_wall_s": 0.0, "recv_wait_s": 0.0}
-            for _ in range(self._jobs)]
+        self._stats = {
+            "jobs": self.jobs,
+            "phase_wall_s": {"init": 0.0, "step": [], "collect": 0.0},
+            "workers": [{"steps": 0, "init_wall_s": 0.0, "step_wall_s": 0.0,
+                         "collect_wall_s": 0.0, "recv_wait_s": 0.0}
+                        for _ in range(self.jobs)],
+            "ipc": {"init_bytes": 0, "step_bytes": [], "collect_bytes": 0},
+        }
         tel = _telemetry.current()
         if tel is not None:
             tel.register_resident_pool(self)
-        if self._jobs == 1:
-            self._worker_fn = worker_fn
-            return
         # Contiguous ascending slot slices, sizes differing by at most
         # one — the partition() shape, so reply concatenation walks the
         # slot space in order.
-        base, extra = divmod(n_slots, self._jobs)
-        lo = 0
-        ctx = multiprocessing.get_context()
-        for w in range(self._jobs):
-            hi = lo + base + (1 if w < extra else 0)
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            process = ctx.Process(
+        base, extra = divmod(len(states), self.jobs)
+        bounds = [w * base + min(w, extra) for w in range(self.jobs + 1)]
+        for w in range(self.jobs):
+            parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
+            process = multiprocessing.Process(
                 target=_resident_worker_main,
                 args=(child_conn, worker_fn),
                 name=f"resident-worker-{w}", daemon=True)
             process.start()
             child_conn.close()
             self._workers.append({"process": process, "conn": parent_conn,
-                                  "slots": range(lo, hi)})
-            lo = hi
-        init_started = perf_counter()
-        sent = 0
-        for worker in self._workers:
-            sent += self._send(worker, (
-                "init", [(slot, self._states[slot])
-                         for slot in worker["slots"]]))
-        received = 0
-        for w, worker in enumerate(self._workers):
-            _value, nbytes, meta = self._recv(worker)
-            received += nbytes
-            self._account(w, "init", meta)
-        self.init_ipc_bytes = sent + received
-        self.phase_wall_s["init"] = perf_counter() - init_started
-        # States now live in the workers; drop the coordinator copies so
-        # residency is real (and measurable), not a cached duplicate.
-        self._states = None
+                                  "slots": range(bounds[w], bounds[w + 1])})
+        # The states cross once; the pool keeps no copy of its own.
+        self._round("init", [("init", [(slot, states[slot])
+                                       for slot in worker["slots"]])
+                             for worker in self._workers])
 
     # -- transport ----------------------------------------------------------
 
@@ -328,18 +309,9 @@ class ResidentPool:
                 f"raised:\n{value}")
         return value, len(blob), meta
 
-    def _account(self, w: int, phase: str, meta) -> None:
-        """Fold one reply's worker-side meta into the runtime totals."""
-        if meta is None:
-            return
-        runtime = self.worker_runtime[w]
-        runtime[f"{phase}_wall_s"] += meta["wall_s"]
-        runtime["recv_wait_s"] = meta["recv_wait_s"]
-        if phase == "step":
-            runtime["steps"] += 1
-
     def _death(self, worker: dict) -> ResidentWorkerError:
         process = worker["process"]
+        process.join(timeout=1.0)   # reap it, so the exit code is known
         return ResidentWorkerError(
             f"resident worker {process.name} "
             f"(slots {worker['slots'][0]}..{worker['slots'][-1]}) died "
@@ -349,40 +321,42 @@ class ResidentPool:
 
     # -- the actor protocol --------------------------------------------------
 
-    def _round(self, phase: str, message) -> Tuple[List[Any], int]:
-        """Send ``message`` to every worker; returns the reply values
-        merged in worker (= ascending slot) order and the IPC bytes."""
-        ipc_bytes = sum(self._send(worker, message)
-                        for worker in self._workers)
-        values = []
-        for w, worker in enumerate(self._workers):
-            replies, nbytes, meta = self._recv(worker)
-            values.extend(replies)
-            ipc_bytes += nbytes
-            self._account(w, phase, meta)
-        return values, ipc_bytes
-
-    def step(self, payload) -> List[Any]:
-        """Broadcast ``payload``; returns per-slot reports in slot order."""
+    def _round(self, phase: str, messages: Sequence[Any]) -> List[Any]:
+        """Send ``messages[w]`` to worker ``w``; returns the reply values
+        merged in worker (= ascending slot) order and folds the round's
+        bytes and walls into the record. A round that raises closes the
+        pool: replies it did not read would answer the next round."""
         if self._closed:
             raise ResidentWorkerError("pool is closed")
         started = perf_counter()
-        if self._jobs == 1:
-            reports = []
-            for slot, state in enumerate(self._states):
-                self._states[slot], report = self._worker_fn(state, payload)
-                reports.append(report)
-            self.step_ipc_bytes.append(0)
-            wall = perf_counter() - started
-            self.phase_wall_s["step"].append(wall)
-            runtime = self.worker_runtime[0]
-            runtime["step_wall_s"] += wall
-            runtime["steps"] += 1
-            return reports
-        reports, ipc_bytes = self._round("step", ("step", payload))
-        self.step_ipc_bytes.append(ipc_bytes)
-        self.phase_wall_s["step"].append(perf_counter() - started)
-        return reports
+        values: List[Any] = []
+        try:
+            nbytes = sum(self._send(worker, message)
+                         for worker, message in zip(self._workers, messages))
+            for worker, runtime in zip(self._workers,
+                                       self._stats["workers"]):
+                replies, size, meta = self._recv(worker)
+                values.extend(replies or ())
+                nbytes += size
+                runtime[f"{phase}_wall_s"] += meta["wall_s"]
+                runtime["recv_wait_s"] = meta["recv_wait_s"]
+                runtime["steps"] += phase == "step"
+        except BaseException:
+            self.close()
+            raise
+        wall = perf_counter() - started
+        ipc, walls = self._stats["ipc"], self._stats["phase_wall_s"]
+        if phase == "step":
+            ipc["step_bytes"].append(nbytes)
+            walls["step"].append(wall)
+        else:
+            ipc[f"{phase}_bytes"] = nbytes
+            walls[phase] = wall
+        return values
+
+    def step(self, payload) -> List[Any]:
+        """Broadcast ``payload``; returns per-slot reports in slot order."""
+        return self._round("step", [("step", payload)] * self.jobs)
 
     def collect(self, fn: Callable[[Any], Any]) -> List[Any]:
         """Apply ``fn(state)`` to every slot in the worker that holds it;
@@ -390,19 +364,7 @@ class ResidentPool:
         top-level picklable callable; only its results cross the process
         boundary, so a caller that wants a state back passes an identity
         function and pays for its pickle."""
-        if self._closed:
-            raise ResidentWorkerError("pool is closed")
-        started = perf_counter()
-        if self._jobs == 1:
-            results = [fn(state) for state in self._states]
-            wall = perf_counter() - started
-            self.phase_wall_s["collect"] = wall
-            self.worker_runtime[0]["collect_wall_s"] += wall
-            return results
-        results, self.collect_ipc_bytes = self._round("collect",
-                                                      ("collect", fn))
-        self.phase_wall_s["collect"] = perf_counter() - started
-        return results
+        return self._round("collect", [("collect", fn)] * self.jobs)
 
     def close(self) -> None:
         """Stop the workers; idempotent, safe after a worker death."""
@@ -421,40 +383,15 @@ class ResidentPool:
                 worker["process"].join(timeout=1.0)
             worker["conn"].close()
 
-    @property
-    def jobs(self) -> int:
-        """Effective worker count (1 = in-process degenerate pool)."""
-        return self._jobs
-
-    def ipc_bytes_per_step(self) -> float:
-        """Mean IPC bytes per :meth:`step` call so far (0 in-process)."""
-        if not self.step_ipc_bytes:
-            return 0.0
-        return sum(self.step_ipc_bytes) / len(self.step_ipc_bytes)
-
-    def alive(self) -> List[bool]:
-        """Per-worker liveness (the in-process pool is "alive" until
-        closed). Safe to call after :meth:`close`."""
-        if self._jobs == 1:
-            return [not self._closed]
-        return [worker["process"].is_alive() for worker in self._workers]
-
     def runtime_stats(self) -> dict:
-        """Plain-data runtime instrumentation: coordinator-side phase
-        walls, per-worker handler walls / queue waits / liveness, and
-        the IPC byte accounting — the "wall clock vs --jobs" artifact."""
-        return {
-            "jobs": self._jobs,
-            "phase_wall_s": {"init": self.phase_wall_s["init"],
-                             "step": list(self.phase_wall_s["step"]),
-                             "collect": self.phase_wall_s["collect"]},
-            "workers": [dict(runtime, alive=alive)
-                        for runtime, alive in zip(self.worker_runtime,
-                                                  self.alive())],
-            "ipc": {"init_bytes": self.init_ipc_bytes,
-                    "step_bytes": list(self.step_ipc_bytes),
-                    "collect_bytes": self.collect_ipc_bytes},
-        }
+        """A copy of the pool's one accounting record, plus each worker's
+        liveness: coordinator-side phase walls, per-worker handler walls,
+        steps and queue waits, and the IPC bytes by phase — the "wall
+        clock vs --jobs" artifact. Safe to call after :meth:`close`."""
+        stats = copy.deepcopy(self._stats)
+        for runtime, worker in zip(stats["workers"], self._workers):
+            runtime["alive"] = worker["process"].is_alive()
+        return stats
 
     def __enter__(self) -> "ResidentPool":
         return self

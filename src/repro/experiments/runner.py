@@ -29,6 +29,7 @@ import sys
 import time
 from typing import List, Optional, Tuple
 
+from repro.controller.policy import POLICY_NAMES
 from repro.experiments.parallel import default_jobs, sweep
 
 FAST_EXPERIMENTS = ["fig3", "fig4", "table1", "table3", "table4", "table5",
@@ -149,7 +150,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "range into N shards (default: match --jobs); "
                              "output is byte-identical for every N")
     parser.add_argument("--policy", default=None,
-                        choices=["nezha", "pam", "supernic", "sirius"],
+                        choices=POLICY_NAMES,
                         help="load-sharing policy for experiments that "
                              "take one (fleet: coordinator allocation; "
                              "policy_arena: run just this policy instead "

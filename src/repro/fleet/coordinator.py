@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro import telemetry as _telemetry
 from repro.controller.latency import ControlLatencyModel
+from repro.controller.policy import POLICY_NAMES
 from repro.errors import SimulationError
 from repro.experiments.fig13 import activation_sampler
 from repro.sim.rng import SeededRng, derive_seed
@@ -52,15 +53,13 @@ Request = Tuple[int, int, List[str]]  # (index, units, kinds)
 class FleetCoordinator:
     """Allocates the shared FE pool and scores mitigation per epoch."""
 
-    POLICIES = ("nezha", "pam", "supernic", "sirius")
-
     def __init__(self, seed: int, pool_units: int,
                  survivable_window: float = 3.6,
                  latency: ControlLatencyModel = None, policy: str = "nezha",
                  journal: Optional[DecisionJournal] = None) -> None:
-        if policy not in self.POLICIES:
+        if policy not in POLICY_NAMES:
             raise ValueError(f"unknown fleet policy {policy!r}; "
-                             f"choose from {', '.join(self.POLICIES)}")
+                             f"choose from {', '.join(POLICY_NAMES)}")
         if pool_units < 0:
             raise ValueError(f"pool_units must be >= 0, got {pool_units}")
         self.seed = seed

@@ -146,35 +146,31 @@ class Telemetry:
         self.registry.counter("controller.reconcile.errors")
 
     def register_resident_pool(self, pool) -> None:
-        """Probe-backed gauges over a fleet ResidentPool: liveness, IPC
-        bytes by phase, and per-worker wall-clock/queue-wait totals —
-        the artifact that answers "where does --jobs time go". Probes
-        read plain pool attributes, so they stay valid (and cheap) after
-        the pool is closed."""
-        reg = self.registry
-        reg.gauge("fleet.pool.jobs", probe=lambda p=pool: p.jobs)
-        reg.gauge("fleet.pool.workers_alive",
-                  probe=lambda p=pool: float(sum(p.alive())))
-        reg.gauge("fleet.pool.ipc.init_bytes",
-                  probe=lambda p=pool: p.init_ipc_bytes)
-        reg.gauge("fleet.pool.ipc.step_bytes",
-                  probe=lambda p=pool: sum(p.step_ipc_bytes))
-        reg.gauge("fleet.pool.ipc.collect_bytes",
-                  probe=lambda p=pool: p.collect_ipc_bytes)
-        for w in range(len(pool.worker_runtime)):
-            base = f"fleet.pool.worker{w}"
-            reg.gauge(f"{base}.alive",
-                      probe=lambda p=pool, w=w: float(p.alive()[w]))
-            reg.gauge(f"{base}.steps",
-                      probe=lambda p=pool, w=w: p.worker_runtime[w]["steps"])
-            for phase in ("init", "step", "collect"):
-                reg.gauge(
-                    f"{base}.{phase}_wall_s",
-                    probe=lambda p=pool, w=w, ph=phase:
-                        p.worker_runtime[w][f"{ph}_wall_s"])
-            reg.gauge(f"{base}.recv_wait_s",
-                      probe=lambda p=pool, w=w:
-                          p.worker_runtime[w]["recv_wait_s"])
+        """Probe-backed gauges over a fleet ResidentPool's one record,
+        ``runtime_stats()``: liveness, IPC bytes by phase, and per-worker
+        wall-clock/queue-wait totals — the artifact that answers "where
+        does --jobs time go". The record outlives the workers, so the
+        probes stay valid (and cheap) after the pool is closed."""
+        reads = {
+            "fleet.pool.jobs": lambda s: s["jobs"],
+            "fleet.pool.workers_alive":
+                lambda s: float(sum(w["alive"] for w in s["workers"])),
+            "fleet.pool.ipc.init_bytes": lambda s: s["ipc"]["init_bytes"],
+            "fleet.pool.ipc.step_bytes":
+                lambda s: sum(s["ipc"]["step_bytes"]),
+            "fleet.pool.ipc.collect_bytes":
+                lambda s: s["ipc"]["collect_bytes"],
+        }
+        for w in range(pool.jobs):
+            reads[f"fleet.pool.worker{w}.alive"] = \
+                lambda s, w=w: float(s["workers"][w]["alive"])
+            for key in ("steps", "init_wall_s", "step_wall_s",
+                        "collect_wall_s", "recv_wait_s"):
+                reads[f"fleet.pool.worker{w}.{key}"] = \
+                    lambda s, w=w, key=key: s["workers"][w][key]
+        for name, read in reads.items():
+            self.registry.gauge(
+                name, probe=lambda read=read: read(pool.runtime_stats()))
 
     # -- structured hooks --------------------------------------------------
 

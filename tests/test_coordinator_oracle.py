@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.fleet.coordinator as coordinator_module
+from repro.controller.policy import POLICY_NAMES
 from repro.errors import SimulationError
 from repro.fleet import FleetCoordinator
 from repro.telemetry.fleet import DecisionJournal
@@ -67,7 +68,7 @@ def _settle_both(policy, pool_units, stream, seed=0):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(EPOCHS, min_size=1, max_size=6),
-       st.sampled_from(FleetCoordinator.POLICIES), st.integers(0, 8),
+       st.sampled_from(POLICY_NAMES), st.integers(0, 8),
        st.integers(0, 3))
 def test_kernel_matches_reference_coordinator(stream, policy, pool_units,
                                               seed):

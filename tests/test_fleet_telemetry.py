@@ -264,7 +264,8 @@ def test_resident_pool_runtime_stats_and_liveness():
     from repro.experiments.parallel import ResidentPool
     pool = ResidentPool(_advance, [1, 2, 3, 4], jobs=2)
     try:
-        assert pool.alive() == [True, True]
+        assert [w["alive"] for w in pool.runtime_stats()["workers"]] \
+            == [True, True]
         pool.step(10)
         pool.step(10)
         assert pool.collect(_identity) == [21, 22, 23, 24]
@@ -285,37 +286,43 @@ def test_resident_pool_runtime_stats_and_liveness():
     assert stats["ipc"]["init_bytes"] > 0
     assert len(stats["ipc"]["step_bytes"]) == 2
     assert stats["ipc"]["collect_bytes"] > 0
-    assert pool.alive() == [False, False]
-
-
-def test_resident_pool_runtime_stats_in_process():
-    from repro.experiments.parallel import ResidentPool
-    pool = ResidentPool(_advance, [1, 2], jobs=1)
-    pool.step(1)
-    assert pool.collect(_identity) == [2, 3]
-    stats = pool.runtime_stats()
-    assert stats["jobs"] == 1
-    assert stats["workers"][0]["steps"] == 1
-    assert stats["ipc"]["step_bytes"] == [0]  # residency: zero step IPC
-    assert pool.alive() == [True]
-    pool.close()
-    assert pool.alive() == [False]
+    after = pool.runtime_stats()
+    assert [w["alive"] for w in after["workers"]] == [False, False]
+    # runtime_stats() hands out copies: editing one leaves the record.
+    after["ipc"]["step_bytes"].clear()
+    assert len(pool.runtime_stats()["ipc"]["step_bytes"]) == 2
 
 
 def test_resident_pool_registers_probe_gauges():
+    """Every fleet.pool.* gauge reads the pool's one record, and still
+    equals ``runtime_stats()`` after the pool is closed."""
     from repro.experiments.parallel import ResidentPool
     tel = telemetry.install()
     try:
-        pool = ResidentPool(_advance, [1, 2], jobs=1)
-        pool.step(0)
+        pool = ResidentPool(_advance, [1, 2, 3], jobs=2)
+        pool.step(1)
+        pool.step(2)
+        pool.collect(_identity)
         pool.close()
-        names = list(tel.registry.names())
-        assert "fleet.pool.jobs" in names
-        assert "fleet.pool.worker0.steps" in names
-        assert tel.registry.get("fleet.pool.worker0.steps").value() == 1
-        assert tel.registry.get("fleet.pool.workers_alive").value() == 0.0
+        gauges = {name: tel.registry.get(name).value()
+                  for name in tel.registry.names("fleet.pool.*")}
     finally:
         telemetry.uninstall()
+    stats = pool.runtime_stats()
+    expected = {
+        "fleet.pool.jobs": 2,
+        "fleet.pool.workers_alive": 0.0,
+        "fleet.pool.ipc.init_bytes": stats["ipc"]["init_bytes"],
+        "fleet.pool.ipc.step_bytes": sum(stats["ipc"]["step_bytes"]),
+        "fleet.pool.ipc.collect_bytes": stats["ipc"]["collect_bytes"],
+    }
+    for w, worker in enumerate(stats["workers"]):
+        for key, value in worker.items():
+            expected[f"fleet.pool.worker{w}.{key}"] = \
+                float(value) if key == "alive" else value
+    assert gauges == expected
+    assert stats["ipc"]["collect_bytes"] > 0
+    assert [w["steps"] for w in stats["workers"]] == [2, 2]
 
 
 # -- span sessions -----------------------------------------------------------

@@ -1,18 +1,21 @@
-"""ResidentPool: the persistent actor-style worker pool (ISSUE 8).
+"""ResidentPool: the persistent actor-style worker pool.
 
 Covers the contract pieces the fleet experiment's byte-identity matrix
-exercises only indirectly: reply ordering, the degenerate in-process
+exercises only indirectly: reply ordering, the refusal of a one-worker
 pool, worker-death surfacing (a clear error, not a hang), error
-tracebacks, and the IPC accounting that proves state actually stays
-resident in the workers — through ``collect`` too, which applies a
-function where the state lives and ships back only its results.
+tracebacks, a failed round closing the pool, and the IPC accounting in
+``runtime_stats()`` that proves state actually stays resident in the
+workers — through ``collect`` too, which applies a function where the
+state lives and ships back only its results.
 """
 
+import os
 import pickle
 import time
 
 import pytest
 
+from repro.experiments import parallel
 from repro.experiments.parallel import ResidentPool, ResidentWorkerError
 
 
@@ -38,6 +41,20 @@ def _explode(state, payload):
     return state, payload
 
 
+def _explode_on_low_slots(state, payload):
+    """Fails on slots 0-1 only: worker 0 raises, worker 1 replies."""
+    if payload == "boom" and state["slot"] < 2:
+        raise ValueError("injected failure in worker")
+    return state, (state["slot"], payload)
+
+
+def _exit_on_slot_0(state, payload):
+    """Worker death, not an exception: slot 0's process just exits."""
+    if payload == "die" and state["slot"] == 0:
+        os._exit(1)
+    return state, payload
+
+
 def _identity(state):
     """collect(fn) that really wants the state back — and pays for it."""
     return state
@@ -51,10 +68,6 @@ def _explode_on_slot_3(state):
     if state["slot"] == 3:
         raise ValueError("injected failure in collect fn")
     return state["slot"]
-
-
-def _sleep_10ms(state):
-    time.sleep(0.01)
 
 
 def _slot_states(n):
@@ -72,7 +85,7 @@ def test_step_and_collect_preserve_slot_order():
         expected_states.append(advanced)
         expected_reports.append(report)
 
-    for jobs in (1, 2):
+    for jobs in (2, 3):                         # 3: slices of 2, 2, 1
         with ResidentPool(_accumulate, _slot_states(5), jobs=jobs) as pool:
             assert pool.jobs == jobs
             pool.step(10)
@@ -83,29 +96,16 @@ def test_step_and_collect_preserve_slot_order():
         assert [s["slot"] for s in collected] == [0, 1, 2, 3, 4]
 
 
-def test_degenerate_pool_runs_in_process_with_zero_ipc():
-    states = _slot_states(3)
-    pool = ResidentPool(_accumulate, states, jobs=1)
-    try:
-        assert pool.jobs == 1
-        assert pool._workers == []              # no processes spawned
-        pool.step(5)
-        collected = pool.collect(_identity)
-    finally:
-        pool.close()
-    assert [s["total"] for s in collected] == [5, 5, 5]
-    assert pool.init_ipc_bytes == 0
-    assert pool.ipc_bytes_per_step() == 0.0
-    assert pool.collect_ipc_bytes == 0
-
-
-def test_single_slot_degenerates_even_with_many_jobs():
-    pool = ResidentPool(_accumulate, _slot_states(1), jobs=8)
-    try:
-        assert pool.jobs == 1                   # clamped to the slot count
-        assert pool._workers == []
-    finally:
-        pool.close()
+def test_one_effective_worker_is_refused(monkeypatch):
+    """jobs=1, one slot, or a call from inside a pool worker: the caller
+    runs the loop itself; the pool never degrades to an inline twin."""
+    with pytest.raises(ValueError, match="two or more effective workers"):
+        ResidentPool(_accumulate, _slot_states(3), jobs=1)
+    with pytest.raises(ValueError, match="two or more effective workers"):
+        ResidentPool(_accumulate, _slot_states(1), jobs=8)
+    monkeypatch.setattr(parallel, "_IN_WORKER", True)
+    with pytest.raises(ValueError, match="two or more effective workers"):
+        ResidentPool(_accumulate, _slot_states(4), jobs=2)
 
 
 def test_empty_states_rejected():
@@ -140,17 +140,33 @@ def test_collect_fn_exception_raises_with_traceback_and_pool_closes():
     assert "_explode_on_slot_3" in message
     assert "resident-worker-1" in message               # slot 3's worker
     assert close_s < 2.0                                # no join timeout
-    assert pool.alive() == [False, False]
+    assert [w["alive"] for w in pool.runtime_stats()["workers"]] \
+        == [False, False]
 
 
 def test_worker_death_raises_instead_of_hanging():
-    with ResidentPool(_accumulate, _slot_states(4), jobs=2) as pool:
-        pool.step(1)
-        victim = pool._workers[0]["process"]
-        victim.kill()
-        victim.join(timeout=5.0)
-        with pytest.raises(ResidentWorkerError, match="died"):
-            pool.step(2)
+    with ResidentPool(_exit_on_slot_0, _slot_states(4), jobs=2) as pool:
+        assert pool.step("fine") == ["fine"] * 4
+        with pytest.raises(ResidentWorkerError,
+                           match="resident-worker-0.*died with exit code 1"):
+            pool.step("die")
+
+
+def test_failed_round_closes_the_pool_instead_of_leaking_replies():
+    """Worker 0 raises; worker 1's good replies are never read. Were the
+    pool left open, the next step would return them as its own:
+    ``[(0, 'c'), (1, 'c'), (2, 'boom'), (3, 'boom')]``."""
+    with ResidentPool(_explode_on_low_slots, _slot_states(4),
+                      jobs=2) as pool:
+        with pytest.raises(ResidentWorkerError, match="injected failure"):
+            pool.step("boom")
+        with pytest.raises(ResidentWorkerError, match="pool is closed"):
+            pool.step("c")
+        with pytest.raises(ResidentWorkerError, match="pool is closed"):
+            pool.collect(_identity)
+    stats = pool.runtime_stats()
+    assert [w["alive"] for w in stats["workers"]] == [False, False]
+    assert stats["ipc"]["step_bytes"] == []     # no round completed
 
 
 def test_step_after_close_raises():
@@ -161,18 +177,6 @@ def test_step_after_close_raises():
         pool.step(1)
     with pytest.raises(ResidentWorkerError):
         pool.collect(_identity)
-
-
-def test_in_process_collect_wall_times_the_fn_calls():
-    """The degenerate pool's collect accounting must cover the ``fn``
-    calls, not stop the clock before making them."""
-    pool = ResidentPool(_accumulate, _slot_states(2), jobs=1)
-    try:
-        assert pool.collect(_sleep_10ms) == [None, None]
-    finally:
-        pool.close()
-    assert pool.phase_wall_s["collect"] >= 0.02
-    assert pool.worker_runtime[0]["collect_wall_s"] >= 0.02
 
 
 # -- state residency, proven by the IPC byte counters -----------------------
@@ -186,19 +190,18 @@ def test_state_stays_resident_between_steps():
     states = [{"blob": blob, "count": 0} for _ in range(4)]
     state_bytes = len(pickle.dumps(states))
     with ResidentPool(_touch_blob, states, jobs=2) as pool:
-        assert pool._states is None            # coordinator copies dropped
         for _ in range(5):
             pool.step(1)
         collected = pool.collect(_identity)
+    ipc = pool.runtime_stats()["ipc"]
     assert [s["count"] for s in collected] == [5] * 4
     assert all(s["blob"] == blob for s in collected)
     # The blobs crossed on init and on the identity collect...
-    assert pool.init_ipc_bytes > state_bytes * 0.9
-    assert pool.collect_ipc_bytes > state_bytes * 0.9
+    assert ipc["init_bytes"] > state_bytes * 0.9
+    assert ipc["collect_bytes"] > state_bytes * 0.9
     # ...but never during the epoch loop.
-    assert len(pool.step_ipc_bytes) == 5
-    assert max(pool.step_ipc_bytes) < 1000
-    assert pool.ipc_bytes_per_step() < 1000
+    assert len(ipc["step_bytes"]) == 5
+    assert max(ipc["step_bytes"]) < 1000
 
 
 def test_collect_ships_fn_results_not_the_state():
@@ -212,7 +215,7 @@ def test_collect_ships_fn_results_not_the_state():
         with ResidentPool(_touch_blob, states, jobs=2) as pool:
             pool.step(1)
             results = pool.collect(fn)
-        return results, pool.collect_ipc_bytes
+        return results, pool.runtime_stats()["ipc"]["collect_bytes"]
 
     lengths, digest_ipc = collect_ipc(_blob_len)
     assert lengths == [blob_size, blob_size]
@@ -232,7 +235,7 @@ def test_step_ipc_flat_as_resident_state_grows():
             pool.step(1)
             pool.step(1)
             pool.collect(_blob_len)
-        return pool.ipc_bytes_per_step()
+        return pool.runtime_stats()["ipc"]["step_bytes"]
 
     small = per_step_ipc(1_000)
     large = per_step_ipc(500_000)

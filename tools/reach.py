@@ -6,9 +6,12 @@ lists it with a reason.
     python tools/reach.py
 
 One process, traced with ``sys.settrace`` (call events only), runs every
-experiment at ``--fast --jobs 1``; the examples; fig9, chaos and fleet
-again with ``--telemetry``, each capture followed by ``tools/telemetry.py
-validate`` and ``report``; and ``pytest benchmarks --benchmark-disable``.
+experiment at ``--fast --jobs 1``; fleet again at ``--jobs 2``, so the
+parent side of its resident worker pool is traced (the workers' own
+calls happen in child processes the census cannot see); the examples;
+fig9, chaos and fleet again with ``--telemetry``, each capture followed
+by ``tools/telemetry.py validate`` and ``report``; and ``pytest
+benchmarks --benchmark-disable``.
 pytest-benchmark switches tracing off inside timed calls, so a census or
 profiler over ``benchmarks/`` without that flag reads everything a
 benchmark times as unreached.
@@ -43,7 +46,7 @@ ALLOW = ROOT / "tools" / "reach_allow.txt"
 TELEMETRY_CAPTURES = ("fig9", "chaos", "fleet")
 
 REASONS = {
-    "pool": "ResidentPool / worker paths, run only at jobs > 1",
+    "pool": "worker-process side of sweep / ResidentPool (untraced)",
     "cli": "command-line entry points the census does not drive",
     "codec": "net/ wire formats kept whole (decode, options, errors)",
     "perfbench": "names perfbench/trace.py binds ([benchmark] PRs only)",
@@ -138,6 +141,8 @@ def stages(tmp: Path) -> Iterator[Tuple[str, Callable[[], object], bool]]:
     for name in runner.ALL_EXPERIMENTS:
         yield (f"{name} --fast", lambda name=name: runner.main(
             [name, "--fast", "--jobs", "1"]), True)
+    yield ("fleet --fast --jobs 2", lambda: runner.main(
+        ["fleet", "--fast", "--jobs", "2"]), True)
     for path in sorted((ROOT / "examples").glob("*.py")):
         yield (f"examples/{path.name}", lambda path=path: runpy.run_path(
             str(path), run_name="__main__"), True)

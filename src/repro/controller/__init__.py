@@ -11,10 +11,10 @@
 * :class:`NezhaController` — the reconciliation loop tying it together:
   offload at 70 % utilization, scale at 40 %, fallback when safe,
   failover on crash (Fig 8, §4.2–4.4).
-* :class:`LoadSharingPolicy` — the controller's decision seam (what to
-  offload, where, when to scale/fall back) with four competing
-  strategies: :class:`NezhaPolicy` (the paper, default),
-  :class:`PamPolicy` (push-neighbor-aside FE migration),
+* :class:`NezhaPolicy` — the paper's strategy (the default) and the
+  decision seam every policy derives from (what to offload, where, when
+  to scale/fall back, and the fleet coordinator's pool cap), with three
+  rivals: :class:`PamPolicy` (push-neighbor-aside FE migration),
   :class:`SuperNicPolicy` (per-tenant fair shares + preemption), and
   :class:`SiriusPolicy` (no load sharing at all).
 
@@ -29,7 +29,6 @@ _EXPORTS = {
     "HealthMonitor": ("repro.controller.monitor", "HealthMonitor"),
     "MutualPing": ("repro.controller.monitor", "MutualPing"),
     "FePlacement": ("repro.controller.placement", "FePlacement"),
-    "LoadSharingPolicy": ("repro.controller.policy", "LoadSharingPolicy"),
     "NezhaPolicy": ("repro.controller.policy", "NezhaPolicy"),
     "PamPolicy": ("repro.controller.policy", "PamPolicy"),
     "SuperNicPolicy": ("repro.controller.policy", "SuperNicPolicy"),

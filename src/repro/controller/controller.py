@@ -34,7 +34,7 @@ from repro.vswitch.vswitch import VSwitch
 from repro.controller.gateway import Gateway
 from repro.controller.monitor import HealthMonitor, MutualPing
 from repro.controller.placement import FePlacement
-from repro.controller.policy import LoadSharingPolicy, NezhaPolicy
+from repro.controller.policy import NezhaPolicy
 from repro.core.offload import (NezhaOrchestrator, OffloadHandle,
                                 OffloadState)
 
@@ -72,7 +72,7 @@ class NezhaController:
                  monitor: Optional[HealthMonitor] = None,
                  trace: Optional[Trace] = None,
                  rng: Optional[SeededRng] = None,
-                 policy: Optional[LoadSharingPolicy] = None) -> None:
+                 policy: Optional[NezhaPolicy] = None) -> None:
         self.engine = engine
         self.gateway = gateway
         self.orchestrator = orchestrator

@@ -1,34 +1,27 @@
-"""Pluggable load-sharing policies: the decision seam of the controller.
+"""Pluggable load-sharing policies: one class per policy, at both scales.
 
 The reconcile loop in :mod:`repro.controller.controller` separates
 *mechanics* (tracking in-flight flows, decision telemetry, monitor
 wiring, the min-FE backstop) from *strategy* — and the strategy is this
-module's :class:`LoadSharingPolicy` surface:
+module's :class:`NezhaPolicy` surface, which every policy derives from:
 
 * **what to offload** — candidate ranking (:meth:`offload_order`) and
   the post-offload utilization projection (:meth:`project`);
 * **where** — FE selection (:meth:`select_fes`), normally delegated to
   :class:`~repro.controller.placement.FePlacement`;
 * **when** — scale-out vs scale-in reaction (:meth:`scale`), the
-  fallback admission check (:meth:`fallback_decision`), and an optional
-  per-tick tail hook (:meth:`reconcile_tail`).
+  fallback admission check (:meth:`fallback_decision`), and a per-tick
+  tail hook (:meth:`reconcile_tail`);
+* **the fleet rule** — a new request's cap on the shared FE pool
+  (:meth:`fleet_quota`, :meth:`fleet_grant`), which
+  :class:`~repro.fleet.coordinator.FleetCoordinator` asks per request.
 
-Four policies compete behind the seam:
-
-* :class:`NezhaPolicy` — the paper's Fig 8 behavior and the default:
-  fig9 / fig12 / fleet tables under it are the golden ones;
-* :class:`PamPolicy` — PAM's push-neighbor-aside (arxiv/1805.10434): an
-  overloaded FE host *migrates* its hosted FEs to the least-loaded
-  neighbor instead of scaling the BE out or evicting its whole FE set;
-* :class:`SuperNicPolicy` — SuperNIC-style multi-tenant FE scheduling
-  (arxiv/2109.07744): per-tenant fair shares of the FE budget, with
-  preemption of over-quota tenants' excess FEs;
-* :class:`SiriusPolicy` — the no-load-sharing baseline: never offloads,
-  never scales, never falls back (every vSwitch keeps its own load).
-
-The ``policy_arena`` experiment scores them head-to-head; the fleet
-coordinator mirrors the same names at fleet granularity
-(:mod:`repro.fleet.coordinator`).
+Four policies compete behind the seam, each described on its class:
+:class:`NezhaPolicy` (the paper's Fig 8, the default, under which the
+fig9 / fig12 / fleet tables are the golden ones), :class:`PamPolicy`
+(arxiv/1805.10434), :class:`SuperNicPolicy` (arxiv/2109.07744) and
+:class:`SiriusPolicy` (no load sharing). The ``policy_arena`` experiment
+scores them head-to-head.
 """
 
 from __future__ import annotations
@@ -41,18 +34,36 @@ if TYPE_CHECKING:  # imported only for annotations: no runtime cycle
     from repro.vswitch.vnic import Vnic
     from repro.vswitch.vswitch import VSwitch
 
+#: SuperNIC's fleet tenants: vSwitch ``index`` is ``index % N_TENANTS``.
+N_TENANTS = 8
 
-class LoadSharingPolicy:
-    """Abstract decision surface consumed by :class:`NezhaController`.
+
+class NezhaPolicy:
+    """The paper's strategy, and the seam every policy overrides.
 
     A policy is bound to exactly one controller via :meth:`bind` and may
     use the controller's mechanics (``placement``, ``orchestrator``,
     ``config``, ``_track_flow``, ``_decide``) — but every *decision*
-    about what/where/when lives here, so competing strategies swap in
-    without touching the reconcile loop.
+    about what/where/when lives here. The fleet rule needs no
+    controller: the coordinator uses an unbound instance.
+
+    Decision table (Fig 8):
+
+    * rank candidates by packet rate (CPU trigger) or rule-table bytes
+      (memory trigger); project by the matching resource share;
+    * place FEs via :class:`FePlacement` (same-ToR first, lowest
+      utilization, stable name tie-break);
+    * scale band: remote-dominant load scales hosted vNICs *out*,
+      local-dominant load scales this vSwitch *in* (evict every FE);
+    * fall back only when the BE can absorb the load afterwards;
+    * fleet: no cap — a new request gets all its units or nothing, like
+      the controller (§6.3.2).
     """
 
-    name = "abstract"
+    name = "nezha"
+
+    #: Fleet: a renewal asking for more than it holds stays residual.
+    grown_renewal_residual = False
 
     def __init__(self) -> None:
         self.controller: Optional["NezhaController"] = None
@@ -73,68 +84,16 @@ class LoadSharingPolicy:
                       by_memory: bool) -> List["Vnic"]:
         """Rank offload candidates, hottest first. Returning ``[]``
         vetoes offloading entirely."""
-        raise NotImplementedError
-
-    def project(self, utilization: float, vnic: "Vnic", book: "_NodeBook",
-                by_memory: bool) -> float:
-        """Projected utilization of the triggering resource after
-        ``vnic`` is offloaded (drives the offload-until-safe loop)."""
-        raise NotImplementedError
-
-    # -- where -------------------------------------------------------------
-
-    def select_fes(self, be_vswitch: "VSwitch", count: int,
-                   avoid: Optional[Set[str]] = None,
-                   vnic: Optional["Vnic"] = None) -> List["VSwitch"]:
-        """Choose FE-hosting vSwitches for ``be_vswitch``. ``vnic`` is
-        the owner when known (tenant-aware policies key quotas on it)."""
-        raise NotImplementedError
-
-    # -- when --------------------------------------------------------------
-
-    def scale(self, book: "_NodeBook", cpu: float) -> None:
-        """React to utilization above the scale threshold but below the
-        offload threshold (the Fig 8 middle band)."""
-        raise NotImplementedError
-
-    def fallback_decision(self, handle: "OffloadHandle",
-                          fe_usage: float) -> Tuple[bool, float]:
-        """``(allowed, projected_be_utilization)`` for an idle-enough
-        offloaded vNIC (the idle-streak bookkeeping lives in the
-        controller; this is only the admission check)."""
-        raise NotImplementedError
-
-    def reconcile_tail(self) -> None:
-        """Per-tick hook after offload/scale/fallback (default no-op);
-        policies with global bookkeeping (quota preemption) live here."""
-
-
-class NezhaPolicy(LoadSharingPolicy):
-    """The paper's strategy, extracted verbatim from the controller.
-
-    Decision table (Fig 8):
-
-    * rank candidates by packet rate (CPU trigger) or rule-table bytes
-      (memory trigger); project by the matching resource share;
-    * place FEs via :class:`FePlacement` (same-ToR first, lowest
-      utilization, stable name tie-break);
-    * scale band: remote-dominant load scales hosted vNICs *out*,
-      local-dominant load scales this vSwitch *in* (evict every FE);
-    * fall back only when the BE can absorb the load afterwards.
-    """
-
-    name = "nezha"
-
-    # -- what --------------------------------------------------------------
-
-    def offload_order(self, book, candidates, by_memory):
         if by_memory:
             return sorted(candidates,
                           key=lambda v: -v.table_memory_bytes())
         return sorted(candidates,
                       key=lambda v: -book.vnic_rates.get(v.vnic_id, 0.0))
 
-    def project(self, utilization, vnic, book, by_memory):
+    def project(self, utilization: float, vnic: "Vnic", book: "_NodeBook",
+                by_memory: bool) -> float:
+        """Projected utilization of the triggering resource after
+        ``vnic`` is offloaded (drives the offload-until-safe loop)."""
         if by_memory:
             # Memory pressure is relieved in proportion to the vNIC's
             # share of the *resident rule-table bytes* — projecting by
@@ -152,13 +111,18 @@ class NezhaPolicy(LoadSharingPolicy):
 
     # -- where -------------------------------------------------------------
 
-    def select_fes(self, be_vswitch, count, avoid=None, vnic=None):
+    def select_fes(self, be_vswitch: "VSwitch", count: int, vnic: "Vnic",
+                   avoid: Optional[Set[str]] = None) -> List["VSwitch"]:
+        """Choose FE-hosting vSwitches for ``be_vswitch`` on behalf of
+        ``vnic`` (tenant-aware policies key quotas on it)."""
         return self.controller.placement.select(be_vswitch, count,
                                                 avoid=avoid)
 
     # -- when --------------------------------------------------------------
 
-    def scale(self, book, cpu):
+    def scale(self, book: "_NodeBook", cpu: float) -> None:
+        """React to utilization above the scale threshold but below the
+        offload threshold (the Fig 8 middle band)."""
         c = self.controller
         vswitch = book.vswitch
         agent = c.orchestrator.agents.get(vswitch.name)
@@ -195,7 +159,11 @@ class NezhaPolicy(LoadSharingPolicy):
                             removed=removed, cpu=round(cpu, 4),
                             remote_share=round(remote_share, 4))
 
-    def fallback_decision(self, handle, fe_usage):
+    def fallback_decision(self, handle: "OffloadHandle",
+                          fe_usage: float) -> Tuple[bool, float]:
+        """``(allowed, projected_be_utilization)`` for an idle-enough
+        offloaded vNIC (the idle-streak bookkeeping lives in the
+        controller; this is only the admission check)."""
         be = handle.be_vswitch
         # Only fall back when the BE can absorb the load afterwards.
         projected = be.cpu_utilization() + fe_usage * len(handle.frontends)
@@ -204,11 +172,29 @@ class NezhaPolicy(LoadSharingPolicy):
                    >= handle.vnic.table_memory_bytes())
         return allowed, projected
 
+    def reconcile_tail(self) -> None:
+        """Per-tick hook after offload/scale/fallback; policies with
+        global bookkeeping (quota preemption) live here."""
+
+    # -- the fleet rule ----------------------------------------------------
+
+    def fleet_quota(self, pool_units: int) -> Optional[int]:
+        """Per-tenant cap on granted units for a pool of ``pool_units``,
+        or ``None`` when the policy has no tenants."""
+        return None
+
+    def fleet_grant(self, units: int, headroom: Optional[int]
+                    ) -> Tuple[int, Optional[str]]:
+        """``(cap, reason it shortens or refuses)`` for a new request of
+        ``units``; ``headroom`` is the tenant's unused quota, if any."""
+        return units, None
+
 
 class PamPolicy(NezhaPolicy):
     """PAM's push-neighbor-aside migration (arxiv/1805.10434).
 
-    Decision table — differs from Nezha only in the scale band:
+    Decision table — differs from Nezha in the scale band and the fleet
+    cap:
 
     * an overloaded vSwitch *hosting FEs* migrates them, one by one, to
       its least-loaded eligible neighbor (scale-out to the neighbor,
@@ -216,10 +202,14 @@ class PamPolicy(NezhaPolicy):
       lands) — load moves sideways instead of growing the FE set;
     * it never scales in (no all-at-once eviction) and never excludes
       itself from placement, so capacity is not withdrawn from the pool;
-    * offload/projection/fallback are inherited from Nezha.
+    * offload/projection/fallback are inherited from Nezha;
+    * fleet: one unit per request (a single neighbor's spare), so a
+      multi-unit hotspot, new or renewed, stays residual for its
+      capacity kinds.
     """
 
     name = "pam"
+    grown_renewal_residual = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -251,6 +241,9 @@ class PamPolicy(NezhaPolicy):
             self.decide("fe_migration", vnic=vnic_id, src=vswitch.name,
                         dst=targets[0].name, cpu=round(cpu, 4))
 
+    def fleet_grant(self, units, headroom):
+        return min(units, 1), "single_unit_cap"
+
 
 class SuperNicPolicy(NezhaPolicy):
     """SuperNIC-style multi-tenant FE scheduling (arxiv/2109.07744).
@@ -265,16 +258,20 @@ class SuperNicPolicy(NezhaPolicy):
     * each tick, tenants holding more than the current quota are
       *preempted*: their newest FEs are gracefully retired (never below
       one FE per vNIC) until they fit, freeing budget for others;
-    * offload ranking/projection and the fallback check are Nezha's.
+    * offload ranking/projection and the fallback check are Nezha's;
+    * fleet: tenant = ``index % N_TENANTS``, and a new grant is capped at
+      the tenant's headroom under ``max(1, pool_units // N_TENANTS)``.
+      A fixed pool makes it a static partition that never needs to
+      preempt (the testbed splits a live budget and does).
     """
 
     name = "supernic"
 
-    def __init__(self, fe_budget: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
         #: Total FE units schedulable across tenants; ``None`` derives
         #: it from the placement pool each tick.
-        self.fe_budget = fe_budget
+        self.fe_budget: Optional[int] = None
         self.preemptions = 0
 
     # -- quota bookkeeping -------------------------------------------------
@@ -301,9 +298,7 @@ class SuperNicPolicy(NezhaPolicy):
 
     # -- where (quota-capped) ----------------------------------------------
 
-    def select_fes(self, be_vswitch, count, avoid=None, vnic=None):
-        if vnic is None:
-            return super().select_fes(be_vswitch, count, avoid=avoid)
+    def select_fes(self, be_vswitch, count, vnic, avoid=None):
         usage = self._tenant_usage()
         quota = self._quota(usage, extra_tenant=vnic.vni)
         headroom = quota - usage.get(vnic.vni, 0)
@@ -311,8 +306,8 @@ class SuperNicPolicy(NezhaPolicy):
             self.decide("quota_denied", vnic=vnic.vnic_id,
                         tenant=vnic.vni, quota=quota)
             return []
-        return super().select_fes(be_vswitch, min(count, headroom),
-                                  avoid=avoid, vnic=vnic)
+        return super().select_fes(be_vswitch, min(count, headroom), vnic,
+                                  avoid=avoid)
 
     # -- preemption of over-quota tenants ----------------------------------
 
@@ -333,13 +328,23 @@ class SuperNicPolicy(NezhaPolicy):
                 self.decide("fe_preempted", vnic=handle.vnic.vnic_id,
                             tenant=vni, quota=quota)
 
+    # -- the fleet rule: a static per-tenant partition ---------------------
 
-class SiriusPolicy(LoadSharingPolicy):
+    def fleet_quota(self, pool_units):
+        return max(1, pool_units // N_TENANTS)
+
+    def fleet_grant(self, units, headroom):
+        grant = min(units, headroom)
+        return grant, "tenant_quota_cap" if grant > 0 else "tenant_quota"
+
+
+class SiriusPolicy(NezhaPolicy):
     """The no-load-sharing baseline: every vSwitch keeps its own load.
 
-    Sirius (the pre-Nezha vSwitch) has no FEs to place, nothing to scale
-    and nothing to fall back — overloaded vSwitches saturate and drop.
-    The arena's "before" column.
+    Sirius (the pre-Nezha vSwitch) has no FEs to place — so nothing to
+    scale and nothing to fall back — and overloaded vSwitches saturate
+    and drop. The arena's "before" column; at fleet scale, no shared
+    pool: every request is denied.
     """
 
     name = "sirius"
@@ -347,21 +352,15 @@ class SiriusPolicy(LoadSharingPolicy):
     def offload_order(self, book, candidates, by_memory):
         return []
 
-    def project(self, utilization, vnic, book, by_memory):
-        return utilization
-
-    def select_fes(self, be_vswitch, count, avoid=None, vnic=None):
+    def select_fes(self, be_vswitch, count, vnic, avoid=None):
         return []
 
-    def scale(self, book, cpu):
-        return None
-
-    def fallback_decision(self, handle, fe_usage):
-        return False, 0.0
+    def fleet_grant(self, units, headroom):
+        return 0, "no_pool"
 
 
 #: CLI / experiment registry: name -> policy class.
-POLICIES: Dict[str, Type[LoadSharingPolicy]] = {
+POLICIES: Dict[str, Type[NezhaPolicy]] = {
     NezhaPolicy.name: NezhaPolicy,
     PamPolicy.name: PamPolicy,
     SuperNicPolicy.name: SuperNicPolicy,
@@ -371,8 +370,9 @@ POLICIES: Dict[str, Type[LoadSharingPolicy]] = {
 POLICY_NAMES = tuple(POLICIES)
 
 
-def make_policy(name: str) -> LoadSharingPolicy:
-    """Instantiate a registered policy by name."""
+def make_policy(name: str) -> NezhaPolicy:
+    """Instantiate a registered policy by name: the one check of a
+    policy name, for the controller and the fleet coordinator alike."""
     try:
         cls = POLICIES[name]
     except KeyError:

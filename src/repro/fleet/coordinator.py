@@ -2,9 +2,10 @@
 
 The only cross-shard coupling in the fleet simulation: shards report
 per-epoch FE demand (the hot lists), the coordinator allocates pool
-capacity and the resulting grants feed back into the *next* epoch's
-shard calls — a granted hotspot retains only its capacity's worth of
-traffic, so its micro-sim measurably de-saturates (§6 feedback loop).
+capacity and the resulting grants go into the *next* epoch's shard
+calls. A granted vSwitch's micro-sim then runs at ratio 1.0 (it keeps
+only its own capacity's worth of traffic); that outcome reaches the
+summary rows and one histogram, and no allocation decision reads it.
 
 Determinism contract: :meth:`FleetCoordinator.settle` consumes reports
 in shard-submission order (= ascending global index, since shard ranges
@@ -17,17 +18,9 @@ is itself shard-invariant.
 Allocation is one pass for every policy: a grant is released the first
 epoch its holder stops requesting; renewals are served first, so an
 active offload is never evicted by a newcomer; each new request gets its
-policy's cap if that fits the free pool, else a denial. The policy
-(``policy=``, :mod:`repro.controller.policy` at fleet scale) is the cap:
-
-* ``"nezha"`` — none: all or nothing, like the controller (§6.3.2);
-* ``"pam"`` — one unit (a single neighbor's spare), so a multi-unit
-  hotspot, new or renewed, stays residual for its capacity kinds;
-* ``"supernic"`` — the tenant's headroom under ``max(1, pool_units //
-  N_TENANTS)`` (tenant = index mod :data:`N_TENANTS`): a fixed pool makes
-  it a static partition that never needs to preempt (the testbed's
-  ``SuperNicPolicy`` splits a live budget and does);
-* ``"sirius"`` — zero: no shared pool, the before-Nezha baseline.
+policy's cap if that fits the free pool, else a denial. The cap is the
+policy's fleet rule (:meth:`~repro.controller.policy.NezhaPolicy.
+fleet_grant` and its overrides, one class per policy at both scales).
 
 Every settle then checks its books (:meth:`FleetCoordinator._check_books`).
 """
@@ -38,15 +31,13 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro import telemetry as _telemetry
 from repro.controller.latency import ControlLatencyModel
-from repro.controller.policy import POLICY_NAMES
+from repro.controller.policy import N_TENANTS, make_policy
 from repro.errors import SimulationError
 from repro.experiments.fig13 import activation_sampler
 from repro.sim.rng import SeededRng, derive_seed
 from repro.telemetry.fleet import DecisionJournal
 from repro.workloads.fleet import HotspotKind
 
-#: SuperNIC tenants: vSwitch ``index`` belongs to ``index % N_TENANTS``.
-N_TENANTS = 8
 Request = Tuple[int, int, List[str]]  # (index, units, kinds)
 
 
@@ -57,9 +48,7 @@ class FleetCoordinator:
                  survivable_window: float = 3.6,
                  latency: ControlLatencyModel = None, policy: str = "nezha",
                  journal: Optional[DecisionJournal] = None) -> None:
-        if policy not in POLICY_NAMES:
-            raise ValueError(f"unknown fleet policy {policy!r}; "
-                             f"choose from {', '.join(POLICY_NAMES)}")
+        self.rule = make_policy(policy)
         if pool_units < 0:
             raise ValueError(f"pool_units must be >= 0, got {pool_units}")
         self.seed = seed
@@ -128,8 +117,7 @@ class FleetCoordinator:
                 del self.grants[index]
 
         renewals, denied_before = len(self.grants), self.denied_requests
-        quota = (max(1, self.pool_units // N_TENANTS)
-                 if self.policy == "supernic" else None)
+        quota = self.rule.fleet_quota(self.pool_units)
         newly_granted, under_granted = self._allocate(requests, quota)
 
         # Mitigation accounting (fig13 semantics, one decision per kind):
@@ -183,21 +171,14 @@ class FleetCoordinator:
         for index, units, _kinds in requests:
             held = self.grants.get(index)
             if held is not None:
-                if self.policy == "pam" and units > held:
+                if self.rule.grown_renewal_residual and units > held:
                     under_granted.add(index)
                 self._journal("renewal", index, requested=units, granted=held)
         for index, units, _kinds in fresh:
             tenant = index % N_TENANTS
             # The policy's cap, and its reason if it shortens or refuses.
-            if self.policy == "nezha":
-                grant, reason = units, None
-            elif self.policy == "pam":
-                grant, reason = min(units, 1), "single_unit_cap"
-            elif self.policy == "supernic":
-                grant = min(units, quota - usage.get(tenant, 0))
-                reason = "tenant_quota_cap" if grant > 0 else "tenant_quota"
-            else:
-                grant, reason = 0, "no_pool"
+            grant, reason = self.rule.fleet_grant(
+                units, None if quota is None else quota - usage.get(tenant, 0))
             if 0 < grant <= free:
                 self.grants[index] = grant
                 newly_granted.add(index)

@@ -9,11 +9,11 @@ simulation measures what the fluid path cannot: achieved throughput
 under CPU contention, drop counts, and the trailing-window CPU
 utilization the controller would see.
 
-When the coordinator has granted the vSwitch FE capacity, the BE keeps
-only its capacity's worth of the packet train — the offloaded excess is
-advanced fluidly and charged to the shared pool — so a granted hotspot
-measurably de-saturates the next epoch, closing the shard↔coordinator
-feedback loop.
+When the coordinator has granted the vSwitch FE capacity, the sim is a
+ratio-1.0 run: the BE keeps only its capacity's worth of the packet
+train, and the excess is charged to the shared pool, not simulated. The
+outcome reaches the fleet table's hot-path summary rows and the
+``hot_cpu`` histogram; no allocation decision reads it.
 
 Each micro-sim is seeded from ``derive_seed`` on the global vSwitch
 index and epoch, so results are reproducible and independent of shard

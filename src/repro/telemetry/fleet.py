@@ -15,9 +15,9 @@ Two plain-data building blocks sit on top of the PR 5 telemetry layer:
   the fleet instance of the determinism contract (DESIGN §5.9).
 
 * **The decision journal.** Every grant, renewal, denial, release,
-  preemption, and mitigation the :class:`~repro.fleet.coordinator.
+  and mitigation the :class:`~repro.fleet.coordinator.
   FleetCoordinator` settles — and every decision the controller's
-  :class:`~repro.controller.policy.LoadSharingPolicy` seam emits — is
+  :class:`~repro.controller.policy.NezhaPolicy` seam emits — is
   recorded as one typed plain-dict event carrying the policy name, so
   "why did supernic preempt where nezha granted?" is answerable from a
   single JSONL capture (``tools/telemetry.py decisions``). Events are

@@ -1,10 +1,11 @@
 """One datapath configuration, and the bytes it renders.
 
 "The same tables come out byte-identical" (ROADMAP north star) as a test:
-sha256 of the rendered fig9 / fig11 / fig12 / fig14 / fleet /
-policy_arena tables at scaled-down parameters, and of every model-based
-experiment and chaos as ``python -m repro.experiments <id> --fast``
-renders them, each recorded at the parent of the commit that added it.
+sha256 of the rendered fig9 / fig11 / fig12 / fig14 / fleet (under each
+policy) / policy_arena tables at scaled-down parameters, of every
+model-based experiment and chaos as ``python -m repro.experiments <id>
+--fast`` renders them, and of the fleet's decision journal under each
+policy, each recorded at the parent of the commit that added it.
 ``test_parallel_determinism.py`` renders the multi-point sweeps at
 ``jobs=2`` against the same kind of digest.
 A change that moves a digest changed simulated behaviour — re-record
@@ -14,10 +15,14 @@ only when that is the point of the change, and say so.
 import ast
 import hashlib
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
+from repro import telemetry
+from repro.controller.policy import POLICY_NAMES
+from repro.experiments import fleet
 from repro.experiments.runner import QUICK_KWARGS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -41,6 +46,9 @@ CASES = [
     ("fig9", FIG9_KWARGS, "888fc94320600068"),
     ("fig12", FIG12_KWARGS, "569ef72087b24e5c"),
     ("fleet", FLEET_KWARGS, "791384cdf446f552"),
+    ("fleet", dict(FLEET_KWARGS, policy="pam"), "353956df7fb7fca6"),
+    ("fleet", dict(FLEET_KWARGS, policy="supernic"), "a1fcdda4f1485953"),
+    ("fleet", dict(FLEET_KWARGS, policy="sirius"), "c0b7048d8556471a"),
     # One-point sweeps (``jobs=2`` clamps to 1), so a digest is what pins
     # them, not a jobs-identity rerun; fig14's bytes are the ~2 s failover.
     ("fig11", QUICK_KWARGS["fig11"], "949f78223fdba60b"),
@@ -50,12 +58,37 @@ CASES = [
      for name, digest in FAST_DIGESTS.items()]
 
 
-@pytest.mark.parametrize("name,kwargs,digest", CASES,
-                         ids=[case[0] for case in CASES])
+#: The fleet's decision journal at ``FLEET_KWARGS``, key order included;
+#: between them the four fire every cap and refusal reason but
+#: ``pool_exhausted``: ``single_unit_cap``, ``tenant_quota_cap``,
+#: ``tenant_quota`` and ``no_pool``.
+JOURNAL_DIGESTS = {
+    "nezha": "dec498d3c33c34b8", "pam": "5ce432c3606e3378",
+    "supernic": "7bcc5f675c033bfe", "sirius": "d85f281bceb06669",
+}
+
+
+def _sha16(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,kwargs,digest", CASES, ids=[
+    f"{name}-{kwargs['policy']}" if "policy" in kwargs else name
+    for name, kwargs, _digest in CASES])
 def test_table_bytes_match_recorded_digest(name, kwargs, digest):
     module = importlib.import_module(f"repro.experiments.{name}")
-    text = module.run(**kwargs).to_text()
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert _sha16(module.run(**kwargs).to_text()) == digest
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_fleet_journal_matches_recorded_digest(policy):
+    tel = telemetry.install()
+    try:
+        fleet.run(**FLEET_KWARGS, policy=policy)
+        events = tel.decisions.to_dicts()
+    finally:
+        telemetry.uninstall()
+    assert _sha16(json.dumps(events)) == JOURNAL_DIGESTS[policy]
 
 
 def _reads_spans_active(tree) -> bool:

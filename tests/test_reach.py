@@ -103,3 +103,15 @@ def test_allow_file_format(census, tmp_path):
     path.write_text("# header\n\npkg/mod.py:never  error-path  # why\n"
                     "pkg/mod.py:Box.idle dunder\n")
     assert reach.load_allow(path) == EXACT
+
+
+def test_real_allow_list_names_live_functions_and_known_reasons(census):
+    """The census's static half, without running anything: every line of
+    ``tools/reach_allow.txt`` names a function under ``src/repro`` and
+    gives a reason from ``REASONS``. Everything unlisted counts as
+    reached, so only a stale key or an unknown reason can be reported."""
+    reach = census[0]
+    universe = reach.functions(reach.SRC)
+    allow = reach.load_allow(reach.ALLOW)
+    assert allow
+    assert reach.compare(universe, set(universe) - set(allow), allow) == []

@@ -7,8 +7,8 @@ that fleet end-to-end with a **hot/cold split**: each epoch every
 vSwitch redraws its peak demand (the Table 1 distributions); the few
 whose demand crosses capacity run a real per-packet micro-sim
 (:mod:`repro.fleet.hotsim`), while the cold tail advances fluidly on
-flyweight struct-of-arrays flow records (:mod:`repro.fleet.flyweight`) —
-millions of concurrent connections in tens of megabytes.
+flyweight run-length flow records (:mod:`repro.fleet.flyweight`) —
+millions of concurrent connections in about a megabyte.
 
 The fleet is partitioned into contiguous shards and runs on one of two
 paths. With more than one effective worker the epoch loop runs on a
@@ -18,7 +18,7 @@ its shards' state in-process for the whole run, end-of-run
 materialization included, and only plain data crosses the process
 boundary — empty shard descriptors in, ``(epoch, grants, params)`` out
 and reports back per epoch, one :func:`_shard_digest` per shard at the
-end; the flyweight columns never cross (DESIGN §5.7). With one
+end; the flyweight runs never cross (DESIGN §5.7). With one
 effective worker there is no pool: a plain in-process loop over
 :func:`~repro.fleet.shard.run_shard_epoch`, then the same digest. The
 shared FE pool is the only cross-shard coupling (shards report demand,
@@ -56,7 +56,7 @@ def _resident_step(state, payload):
 
 def _shard_digest(state) -> Dict[str, object]:
     """The end-of-run materialization boundary for one shard, run where
-    the state lives: fold pending aggregates into the flyweight columns
+    the state lives: fold pending aggregates into the flyweight runs
     and return the plain data the run reads — the folded totals and the
     occupancy. A few hundred bytes per shard, whatever the fleet size."""
     pkts, nbytes = state.materialize()

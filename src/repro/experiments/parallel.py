@@ -202,7 +202,7 @@ class ResidentPool:
     The actor-style counterpart to :func:`sweep` for *iterated* stateful
     computations: ``sweep`` round-trips every point — state included —
     through pickle on every call, which is fine for independent points
-    but makes an epoch loop over tens of megabytes of shard state pay
+    but makes an epoch loop over megabytes of shard state pay
     the serialization cost ``epochs`` times. A resident pool ships each
     state across the process boundary once (``init`` in); every
     :meth:`step` carries only a small broadcast payload out and

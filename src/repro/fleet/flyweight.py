@@ -7,69 +7,58 @@ table entry) costs hundreds of bytes per flow — gigabytes fleet-wide —
 for state that is only ever *accumulated into*, never branched on.
 
 :class:`FleetFlowStore` generalizes the
-:class:`~repro.vswitch.flow_records.FlowRecordStore` idea one level up:
-per-flow packet/byte counters live in parallel stdlib ``array`` columns
-(16 bytes per flow), and a vSwitch owns its slots as a *block*: a flat
-``array('q')`` of ``start, length`` extents in logical slot order — one
-extent if it only ever grew, a few more once churn has recycled other
-vSwitches' freed ranges into it. There is no per-flow index (cost: 16 B
-per flow + O(extents) per vSwitch) and no per-flow Python: blocks grow,
-shrink and fold an extent at a time, the per-slot work done in C. Epoch
-traffic is *not* written per flow at all. Each vSwitch carries two
+:class:`~repro.vswitch.flow_records.FlowRecordStore` idea one level up,
+and then drops the per-flow columns too: the only write a flow counter
+ever sees is :meth:`fold`, which adds one share to every slot of a
+vSwitch at once. So the store keeps *runs* — ``start, length, packets,
+bytes`` quads in a flat ``array('q')``, every slot of a run holding the
+same two counters. A vSwitch owns its slots as a *block* (one of
+``store.blocks``): its runs in logical slot order — one if it only ever
+grew, a few more once churn has recycled other vSwitches' freed ranges
+into it or a fold has split it at its remainder boundary. Freed slots
+sit on a LIFO stack of runs that keep their counters. Memory is O(runs),
+a few per vSwitch, not O(flows); nothing is written per slot.
+
+Epoch traffic is not written per flow at all. Each vSwitch carries two
 pending integers (packets, bytes) that the shard advances per epoch in
-O(1); the columns are touched only at flow churn (bounded per epoch; the
-seed epoch grows them once, :meth:`reserve`) and at the final
-*materialization boundary*, where :meth:`fold` writes the pending
-aggregate uniformly across the vSwitch's live slots with exact integer
+O(1); the runs are touched only at flow churn (bounded per epoch) and
+at the final *materialization boundary*, where :meth:`fold` spreads the
+pending aggregate across the vSwitch's live slots with exact integer
 remainder bookkeeping — the same flush-at-boundary discipline DESIGN.md
 §5.5 established for the hot datapath.
 
-Nothing output-visible may depend on slot numbering: freed extents are
+Nothing output-visible may depend on slot numbering: freed runs are
 recycled across vSwitches within a shard, so slot ids differ between
 shard layouts while every folded total is identical.
 """
 
 from __future__ import annotations
 
-import sys
 from array import array
-from typing import Tuple
-
-#: Bytes per flow held in the store's columns (two ``'q'`` counters).
-BYTES_PER_FLOW = 16
-
-if sys.byteorder != "little":  # pragma: no cover
-    # fold() reads the columns' memory as one little-endian integer.
-    raise ImportError("repro.fleet.flyweight needs a little-endian host")
-
-_LANE_ONE = (1).to_bytes(8, "little")
+from operator import mul
+from typing import List, Tuple
 
 
 class FleetFlowStore:
-    """Struct-of-arrays flow counters for one shard's vSwitch range."""
+    """Run-length flow counters for one shard's vSwitch range."""
 
-    __slots__ = ("packets", "bytes", "_free")
+    __slots__ = ("blocks", "capacity", "_free")
 
-    def __init__(self) -> None:
-        self.packets = array("q")
-        self.bytes = array("q")
-        #: LIFO stack of free extents, flat like a block.
+    def __init__(self, blocks: int) -> None:
+        #: One run array per vSwitch, in the shard's local index order.
+        self.blocks: List["array[int]"] = [array("q") for _ in range(blocks)]
+        #: Slots ever allocated (the high-water mark): the next new id.
+        self.capacity = 0
+        #: LIFO stack of free runs, flat like a block.
         self._free = array("q")
 
     def __len__(self) -> int:
         """Live slots (allocated minus freed)."""
-        return len(self.packets) - sum(self._free[1::2])
-
-    @property
-    def capacity(self) -> int:
-        """Slots ever allocated (the memory high-water mark)."""
-        return len(self.packets)
+        return self.capacity - sum(self._free[1::4])
 
     def nbytes(self) -> int:
-        """Payload bytes held by the columns and the free stack."""
-        return (self.packets.itemsize * len(self.packets)
-                + self.bytes.itemsize * len(self.bytes)
-                + self._free.itemsize * len(self._free))
+        """Payload bytes held by the blocks' and the free stack's runs."""
+        return 8 * (len(self._free) + sum(map(len, self.blocks)))
 
     def stats(self) -> dict:
         """Occupancy snapshot for runtime instrumentation. Capacity and
@@ -82,58 +71,43 @@ class FleetFlowStore:
 
     # -- slot lifecycle -----------------------------------------------------
 
-    def reserve(self, n: int) -> None:
-        """Grow both columns by ``n`` zeroed slots at once and push them
-        onto the free stack as one extent: on an empty stack the next
-        allocations pop its head, the ascending slot numbers ``n``
-        appends would give, with no realloc chain. The second column
-        grows from the first one's zeroed tail, not from a zero buffer."""
-        start = len(self.packets)
-        self.packets.frombytes(bytes(8 * n))
-        with memoryview(self.packets).cast("B") as raw:
-            self.bytes.frombytes(raw[8 * start:])
-        if n:
-            self._free.extend((start, n))
-
     def alloc_block(self, block: "array[int]", n: int) -> None:
-        """Append ``n`` zeroed slots to ``block`` — recycled or reserved
-        extents first (the top of the free stack is split when it is
-        longer than needed), then one ``frombytes`` extension of both
-        columns for the rest. An extent that starts where the block's
-        last one ends is merged into it."""
+        """Append ``n`` zeroed slots to ``block`` — free runs first, LIFO,
+        head first (the top run is split when it is longer than needed),
+        then ``n`` new ascending ids for the rest. Recycled slots come
+        back as a zero run; one that starts where the block's last run
+        ends, with that run still zero, is merged into it."""
         free = self._free
         while n > 0:
             if free:
-                # Take the extent's head: a block re-growing over its own
-                # trimmed tail merges straight back into one extent.
-                start, take = free[-2], min(n, free[-1])
-                free[-2] += take
-                free[-1] -= take
-                if not free[-1]:
-                    del free[-2:]
-                zeros = array("q", bytes(8 * take))
-                self.packets[start:start + take] = zeros
-                self.bytes[start:start + take] = zeros
+                # Take the run's head: a block re-growing over its own
+                # trimmed tail merges straight back into one run.
+                start, take = free[-4], min(n, free[-3])
+                free[-4] += take
+                free[-3] -= take
+                if not free[-3]:
+                    del free[-4:]
             else:
-                start, take = len(self.packets), n
-                self.packets.frombytes(bytes(8 * n))
-                self.bytes.frombytes(bytes(8 * n))
-            if block and block[-2] + block[-1] == start:
-                block[-1] += take
+                start, take = self.capacity, n
+                self.capacity += n
+            if (block and block[-4] + block[-3] == start
+                    and not block[-2] and not block[-1]):
+                block[-3] += take
             else:
-                block.extend((start, take))
+                block.extend((start, take, 0, 0))
             n -= take
 
     def free_block(self, block: "array[int]", n: int) -> None:
         """Trim the last ``n`` slots off ``block`` onto the free stack
-        (counters left in place: a dead flow's folded history is part of
-        the fleet totals until the slot is recycled)."""
+        (counters kept: a dead flow's folded history is part of the
+        fleet totals until the slot is recycled)."""
+        free = self._free
         while n > 0:
-            take = min(n, block[-1])
-            block[-1] -= take
-            self._free.extend((block[-2] + block[-1], take))
-            if not block[-1]:
-                del block[-2:]
+            take = min(n, block[-3])
+            block[-3] -= take
+            free.extend((block[-4] + block[-3], take, block[-2], block[-1]))
+            if not block[-3]:
+                del block[-4:]
             n -= take
 
     # -- materialization ----------------------------------------------------
@@ -147,55 +121,42 @@ class FleetFlowStore:
         Returns the (packets, bytes) actually folded; with no live slots
         the pending amounts stay with the caller.
 
-        The fold runs an extent at a time in C. An all-zero extent (in
-        a run, every one: its single fold finds the slots as allocation
-        zeroed them) is *written* — bumped lanes, then share lanes, by
-        one slice assignment; exact, as ``0 + x = x``. Otherwise the
-        extent's bytes are one little-endian integer whose 64-bit lanes
-        are its counters, and adding ``share`` times the repunit (a 1 in
-        every lane) adds ``share`` to each. Lanes and shares are below
-        2**63, so no sum carries into a neighbour; one with bit 63 set
-        no longer fits a signed ``'q'`` and raises ``OverflowError``
-        before its extent is written back, as ``column[slot] += share``
-        would — so a bumped lane of ``2**63`` takes the add even over
-        zeros (DESIGN §5.6)."""
-        n = sum(block[1::2])
+        Each run takes the shares as two additions; a run is split only
+        where a remainder boundary falls inside it, so a fold adds at
+        most two runs. The folded runs are built in a new array and
+        copied over the block at the end: a counter that would reach
+        2**63 does not fit a signed ``'q'`` and raises ``OverflowError``
+        before anything of the block is written (DESIGN §5.6)."""
+        n = sum(block[1::4])
         if n == 0 or (pending_packets == 0 and pending_bytes == 0):
             return (0, 0)
         packets_share, packets_extra = divmod(pending_packets, n)
         bytes_share, bytes_extra = divmod(pending_bytes, n)
-        if packets_share >> 63 or bytes_share >> 63:
-            raise OverflowError("per-slot share outside [0, 2**63)")
-        with memoryview(self.packets).cast("B") as raw_packets, \
-                memoryview(self.bytes).cast("B") as raw_bytes:
-            columns = [(raw, share, extra, share.to_bytes(8, "little"),
-                        (share + 1).to_bytes(8, "little"))
-                       for raw, share, extra in (
-                           (raw_packets, packets_share, packets_extra),
-                           (raw_bytes, bytes_share, bytes_extra))]
-            done = 0  # slots of the block already folded
-            for k in range(0, len(block), 2):
-                length = block[k + 1]
-                lo = 8 * block[k]
-                hi = lo + 8 * length
-                for raw, share, extra, lane, bumped_lane in columns:
-                    bumped = min(max(extra - done, 0), length)
-                    extent = raw[lo:hi]
-                    if (extent.tobytes() == bytes(hi - lo)
-                            and not (bumped and (share + 1) >> 63)):
-                        raw[lo:hi] = (bumped_lane * bumped
-                                      + lane * (length - bumped))
-                        continue
-                    ones = int.from_bytes(_LANE_ONE * length, "little")
-                    lanes = (int.from_bytes(extent, "little")
-                             + share * ones + (ones >> 64 * (length - bumped)))
-                    if lanes & ones << 63:
-                        raise OverflowError("flow counter exceeds 63 bits")
-                    raw[lo:hi] = lanes.to_bytes(8 * length, "little")
-                done += length
+        stops = (*sorted((packets_extra, bytes_extra)), n)
+        folded = array("q")
+        cut = 0  # slots of the block already folded
+        runs = iter(block)
+        for start, length, packets, nbytes in zip(runs, runs, runs, runs):
+            packets += packets_share
+            nbytes += bytes_share
+            end = cut + length
+            for stop in stops:
+                if stop > cut:  # the run's next piece is [cut, stop)
+                    if stop > end:
+                        stop = end
+                    folded.extend((start, stop - cut,
+                                   packets + (cut < packets_extra),
+                                   nbytes + (cut < bytes_extra)))
+                    start += stop - cut
+                    cut = stop
+                    if cut == end:
+                        break
+        block[:] = folded
         return (pending_packets, pending_bytes)
 
     def totals(self) -> Tuple[int, int]:
-        """Sum of every slot's counters (dead slots included: they hold
-        their folded history until recycled)."""
-        return (sum(self.packets), sum(self.bytes))
+        """Sum of every slot's counters, read off the runs (dead slots
+        included: they hold their folded history until recycled)."""
+        runs = (self._free, *self.blocks)
+        return (sum(sum(map(mul, r[1::4], r[2::4])) for r in runs),
+                sum(sum(map(mul, r[1::4], r[3::4])) for r in runs))

@@ -121,22 +121,21 @@ def partition(n: int, shards: int) -> List[Tuple[int, int]]:
 class ShardState:
     """Per-shard persistent state threaded through the epochs.
 
-    Pickle-friendly by construction: the flyweight store, the
-    per-vSwitch extent blocks (``slots``), their ``live`` slot counts
-    and the pending accumulators are all stdlib arrays. One instance
-    is pickled into its resident worker once (empty) when the fleet runs
-    on a pool, and is mutated in place in either path.
+    Pickle-friendly by construction: the flyweight store (with the
+    per-vSwitch run blocks), their ``live`` slot counts and the pending
+    accumulators are all stdlib arrays. One instance is pickled into its
+    resident worker once (empty) when the fleet runs on a pool, and is
+    mutated in place in either path.
     """
 
-    __slots__ = ("lo", "hi", "store", "slots", "live", "pending_pkts",
+    __slots__ = ("lo", "hi", "store", "live", "pending_pkts",
                  "pending_bytes", "_seed_prefixes")
 
     def __init__(self, lo: int, hi: int) -> None:
         self.lo = lo
         self.hi = hi
-        self.store = FleetFlowStore()
         n = hi - lo
-        self.slots: List["array[int]"] = [array("q") for _ in range(n)]
+        self.store = FleetFlowStore(n)
         self.live = array("q", bytes(8 * n))
         self.pending_pkts = array("q", bytes(8 * n))
         self.pending_bytes = array("q", bytes(8 * n))
@@ -148,11 +147,11 @@ class ShardState:
         self._seed_prefixes: Optional[Tuple[int, List[bytes]]] = None
 
     def __getstate__(self):
-        return (self.lo, self.hi, self.store, self.slots, self.live,
+        return (self.lo, self.hi, self.store, self.live,
                 self.pending_pkts, self.pending_bytes)
 
     def __setstate__(self, state) -> None:
-        (self.lo, self.hi, self.store, self.slots, self.live,
+        (self.lo, self.hi, self.store, self.live,
          self.pending_pkts, self.pending_bytes) = state
         self._seed_prefixes = None
 
@@ -177,9 +176,8 @@ class ShardState:
         return len(self.store)
 
     def nbytes(self) -> int:
-        """Flyweight payload bytes: store columns + per-vSwitch extents."""
-        extents = sum(block.itemsize * len(block) for block in self.slots)
-        return self.store.nbytes() + extents
+        """Flyweight payload bytes: the store's runs."""
+        return self.store.nbytes()
 
     def materialize(self) -> Tuple[int, int]:
         """Fold every vSwitch's pending aggregate into its flow slots —
@@ -198,7 +196,7 @@ class ShardState:
         pending_bytes = self.pending_bytes
         total_pkts = sum(pending_pkts)
         total_bytes = sum(pending_bytes)
-        for i, block in enumerate(self.slots):
+        for i, block in enumerate(store.blocks):
             store.fold(block, pending_pkts[i], pending_bytes[i])
             pending_pkts[i] = 0
             pending_bytes[i] = 0
@@ -216,13 +214,15 @@ def _epoch_uniform_columns(state: ShardState, seed: int, epoch: int
 
     One ``random.Random`` instance is reseeded per vSwitch with the
     exact ``SeededRng`` mix (``sha256(b"{vswitch_seed}:e{epoch}")``
-    truncated to 64 bits) — ``Random(x)`` and ``Random().seed(x)``
-    build the identical Mersenne Twister state, so the three draws per
+    truncated to 64 bits) through the C base class's ``seed``: for an
+    int, ``Random.seed`` only forwards it there (and resets the
+    ``gauss`` cache ``random()`` never reads), so the Mersenne Twister
+    state is the one ``Random(x)`` builds and the three draws per
     vSwitch match a ``SeededRng(vswitch_seed(seed, g), f"e{epoch}")``
     stream bit-for-bit without constructing 10K of them per epoch."""
     suffix = b"e%d" % epoch
     rnd = Random()
-    reseed = rnd.seed
+    reseed = super(Random, rnd).seed  # the C seed: no Python wrapper
     draw = rnd.random
     from_bytes = int.from_bytes
     u_cps: List[float] = []
@@ -284,14 +284,10 @@ def run_shard_epoch(point) -> Tuple[ShardState, Dict[str, object]]:
     cap_flows = capacity.flows
     cap_vnics = capacity.vnics
     flows_per_unit = params.flows_per_unit
-    if seed_epoch:
-        # The seed population in one growth; every alloc_block below
-        # pops the reserved extent's head, in the slot order appends gave.
-        store.reserve(sum(int(flows * flows_per_unit) for flows in flows_col))
     conns_per_unit = params.conns_per_unit
     pkts_per_conn = params.pkts_per_conn
     avg_pkt_bytes = params.avg_pkt_bytes
-    slots = state.slots
+    slots = store.blocks
     live = state.live
     pending_pkts = state.pending_pkts
     pending_bytes = state.pending_bytes

@@ -78,58 +78,84 @@ def test_vswitch_seed_is_shard_layout_free():
 # -- flyweight store --------------------------------------------------------
 
 def _slot_ids(block):
-    """A block's slots in logical order (test-side view of the extents)."""
-    return [slot for k in range(0, len(block), 2)
+    """A block's slots in logical order (test-side view of its runs)."""
+    return [slot for k in range(0, len(block), 4)
             for slot in range(block[k], block[k] + block[k + 1])]
 
 
+def _slot_values(store):
+    """Every slot's counters as two per-slot columns over
+    ``range(store.capacity)``, expanded from the blocks' and the free
+    stack's runs — after checking that the runs cover each slot once."""
+    runs = [store._free, *store.blocks]
+    ids = [slot for block in runs for slot in _slot_ids(block)]
+    assert sorted(ids) == list(range(store.capacity))
+    packets = array("q", bytes(8 * store.capacity))
+    nbytes = array("q", bytes(8 * store.capacity))
+    for block in runs:
+        for k in range(0, len(block), 4):
+            start, length, run_packets, run_bytes = block[k:k + 4]
+            packets[start:start + length] = array("q", [run_packets]) * length
+            nbytes[start:start + length] = array("q", [run_bytes]) * length
+    return packets, nbytes
+
+
+def _block_values(store, block):
+    """[packets, bytes] per slot of ``block``, in its logical order."""
+    packets, nbytes = _slot_values(store)
+    return [[packets[s], nbytes[s]] for s in _slot_ids(block)]
+
+
 def test_flyweight_alloc_grows_zeroed():
-    store = FleetFlowStore()
-    block = array("q")
+    store = FleetFlowStore(1)
+    (block,) = store.blocks
     store.alloc_block(block, 5)
     store.alloc_block(block, 3)              # adjacent growth merges
-    assert len(block) == 2 and block[1] == 8  # one (start, length) extent
+    assert list(block) == [0, 8, 0, 0]       # one (start, length, 0, 0) run
     assert len(store) == 8 and store.capacity == 8
     assert store.totals() == (0, 0)
 
 
 def test_flyweight_free_and_recycle_rezeroes():
-    store = FleetFlowStore()
-    block, other = array("q"), array("q")
+    store = FleetFlowStore(2)
+    block, other = store.blocks
     store.alloc_block(block, 4)
     store.fold(block, pending_packets=8, pending_bytes=80)
     store.free_block(block, 2)
     assert len(store) == 2
     assert store.totals() == (8, 80)         # freed slots keep their history
-    store.alloc_block(other, 2)              # LIFO reuse of the freed extent
+    store.alloc_block(other, 2)              # LIFO reuse of the freed run
     assert store.capacity == 4               # no growth needed
     assert not set(_slot_ids(other)) & set(_slot_ids(block))
-    assert all(store.packets[s] == 0 and store.bytes[s] == 0
-               for s in _slot_ids(other))
+    assert _block_values(store, other) == [[0, 0], [0, 0]]
     assert store.totals() == (4, 40)
 
 
 def test_flyweight_fold_is_exact_with_remainder():
-    store = FleetFlowStore()
-    block = array("q")
+    store = FleetFlowStore(1)
+    (block,) = store.blocks
     store.alloc_block(block, 3)
     folded = store.fold(block, pending_packets=10, pending_bytes=101)
     assert folded == (10, 101)
-    assert [store.packets[s] for s in _slot_ids(block)] == [4, 3, 3]
-    assert [store.bytes[s] for s in _slot_ids(block)] == [34, 34, 33]
+    assert _block_values(store, block) == [[4, 34], [3, 34], [3, 33]]
+    assert len(block) == 3 * 4               # split at both extra boundaries
     assert store.totals() == (10, 101)
 
 
 def test_flyweight_fold_without_live_slots_defers():
-    store = FleetFlowStore()
-    assert store.fold(array("q"), 7, 70) == (0, 0)
+    store = FleetFlowStore(1)
+    assert store.fold(store.blocks[0], 7, 70) == (0, 0)
     assert store.totals() == (0, 0)
 
 
-def test_flyweight_nbytes_tracks_columns():
-    store = FleetFlowStore()
-    store.alloc_block(array("q"), 100)
-    assert store.nbytes() == 100 * 16       # two 'q' columns, empty free stack
+def test_flyweight_nbytes_tracks_runs():
+    store = FleetFlowStore(2)
+    small, large = store.blocks
+    store.alloc_block(small, 10)
+    store.alloc_block(large, 10**6)
+    assert store.nbytes() == 2 * 32          # one 4 x 'q' run each, any size
+    store.free_block(large, 10)
+    assert store.nbytes() == 3 * 32          # + one run on the free stack
 
 
 _FLYWEIGHT_OPS = st.lists(
@@ -147,9 +173,9 @@ def test_flyweight_matches_naive_model(ops):
     """Random alloc / tail-free / fold / re-alloc interleavings over four
     blocks against a list-of-[packets, bytes] model per block. Slot
     numbers never appear in an assertion: only what a block's slots hold,
-    in the block's own order."""
-    store = FleetFlowStore()
-    blocks = [array("q") for _ in range(4)]
+    in the block's own order, expanded from the runs."""
+    store = FleetFlowStore(4)
+    blocks = store.blocks
     model = [[] for _ in blocks]             # block -> [[packets, bytes]]
     dead_packets = dead_bytes = 0            # history held by freed slots
     for op, which, *args in ops:
@@ -172,19 +198,22 @@ def test_flyweight_matches_naive_model(ops):
                 dead_bytes += nbytes
             del slots[len(slots) - n:]
         else:
+            runs_before = len(block) // 4
             folded = store.fold(block, *args)
             if not slots or args == [0, 0]:
                 assert folded == (0, 0)
             else:
                 assert folded == tuple(args)
+                # Split only at the two remainder boundaries.
+                assert len(block) // 4 <= runs_before + 2
                 for col, pending in enumerate(args):
                     # Shares differ by at most one and sum to pending.
                     share, extra = divmod(pending, len(slots))
                     for k, slot in enumerate(slots):
                         slot[col] += share + (k < extra)
         ids = _slot_ids(block)
-        assert sum(block[1::2]) == len(slots) == len(set(ids))
-        assert [[store.packets[s], store.bytes[s]] for s in ids] == slots
+        assert sum(block[1::4]) == len(slots) == len(set(ids))
+        assert _block_values(store, block) == slots
     live = [slot for slots in model for slot in slots]
     assert len(store) == len(live)
     assert len({s for block in blocks for s in _slot_ids(block)}) == len(live)
@@ -193,27 +222,25 @@ def test_flyweight_matches_naive_model(ops):
 
 
 def test_flyweight_fold_lane_overflow_raises_and_spares_neighbours():
-    store = FleetFlowStore()
-    block = array("q")
+    store = FleetFlowStore(2)
+    block, fresh = store.blocks
     store.alloc_block(block, 1)
     store.fold(block, 2**63 - 1, 5)          # the largest value 'q' holds
-    store.alloc_block(block, 2)              # merged: [2**63 - 1, 0, 0]
-    assert len(block) == 2
+    store.alloc_block(block, 2)              # [2**63 - 1, 0, 0]: two runs
     with pytest.raises(OverflowError):
-        store.fold(block, 3, 0)              # one more each: lane 0 overflows
-    assert [store.packets[s] for s in _slot_ids(block)] == [2**63 - 1, 0, 0]
+        store.fold(block, 3, 6)              # one more each: slot 0 overflows
+    assert _block_values(store, block) == [[2**63 - 1, 5], [0, 0], [0, 0]]
     with pytest.raises(OverflowError):
-        store.fold(block, 2**65, 0)          # a share no lane can hold
+        store.fold(block, 2**65, 0)          # a share no counter can hold
     assert store.totals() == (2**63 - 1, 5)
-    # Over empty slots the fold writes instead of adding, but a bumped
-    # lane of 2**63 is no 'q': it still raises before anything is written.
-    fresh = array("q")
+    # Over empty slots a bumped counter of 2**63 is no 'q' either: it
+    # raises before anything of the block is written.
     store.alloc_block(fresh, 2)              # share 2**63 - 1, one bumped
     with pytest.raises(OverflowError):
         store.fold(fresh, 2**64 - 1, 0)
     assert store.totals() == (2**63 - 1, 5)
     assert store.fold(fresh, 2**64 - 2, 4) == (2**64 - 2, 4)
-    assert [store.bytes[s] for s in _slot_ids(fresh)] == [2, 2]
+    assert _block_values(store, fresh) == [[2**63 - 1, 2], [2**63 - 1, 2]]
 
 
 @pytest.mark.parametrize("shards", [1, 3])
@@ -232,7 +259,8 @@ def test_live_slot_invariant_every_epoch(shards):
         assert live == sum(sum(state.live) for state in states) \
             == born - died
         for state in states:
-            assert list(state.live) == [sum(b[1::2]) for b in state.slots]
+            assert list(state.live) == [sum(b[1::4])
+                                        for b in state.store.blocks]
     assert died > 0                          # churn really recycled slots
 
 
@@ -452,7 +480,7 @@ def test_materialize_clears_pending_without_live_slots():
 def test_materialize_writes_what_it_reports(shards):
     """What ``materialize`` returns is summed from the pending
     accumulators before any fold runs, so ``fleet.run``'s conservation
-    raise cannot see a fold that writes nothing. The columns can: dead
+    raise cannot see a fold that writes nothing. The runs can: dead
     slots are still zero before the run's single fold (recycling zeroes
     them, nothing folds earlier), so every counter the store holds is
     one the fold wrote."""
@@ -464,30 +492,52 @@ def test_materialize_writes_what_it_reports(shards):
 
 
 @pytest.mark.parametrize("shards,digest", [
-    (1, "d12f469743f8e073"),
-    (3, "f1e9e41b5f5d65b5"),
+    (1, "fde21efb5d3ddbd3"),
+    (3, "7dbdd35f951e5125"),
 ], ids=["1", "3"])
 def test_store_layout_matches_recorded_digest(shards, digest):
-    """The flyweight layout byte for byte — both columns, the free
-    stack, every block's extents, ``nbytes()`` and ``stats()`` — after
-    three epochs and the materialization at 2 000 vSwitches. Slot
-    numbers never reach a table, but perfbench's exact
-    ``fleet.state_mb`` / ``live_flows`` / ``flyweight.*`` rows read this
-    layout, so an allocator or fold that hands out other slots, or
-    writes other bytes, fails here by name. Recorded at the parent of
-    the commit that added it, as ``test_golden_tables.py`` does."""
+    """The flyweight layout, whatever its storage format — capacity and
+    live count, every slot's (packets, bytes) over ``range(capacity)``,
+    the slot ids popping the whole free stack would hand out, and every
+    block's slot ids in logical order — after three epochs and the
+    materialization at 2 000 vSwitches. Slot numbers never reach a
+    table, but perfbench's exact ``fleet.live_flows`` / ``flyweight.*``
+    rows read this layout, so an allocator or fold that hands out other
+    slots, or leaves other counters, fails here by name. Recorded on the
+    per-slot column store the run-length store replaced, as
+    ``test_golden_tables.py`` does."""
     states = _run_shards(2_000, shards, epochs=3)
     h = hashlib.sha256()
     for state in states:
         state.materialize()
         store = state.store
-        for column in (store.packets, store.bytes, store._free):
-            h.update(b"%d:" % len(column) + column.tobytes())
-        for block in state.slots:
-            h.update(b"%d:" % len(block) + block.tobytes())
-        h.update(repr((state.nbytes(), sorted(store.stats().items())))
-                 .encode())
+        free = store._free
+        popped = [slot for k in range(len(free) - 4, -1, -4)
+                  for slot in range(free[k], free[k] + free[k + 1])]
+        h.update(b"%d,%d:" % (store.capacity, len(store)))
+        for column in (*_slot_values(store), popped,
+                       *map(_slot_ids, store.blocks)):
+            h.update(b"%d:" % len(column) + array("q", column).tobytes())
     assert h.hexdigest()[:16] == digest
+
+
+def test_state_bytes_flat_in_flows_per_unit():
+    """The store pays per run, not per flow: doubling ``flows_per_unit``
+    doubles the live flows of a 500-vSwitch x 3-epoch run but leaves
+    ``ShardState.nbytes()`` within 10 %. Per-flow storage coming back
+    (16 B a flow was the column store) fails here by name."""
+    measured = []
+    for flows_per_unit in (20_000, 40_000):
+        params = FleetParams(seed=0, n_vswitches=500,
+                             flows_per_unit=flows_per_unit)
+        (state,) = make_shards(params, 1)
+        for epoch in range(3):
+            state, _report = run_shard_epoch((state, epoch, {}, params))
+        state.materialize()
+        measured.append((state.live_flows(), state.nbytes()))
+    (flows, nbytes), (flows2, nbytes2) = measured
+    assert 1.9 * flows < flows2 < 2.1 * flows
+    assert abs(nbytes2 - nbytes) <= 0.1 * nbytes
 
 
 # -- hot micro-sim: fluid fast-forward identity (ISSUE 8) -------------------
@@ -694,8 +744,9 @@ def test_fleet_pool_collects_digests_not_state():
     assert "pool" not in inline                     # no pool, no IPC
     collect_bytes = pooled["pool"]["ipc"]["collect_bytes"]
     assert 0 < collect_bytes < 4096
-    # 4x the fleet adds megabytes of state and moves collect only by
-    # pickle's integer widths (the digests' 16 counters, <= 4 B each).
+    # 4x the fleet holds 4x the runs (a few per vSwitch) and moves
+    # collect only by pickle's integer widths (the digests' 16
+    # counters, <= 4 B each).
     _text, larger = _digest_run(1600, jobs=2)
     assert larger["state_nbytes"] > 3 * pooled["state_nbytes"]
     assert abs(larger["pool"]["ipc"]["collect_bytes"]

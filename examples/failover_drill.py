@@ -4,11 +4,14 @@
 Sets up the full machinery — offloaded vNIC, centralized health monitor
 with flow-direct probes, the controller's failover path that maintains a
 minimum of 4 FEs — then kills one FE's vSwitch mid-traffic and prints the
-timeline: detection, removal, replacement, and the loss-rate surge.
+loss-rate surge, the recovery, and — read back from the telemetry trace —
+the monitor's DOWN verdict and the controller's failover at their virtual
+times.
 
 Run:  python examples/failover_drill.py
 """
 
+from repro import telemetry
 from repro.controller import FePlacement, HealthMonitor, NezhaController
 from repro.controller.controller import ControllerConfig
 from repro.experiments.testbed import SERVER_IP, build_testbed
@@ -16,6 +19,16 @@ from repro.workloads import ClosedLoopCrr
 
 
 def main() -> None:
+    # Installed first, so every component built below records into the
+    # one shared trace.
+    tel = telemetry.install()
+    try:
+        drill(tel.trace)
+    finally:
+        telemetry.uninstall()
+
+
+def drill(trace) -> None:
     testbed = build_testbed(n_clients=4, n_idle=6, seed=11)
     engine = testbed.engine
 
@@ -37,13 +50,6 @@ def main() -> None:
         controller.register(vswitch)
     for fe in handle.fe_vswitches:
         monitor.add_target(fe.server)
-    monitor.trace.on("monitor.target_down",
-                     lambda rec: print(f"t={rec.time:5.2f}s  monitor: "
-                                       f"{rec.fields['target']} DOWN"))
-    controller.trace.on("controller.failover",
-                        lambda rec: print(f"t={rec.time:5.2f}s  controller:"
-                                          f" failover for "
-                                          f"{rec.fields['vswitch']}"))
     monitor.start()
 
     # Steady traffic.
@@ -73,6 +79,12 @@ def main() -> None:
 
     engine.process(sampler(), name="sampler")
     testbed.run(8.0)
+
+    print("\ncontrol plane, from the trace:")
+    for rec in trace.records("monitor.target_down"):
+        print(f"t={rec.time:5.2f}s  monitor: {rec.target} DOWN")
+    for rec in trace.records("controller.failover"):
+        print(f"t={rec.time:5.2f}s  controller: failover for {rec.vswitch}")
 
     print(f"\nfinal FE set: {[fe.name for fe in handle.fe_vswitches]} "
           f"({len(handle.frontends)} FEs — minimum of 4 restored)")

@@ -28,7 +28,6 @@ from repro.errors import ReproError
 from repro.fabric.device import ServerNode
 from repro.sim.engine import Engine, Interrupt
 from repro.sim.rng import SeededRng
-from repro.sim.trace import Trace
 from repro import telemetry as _telemetry
 from repro.vswitch.vswitch import VSwitch
 from repro.controller.gateway import Gateway
@@ -70,7 +69,6 @@ class NezhaController:
                  orchestrator: NezhaOrchestrator, placement: FePlacement,
                  config: Optional[ControllerConfig] = None,
                  monitor: Optional[HealthMonitor] = None,
-                 trace: Optional[Trace] = None,
                  rng: Optional[SeededRng] = None,
                  policy: Optional[NezhaPolicy] = None) -> None:
         self.engine = engine
@@ -79,8 +77,7 @@ class NezhaController:
         self.placement = placement
         self.config = config or ControllerConfig()
         self.monitor = monitor
-        self.trace = trace or _telemetry.active_trace(engine) \
-            or Trace(lambda: engine.now)
+        self.trace = _telemetry.active_trace(engine)
         self.rng = rng or SeededRng(0, "controller")
         # The decision seam: what to offload, where, when to scale or
         # fall back. Default is the paper's strategy, unchanged.
@@ -111,20 +108,16 @@ class NezhaController:
             # The monitor owns its host's fabric sink, so the vSwitch
             # there hears nothing: an FE placed on it black-holes flows.
             placement.excluded.add(monitor.server.name)
-        tel = _telemetry.current()
-        if tel is not None:
-            tel.register_controller(self)
 
     def _decide(self, action: str, **fields) -> None:
-        """One controller decision: traced, and — when telemetry is
-        installed — appended to the ``controller.decisions`` event log
-        and the decision journal (tagged with the active policy's name,
-        so cross-policy captures diff cleanly) with the *why* (the
-        fields) attached."""
+        """One controller decision, written twice and only twice: a
+        ``controller.<action>`` trace record (the timeline) and — when
+        telemetry is installed — a decision-journal entry tagged with
+        the active policy's name, so cross-policy captures diff cleanly,
+        with the *why* (the fields) attached."""
         self.trace.emit(f"controller.{action}", **fields)
         tel = _telemetry.current()
         if tel is not None:
-            tel.decision(self.engine.now, action, **fields)
             tel.decisions.controller_event(self.engine.now,
                                            self.policy.name, action, fields)
 

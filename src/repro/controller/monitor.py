@@ -24,7 +24,6 @@ from repro.net.ethernet import EthernetHeader
 from repro.net.ipv4 import IPv4Header
 from repro.net.packet import Packet
 from repro.sim.engine import Engine
-from repro.sim.trace import Trace
 from repro import telemetry as _telemetry
 from repro.vswitch.vswitch import PROBE_PORT
 
@@ -44,8 +43,7 @@ class HealthMonitor:
 
     def __init__(self, engine: Engine, monitor_server: ServerNode,
                  interval: float = 0.5, miss_threshold: int = 3,
-                 suspend_fraction: float = 0.5,
-                 trace: Optional[Trace] = None) -> None:
+                 suspend_fraction: float = 0.5) -> None:
         if miss_threshold < 1:
             raise ConfigError("miss_threshold must be >= 1")
         self.engine = engine
@@ -53,8 +51,7 @@ class HealthMonitor:
         self.interval = interval
         self.miss_threshold = miss_threshold
         self.suspend_fraction = suspend_fraction
-        self.trace = trace or _telemetry.active_trace(engine) \
-            or Trace(lambda: engine.now)
+        self.trace = _telemetry.active_trace(engine)
         self.targets: Dict[str, TargetState] = {}
         self._seq = 0
         self._seq_to_target: Dict[int, str] = {}

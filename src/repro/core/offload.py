@@ -30,7 +30,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import OffloadError, ResourceExhausted
 from repro.sim.engine import Engine, Event
 from repro.sim.rng import SeededRng
-from repro.sim.trace import Trace
 from repro import telemetry as _telemetry
 from repro.vswitch.rule_tables import Location
 from repro.vswitch.vnic import Vnic
@@ -88,14 +87,6 @@ class OffloadHandle:
         # still fires (successfully) so waiters are released either way.
         self.failed = False
 
-    def set_state(self, state: "OffloadState", now: float) -> None:
-        """Advance the lifecycle, recording the timestamped transition."""
-        self.state = state
-        self.transitions.append((now, state.value))
-        tel = _telemetry.current()
-        if tel is not None:
-            tel.offload_transition(self, state.value, now)
-
     @property
     def fe_locations(self) -> List[Location]:
         return list(self.frontends.keys())
@@ -120,14 +111,12 @@ class NezhaOrchestrator:
 
     def __init__(self, engine: Engine, gateway: Gateway,
                  rng: Optional[SeededRng] = None,
-                 config: Optional[OffloadConfig] = None,
-                 trace: Optional[Trace] = None) -> None:
+                 config: Optional[OffloadConfig] = None) -> None:
         self.engine = engine
         self.gateway = gateway
         self.rng = rng or SeededRng(0, "orchestrator")
         self.config = config or OffloadConfig()
-        self.trace = trace or _telemetry.active_trace(engine) \
-            or Trace(lambda: engine.now)
+        self.trace = _telemetry.active_trace(engine)
         self.agents: Dict[str, NezhaAgent] = {}
         self.handles: Dict[int, OffloadHandle] = {}
         # Invoked when failover leaves a handle short of FEs; the
@@ -152,6 +141,15 @@ class NezhaOrchestrator:
             agent = NezhaAgent(vswitch)
             self.agents[vswitch.name] = agent
         return agent
+
+    def _set_state(self, handle: OffloadHandle, state: OffloadState) -> None:
+        """Advance a handle's lifecycle: the timestamped transition goes
+        on the handle and, as one ``nezha.offload_state`` record, on the
+        timeline."""
+        handle.state = state
+        handle.transitions.append((self.engine.now, state.value))
+        self.trace.emit("nezha.offload_state", vnic=handle.vnic.vnic_id,
+                        state=state.value)
 
     def _rpc_delay(self) -> float:
         return self.config.latency.sample(self.rng)
@@ -213,7 +211,7 @@ class NezhaOrchestrator:
         backend = BackendInstance(be_vswitch, vnic, selector)
         handle = OffloadHandle(vnic, be_vswitch, backend, selector)
         handle.triggered_at = self.engine.now
-        handle.set_state(OffloadState.DUAL_RUNNING, self.engine.now)
+        self._set_state(handle, OffloadState.DUAL_RUNNING)
         handle.completion = self.engine.event(f"offload-{vnic.vnic_id}")
         self.handles[vnic.vnic_id] = handle
         self.engine.process(self._offload_flow(handle, fe_vswitches),
@@ -267,7 +265,7 @@ class NezhaOrchestrator:
         if not vnic.offloaded:
             handle.be_vswitch.release_vnic_tables(vnic.vnic_id)
         handle.backend.tables_released = True
-        handle.set_state(OffloadState.ACTIVE, self.engine.now)
+        self._set_state(handle, OffloadState.ACTIVE)
         handle.completed_at = self.engine.now
         self.trace.emit("nezha.offload_complete", vnic=vnic.vnic_id,
                         duration=handle.activation_time,
@@ -314,7 +312,7 @@ class NezhaOrchestrator:
         if entry is not None and entry.locations != [be_location]:
             self.gateway.set_locations(vnic.vni, vnic.tenant_ip,
                                        [be_location])
-        handle.set_state(OffloadState.INACTIVE, self.engine.now)
+        self._set_state(handle, OffloadState.INACTIVE)
         if self.handles.get(vnic.vnic_id) is handle:
             self.handles.pop(vnic.vnic_id)
         self.trace.emit("nezha.offload_abort", vnic=vnic.vnic_id)
@@ -373,7 +371,7 @@ class NezhaOrchestrator:
         """Return the vNIC to purely local processing."""
         if handle.state is not OffloadState.ACTIVE:
             raise OffloadError(f"cannot fall back from {handle.state}")
-        handle.set_state(OffloadState.FALLING_BACK, self.engine.now)
+        self._set_state(handle, OffloadState.FALLING_BACK)
         done = self.engine.event(f"fallback-{handle.vnic.vnic_id}")
         self.engine.process(self._fallback_flow(handle, done),
                             name=f"fallback-{handle.vnic.vnic_id}")
@@ -385,7 +383,7 @@ class NezhaOrchestrator:
         # 1. Restore the rule tables locally (dual-running, mirrored).
         deliveries = yield from self._rpc("fallback.restore_tables")
         if deliveries == 0:
-            handle.set_state(OffloadState.ACTIVE, self.engine.now)
+            self._set_state(handle, OffloadState.ACTIVE)
             done.fail(OffloadError(
                 f"fallback of vNIC {vnic.vnic_id}: BE unreachable"))
             return
@@ -393,7 +391,7 @@ class NezhaOrchestrator:
             if vnic.offloaded:
                 handle.be_vswitch.restore_vnic_tables(vnic.vnic_id)
         except ResourceExhausted:
-            handle.set_state(OffloadState.ACTIVE, self.engine.now)
+            self._set_state(handle, OffloadState.ACTIVE)
             done.fail(OffloadError(
                 f"BE lacks memory to restore vNIC {vnic.vnic_id} tables"))
             return
@@ -406,7 +404,7 @@ class NezhaOrchestrator:
             # tables while remote senders still target the FEs.
             handle.be_vswitch.release_vnic_tables(vnic.vnic_id)
             handle.backend.tables_released = True
-            handle.set_state(OffloadState.ACTIVE, self.engine.now)
+            self._set_state(handle, OffloadState.ACTIVE)
             done.fail(OffloadError(
                 f"fallback of vNIC {vnic.vnic_id}: gateway unreachable"))
             return
@@ -425,7 +423,7 @@ class NezhaOrchestrator:
         be_agent = self.agent_for(handle.be_vswitch)
         if be_agent.backends.get(vnic.vnic_id) is handle.backend:
             be_agent.unregister_backend(vnic.vnic_id)
-        handle.set_state(OffloadState.INACTIVE, self.engine.now)
+        self._set_state(handle, OffloadState.INACTIVE)
         if self.handles.get(vnic.vnic_id) is handle:
             self.handles.pop(vnic.vnic_id)
         self.trace.emit("nezha.fallback_complete", vnic=vnic.vnic_id)

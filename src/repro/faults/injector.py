@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.sim.engine import Engine
 from repro.sim.rng import SeededRng
-from repro.sim.trace import Trace
 from repro import telemetry as _telemetry
 from repro.faults.events import FaultEvent, FaultKind
 
@@ -40,7 +39,6 @@ class FaultInjector:
                  monitor=None,
                  controller=None,
                  rng: Optional[SeededRng] = None,
-                 trace: Optional[Trace] = None,
                  rpc_drop_prob: float = 0.7,
                  learner_drop_prob: float = 0.8) -> None:
         self.engine = engine
@@ -50,8 +48,7 @@ class FaultInjector:
         self.controller = controller
         self.learners = list(learners)
         self.rng = rng or SeededRng(0, "fault-injector")
-        self.trace = trace or _telemetry.active_trace(engine) \
-            or Trace(lambda: engine.now)
+        self.trace = _telemetry.active_trace(engine)
         self.rpc_drop_prob = rpc_drop_prob
         self.learner_drop_prob = learner_drop_prob
         self._vswitch_by_name = {vs.name: vs for vs in vswitches}

@@ -1,11 +1,11 @@
-"""Lightweight structured tracing for simulations.
+"""Structured tracing for simulations: one bounded ring of records.
 
-Components emit ``trace.emit(kind, **fields)`` records; experiments filter
-and aggregate them afterwards. Tracing defaults to *disabled per kind* until
-a kind is subscribed, so hot paths pay one dict lookup when idle.
-
-Long soaks can emit millions of records; pass ``capacity`` to keep only
-the most recent N (a ring buffer) and count the rest in :attr:`dropped`.
+Components emit ``trace.emit(kind, **fields)``; post-mortems filter the
+records by kind afterwards. A trace records every kind it is handed and
+keeps the newest ``capacity`` records, counting the evicted ones in
+:attr:`dropped`. A capacity-0 trace is silent: :data:`SILENT` is the one
+every component shares while telemetry is not installed, and its
+``emit`` returns after one attribute check.
 """
 
 from __future__ import annotations
@@ -31,63 +31,29 @@ class TraceRecord:
 
 
 class Trace:
-    """Collects :class:`TraceRecord` objects for subscribed kinds."""
+    """The newest ``capacity`` :class:`TraceRecord` objects, stamped by
+    ``clock``."""
 
-    def __init__(self, clock: Callable[[], float],
-                 capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, clock: Callable[[], float], capacity: int) -> None:
+        if capacity < 0:
+            raise ValueError("capacity must not be negative")
         self._clock = clock
         self.capacity = capacity
         self._records: Deque[TraceRecord] = deque(maxlen=capacity)
-        self._enabled: Dict[str, bool] = {}
-        self._default = False
-        self._callbacks: Dict[str, List[Callable[[TraceRecord], None]]] = {}
         self.dropped = 0
 
-    def enable(self, *kinds: str) -> None:
-        """Start recording the given kinds (e.g. ``"pkt.drop"``)."""
-        for kind in kinds:
-            self._enabled[kind] = True
-
-    def enable_all(self) -> None:
-        """Record every kind not explicitly disabled."""
-        self._default = True
-
-    def disable(self, *kinds: str) -> None:
-        """Stop recording the given kinds and detach their callbacks.
-
-        Callbacks must go too: ``on()`` re-enables the kind, so a stale
-        callback list would silently resurrect a disabled kind (and leak
-        closures) the next time anyone subscribes to it.
-        """
-        for kind in kinds:
-            self._enabled[kind] = False
-            self._callbacks.pop(kind, None)
-
-    def on(self, kind: str, callback: Callable[[TraceRecord], None]) -> None:
-        """Invoke ``callback`` for each emitted record of ``kind``."""
-        self._enabled[kind] = True
-        self._callbacks.setdefault(kind, []).append(callback)
-
     def emit(self, kind: str, **fields: Any) -> None:
-        if not self._enabled.get(kind, self._default):
+        if not self.capacity:
             return
-        record = TraceRecord(self._clock(), kind, fields)
-        if self.capacity is not None and len(self._records) == self.capacity:
+        if len(self._records) == self.capacity:
             self.dropped += 1
-        self._records.append(record)
-        for callback in self._callbacks.get(kind, ()):
-            callback(record)
+        self._records.append(TraceRecord(self._clock(), kind, fields))
 
     def records(self, kind: Optional[str] = None) -> List[TraceRecord]:
         if kind is None:
             return list(self._records)
         return [r for r in self._records if r.kind == kind]
 
-    def count(self, kind: str) -> int:
-        return sum(1 for r in self._records if r.kind == kind)
 
-    def clear(self) -> None:
-        self._records.clear()
-        self.dropped = 0
+#: The trace components hold while telemetry is not installed.
+SILENT = Trace(lambda: 0.0, 0)

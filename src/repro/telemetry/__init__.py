@@ -9,29 +9,33 @@ Usage shape (what ``runner.py --telemetry`` does)::
     tel.export(Path("run.jsonl"))
     telemetry.uninstall()
 
-Install/uninstall manage one module-global :class:`Telemetry`. While
-installed:
+Install/uninstall manage one module-global :class:`Telemetry`. Each
+event is recorded once, in one place:
 
-* components that are constructed without an explicit ``trace`` pick up
-  the telemetry's single capacity-bounded, record-everything
-  :class:`~repro.sim.trace.Trace` (via :func:`active_trace`), so faults,
-  controller decisions, and monitor verdicts interleave in one stream —
-  the chaos post-mortem timeline;
+* a component's own events (faults, controller decisions, monitor
+  verdicts, offload state transitions) go to the one capacity-bounded
+  :class:`~repro.sim.trace.Trace` every component built while installed
+  shares (via :func:`active_trace`) — the chaos post-mortem timeline;
+* the *why* of each controller and coordinator decision goes to the
+  typed :class:`~repro.telemetry.fleet.DecisionJournal` as well, tagged
+  with its policy (its one copy for the coordinator);
+* the registry holds counters and probe-backed gauges, read at export;
 * span call sites in the datapath go live (``spans.ACTIVE``): they record
   on span-carrying packets; the datapath is the uninstalled one, call for call;
 * engines bound to the telemetry get the profiler attached.
 
-While *not* installed, every hook degrades to a single attribute or
-``is None`` check — the ≤2 % overhead contract.
+While *not* installed, components hold the shared silent trace and
+every other hook is a single attribute or ``is None`` check — the ≤2 %
+overhead contract.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, Optional
 
-from repro.sim.trace import Trace
+from repro.sim.trace import SILENT, Trace
 from repro.telemetry import spans as _spans
 from repro.telemetry.export import SCHEMA, write_jsonl
 from repro.telemetry.fleet import DecisionJournal, fold
@@ -48,11 +52,9 @@ SPAN_CAPACITY = 100_000
 class Telemetry:
     """One run's worth of telemetry state."""
 
-    def __init__(self, profile: bool = False,
-                 trace_capacity: Optional[int] = TRACE_CAPACITY,
-                 span_capacity: Optional[int] = SPAN_CAPACITY) -> None:
+    def __init__(self, profile: bool = False) -> None:
         self.registry = MetricRegistry()
-        self.spans = SpanRecorder(capacity=span_capacity)
+        self.spans = SpanRecorder(capacity=SPAN_CAPACITY)
         self.profiler = EngineProfiler() if profile else None
         #: Typed grant/denial/preemption/... events from the fleet
         #: coordinator and the controller's policy seam.
@@ -61,11 +63,9 @@ class Telemetry:
         #: the fleet experiment at end of run.
         self.fleet_metrics: Optional[Dict[str, Any]] = None
         self._engine = None
-        # One shared trace for every component built while installed.
-        # enable_all(): the unified stream captures every kind; capacity
-        # bounds a long soak (satellite fix in sim/trace.py).
-        self.trace = Trace(self._now, capacity=trace_capacity)
-        self.trace.enable_all()
+        # One shared trace for every component built while installed;
+        # the capacity bounds a long soak.
+        self.trace = Trace(self._now, TRACE_CAPACITY)
 
     def _now(self) -> float:
         return self._engine.now if self._engine is not None else 0.0
@@ -140,11 +140,6 @@ class Telemetry:
                   probe=lambda g=gateway: sum(
                       learner.pulls_dropped for learner in g.learners))
 
-    def register_controller(self, controller) -> None:
-        self.bind_engine(controller.engine)
-        self.registry.events("controller.decisions", capacity=50_000)
-        self.registry.counter("controller.reconcile.errors")
-
     def register_resident_pool(self, pool) -> None:
         """Probe-backed gauges over a fleet ResidentPool's one record,
         ``runtime_stats()``: liveness, IPC bytes by phase, and per-worker
@@ -174,18 +169,6 @@ class Telemetry:
 
     # -- structured hooks --------------------------------------------------
 
-    def decision(self, now: float, action: str, **fields: Any) -> None:
-        """Controller decision log: why each offload/scale/fallback fired."""
-        log = self.registry.events("controller.decisions", capacity=50_000)
-        log.record(now, action=action, **fields)
-        if action == "reconcile_error":
-            self.registry.counter("controller.reconcile.errors").inc()
-
-    def offload_transition(self, handle, state: str, now: float) -> None:
-        """Offload handle state machine step, with timestamp."""
-        log = self.registry.events("offload.transitions", capacity=50_000)
-        log.record(now, vnic=handle.vnic.vnic_id, state=state)
-
     def set_fleet_metrics(self, snapshot: Dict[str, Any]) -> None:
         """Attach a folded fleet metric snapshot to this capture; a
         second fleet run in the same session folds in (one capture =
@@ -206,9 +189,8 @@ class Telemetry:
                "decisions_dropped": self.decisions.dropped}
         for name in self.registry.names():
             metric = self.registry.get(name)
-            if metric.enabled:
-                yield {"type": "metric", "name": name, "kind": metric.kind,
-                       "value": metric.value()}
+            yield {"type": "metric", "name": name, "kind": metric.kind,
+                   "value": metric.value()}
         if self.fleet_metrics is not None:
             # Folded fleet snapshot as metric lines: counters verbatim,
             # histograms as {"edges", "counts"} under kind fleet_hist.
@@ -238,15 +220,12 @@ class Telemetry:
 # -- module-level lifecycle ------------------------------------------------
 
 
-def install(profile: bool = False,
-            trace_capacity: Optional[int] = TRACE_CAPACITY,
-            span_capacity: Optional[int] = SPAN_CAPACITY) -> Telemetry:
+def install(profile: bool = False) -> Telemetry:
     """Activate telemetry for subsequently-built components."""
     global _current
     if _current is not None:
         uninstall()
-    _current = Telemetry(profile=profile, trace_capacity=trace_capacity,
-                         span_capacity=span_capacity)
+    _current = Telemetry(profile=profile)
     _current.spans.install()
     return _current
 
@@ -264,11 +243,11 @@ def current() -> Optional[Telemetry]:
     return _current
 
 
-def active_trace(engine) -> Optional[Trace]:
+def active_trace(engine) -> Trace:
     """The shared trace for components built while telemetry is
-    installed — or None, letting the component make its own."""
+    installed — or the silent one, which keeps nothing."""
     if _current is None:
-        return None
+        return SILENT
     _current.bind_engine(engine)
     return _current.trace
 

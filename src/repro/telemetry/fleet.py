@@ -220,12 +220,6 @@ class DecisionJournal:
         """One controller/policy-seam decision (``_decide``)."""
         self.record("controller", policy, action, time=time, **fields)
 
-    def by_policy(self) -> Dict[str, List[Dict[str, Any]]]:
-        out: Dict[str, List[Dict[str, Any]]] = {}
-        for event in self.events:
-            out.setdefault(event["policy"], []).append(event)
-        return out
-
     def to_dicts(self) -> List[Dict[str, Any]]:
         return list(self.events)
 

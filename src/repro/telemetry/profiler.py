@@ -102,9 +102,3 @@ class EngineProfiler:
             "owners": len(self.buckets),
             "top": self.top(top_n),
         }
-
-    def reset(self) -> None:
-        self.buckets.clear()
-        self.total_events = 0
-        self.total_wall_s = 0.0
-        self.started_at = time.perf_counter()

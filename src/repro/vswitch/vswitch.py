@@ -34,7 +34,6 @@ from repro.net.udp import UdpHeader
 from repro.net.vxlan import VXLAN_PORT, VxlanHeader
 from repro.sim.engine import Engine
 from repro.sim.resources import CpuResource, MemoryBudget
-from repro.sim.trace import Trace
 from repro import telemetry as _telemetry
 from repro.telemetry import spans as _spans
 from repro.vswitch.actions import (ActionKind, Direction, FinalAction,
@@ -120,14 +119,12 @@ class VSwitch:
     """One SmartNIC vSwitch instance."""
 
     def __init__(self, engine: Engine, server: ServerNode,
-                 cost_model: CostModel, name: Optional[str] = None,
-                 trace: Optional[Trace] = None) -> None:
+                 cost_model: CostModel, name: Optional[str] = None) -> None:
         self.engine = engine
         self.server = server
         self.cost_model = cost_model
         self.name = name or f"vs-{server.name}"
-        self.trace = trace or _telemetry.active_trace(engine) \
-            or Trace(lambda: engine.now)
+        self.trace = _telemetry.active_trace(engine)
         self.cpu = CpuResource(engine, cost_model.cores, cost_model.hz,
                                name=f"{self.name}.cpu",
                                util_window=cost_model.util_window)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Engine, SeededRng, Trace
+from repro.sim.trace import SILENT
 
 
 # -- SeededRng ------------------------------------------------------------------
@@ -28,81 +29,45 @@ def test_child_streams_are_deterministic():
 
 # -- Trace -----------------------------------------------------------------------
 
-def _mk_trace():
+def _mk_trace(capacity=8):
     engine = Engine()
-    return engine, Trace(lambda: engine.now)
+    return engine, Trace(lambda: engine.now, capacity)
 
 
 def test_trace_disabled_by_default():
-    _engine, trace = _mk_trace()
+    """What a component holds while telemetry is not installed is the
+    shared capacity-0 trace, and a silent trace keeps nothing."""
+    _engine, trace = _mk_trace(capacity=0)
     trace.emit("pkt.drop", reason="full")
-    assert trace.records() == []
+    assert trace.records() == [] and trace.dropped == 0
+    SILENT.emit("pkt.drop")
+    assert SILENT.records() == [] and SILENT.dropped == 0
 
 
 def test_trace_records_enabled_kind_with_time():
+    """A recording trace records every kind it is handed, stamped with
+    its clock's time; no kind needs enabling first."""
     engine, trace = _mk_trace()
-    trace.enable("pkt.drop")
     engine.call_at(2.5, trace.emit, "pkt.drop")
+    engine.call_at(3.0, trace.emit, "never.named.before")
     engine.run()
     records = trace.records("pkt.drop")
     assert len(records) == 1
     assert records[0].time == 2.5
+    assert [r.kind for r in trace.records()] == ["pkt.drop",
+                                                 "never.named.before"]
 
 
 def test_trace_field_attribute_access():
     _engine, trace = _mk_trace()
-    trace.enable("x")
     trace.emit("x", value=9)
     assert trace.records("x")[0].value == 9
     with pytest.raises(AttributeError):
         _ = trace.records("x")[0].missing
 
 
-def test_trace_callback_invoked():
-    _engine, trace = _mk_trace()
-    seen = []
-    trace.on("alert", seen.append)
-    trace.emit("alert", level="high")
-    assert len(seen) == 1
-    assert seen[0].level == "high"
-
-
-def test_trace_count_and_clear():
-    _engine, trace = _mk_trace()
-    trace.enable("a", "b")
-    trace.emit("a")
-    trace.emit("a")
-    trace.emit("b")
-    assert trace.count("a") == 2
-    assert trace.count("b") == 1
-    trace.clear()
-    assert trace.count("a") == 0
-
-
-def test_trace_disable_stops_recording():
-    _engine, trace = _mk_trace()
-    trace.enable("k")
-    trace.emit("k")
-    trace.disable("k")
-    trace.emit("k")
-    assert trace.count("k") == 1
-
-
-def test_trace_enable_all_records_everything():
-    _engine, trace = _mk_trace()
-    trace.enable_all()
-    trace.emit("never.enabled.explicitly", x=1)
-    assert trace.count("never.enabled.explicitly") == 1
-    # Explicit disable wins over the record-everything default.
-    trace.disable("noisy")
-    trace.emit("noisy")
-    assert trace.count("noisy") == 0
-
-
 def test_trace_ring_buffer_caps_memory():
-    engine = Engine()
-    trace = Trace(lambda: engine.now, capacity=3)
-    trace.enable("k")
+    _engine, trace = _mk_trace(capacity=3)
     for i in range(5):
         trace.emit("k", i=i)
     records = trace.records("k")
@@ -111,28 +76,6 @@ def test_trace_ring_buffer_caps_memory():
     assert trace.dropped == 2
 
 
-def test_trace_clear_resets_dropped():
-    engine = Engine()
-    trace = Trace(lambda: engine.now, capacity=1)
-    trace.enable("k")
-    trace.emit("k")
-    trace.emit("k")
-    assert trace.dropped == 1
-    trace.clear()
-    assert trace.dropped == 0
-    assert trace.records() == []
-
-
 def test_trace_capacity_validation():
     with pytest.raises(ValueError):
-        Trace(lambda: 0.0, capacity=0)
-
-
-def test_trace_disable_detaches_callbacks():
-    _engine, trace = _mk_trace()
-    seen = []
-    trace.on("alert", seen.append)
-    trace.emit("alert")
-    trace.disable("alert")
-    trace.emit("alert")
-    assert len(seen) == 1  # callback detached, not just recording stopped
+        Trace(lambda: 0.0, -1)

@@ -17,6 +17,7 @@ import pytest
 import repro
 from repro import telemetry
 from repro.experiments import fig9, fig12, fleet
+from repro.sim.trace import SILENT
 from repro.telemetry.export import load, validate_report
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -27,7 +28,6 @@ CONSTRUCTOR_LOOKUPS = {"current", "active_trace"}
 # call counts may depend on whether telemetry is installed — construction
 # and per-epoch plumbing, none per packet.
 CONSTRUCTOR_TIME = {
-    ("trace.py", "Trace.__init__"),       # components share tel.trace
     ("link.py", "Link.name"),             # gauge names, at registration
     ("fleet.py", "run.<locals>.<genexpr>"),   # per-epoch snapshot fold
 }
@@ -67,10 +67,10 @@ def test_components_register_metrics_when_installed():
     names = tel.registry.names()
     assert any(name.startswith("vswitch.") for name in names)
     assert "gateway.version" in names
-    snap = tel.registry.snapshot("vswitch.*.cpu.utilization")
-    assert len(snap) == 3
-    assert all(value == 0.0 for value in snap.values())
-    assert tel.registry.snapshot("gateway.*")["gateway.entries"] == 2
+    utils = [tel.registry.get(name).value()
+             for name in tel.registry.names("vswitch.*.cpu.utilization")]
+    assert utils == [0.0, 0.0, 0.0]
+    assert tel.registry.get("gateway.entries").value() == 2
     # The shared trace is what the env's components emit into.
     assert env.vswitch_a.trace is tel.trace
 
@@ -81,7 +81,7 @@ def test_no_registration_without_install():
     assert telemetry.current() is None
     cloud = build_cloud()  # must not blow up, must not create a registry
     assert telemetry.current() is None
-    assert cloud.vswitch_a.trace is not None  # private per-component trace
+    assert cloud.vswitch_a.trace is SILENT  # shared, keeps nothing
 
 
 # -- fig12 reconciliation (the headline acceptance criterion) ----------------
@@ -179,9 +179,16 @@ def test_chaos_cli_telemetry_postmortem(tmp_path, capsys):
     assert any(kind.startswith("fault.") for kind in kinds)
     assert any(kind.startswith("controller.") or kind.startswith("nezha.")
                for kind in kinds)
-    metric_names = {r["name"] for r in records if r["type"] == "metric"}
-    assert "monitor.targets" in metric_names
-    assert "controller.decisions" in metric_names
+    metrics = [r for r in records if r["type"] == "metric"]
+    assert "monitor.targets" in {r["name"] for r in metrics}
+    # Each controller decision is written once to the timeline and once
+    # to the journal, and to no third place.
+    decisions = [r for r in records if r["type"] == "trace"
+                 and r["kind"].startswith("controller.")]
+    journal = [r for r in records if r["type"] == "decision"
+               and r["source"] == "controller"]
+    assert decisions and len(decisions) == len(journal)
+    assert not {r["kind"] for r in metrics} & {"events", "histogram"}
 
 
 # -- post-mortem CLI ---------------------------------------------------------

@@ -37,7 +37,8 @@ def test_pkt_cpu_drop_fires(traced_cloud):
         cloud.vswitch_a.send_from_vnic(cloud.vnic_a, syn(sport=1024 + sport))
     cloud.engine.run(until=2.0)
     assert cloud.vswitch_a.stats.cpu_drops > 0
-    assert trace.count("pkt.cpu_drop") == cloud.vswitch_a.stats.cpu_drops
+    assert len(trace.records("pkt.cpu_drop")) == \
+        cloud.vswitch_a.stats.cpu_drops
     assert trace.records("pkt.cpu_drop")[0].vswitch == cloud.vswitch_a.name
 
 
@@ -47,7 +48,7 @@ def test_pkt_no_route_fires(traced_cloud):
     action = FinalAction(kind=ActionKind.FORWARD)  # resolved, but no next hop
     cloud.vswitch_a.forward_overlay(syn(), action)
     assert cloud.vswitch_a.stats.no_route_drops == 1
-    assert trace.count("pkt.no_route") == 1
+    assert len(trace.records("pkt.no_route")) == 1
 
 
 def test_pkt_unknown_vnic_fires(traced_cloud):
@@ -104,4 +105,4 @@ def test_unrelated_tenant_traffic_emits_nothing_spurious(traced_cloud):
     cloud.engine.run(until=0.1)
     for kind in ("pkt.cpu_drop", "pkt.no_route", "pkt.unknown_vnic",
                  "fault.injected", "monitor.target_down"):
-        assert trace.count(kind) == 0
+        assert trace.records(kind) == []

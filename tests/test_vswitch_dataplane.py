@@ -384,6 +384,7 @@ def test_vm_send_burst_drop_tail_rejects_whole_bursts(cloud):
 
 from collections import Counter
 
+from repro import telemetry
 from repro.net.packet import make_underlay_transport
 
 UNHOSTED = IPv4Address("192.168.0.77")
@@ -394,10 +395,18 @@ def _sink_arrivals(case, fluid, n=4):
     (``_fabric_sink_run``) or as ``n`` single arrivals (``_fabric_sink``),
     addressed to (a) an unknown vNIC or (b) a vNIC B fronts through
     ``overlay_fallback``. Returns B's stats, trace counts, what was
-    handed on, and the tenant template's bytes."""
+    handed on, and the tenant template's bytes. Telemetry is installed
+    around the cloud, so B's trace records."""
+    telemetry.install()
+    try:
+        return _sink_arrivals_traced(case, fluid, n)
+    finally:
+        telemetry.uninstall()
+
+
+def _sink_arrivals_traced(case, fluid, n):
     cloud = build_cloud()
     vs = cloud.vswitch_b
-    vs.trace.enable_all()
     handed = []
 
     def record(packet):

@@ -139,12 +139,7 @@ def cmd_report(args) -> int:
         print("\nmetrics:")
         for metric in metrics:
             value = metric["value"]
-            if metric["kind"] == "events":
-                rendered = f"[{len(value)} entries]"
-            elif metric["kind"] == "histogram":
-                rendered = (f"count {value['count']:.0f}  "
-                            f"p50 {value['P50']:.6g}  p99 {value['P99']:.6g}")
-            elif metric["kind"] == "fleet_hist":
+            if metric["kind"] == "fleet_hist":
                 rendered = (f"{sum(value['counts'])} samples in "
                             f"{len(value['counts'])} buckets "
                             f"(see fleet-report)")

@@ -12,10 +12,8 @@ Run:  python examples/failover_drill.py
 """
 
 from repro import telemetry
-from repro.controller import FePlacement, HealthMonitor, NezhaController
-from repro.controller.controller import ControllerConfig
-from repro.experiments.testbed import SERVER_IP, build_testbed
-from repro.workloads import ClosedLoopCrr
+from repro.controller import HealthMonitor
+from repro.experiments.testbed import build_testbed
 
 
 def main() -> None:
@@ -33,28 +31,20 @@ def drill(trace) -> None:
     engine = testbed.engine
 
     # Offload the server vNIC to four FEs.
-    handle = testbed.orchestrator.offload(testbed.server_vnic,
-                                          testbed.idle_vswitches[:4])
-    testbed.run(1.0)
+    handle = testbed.offload_server()
     print(f"t={engine.now:5.2f}s  offload active on "
           f"{[fe.name for fe in handle.fe_vswitches]}")
 
     # Health monitor + controller failover path.
     monitor = HealthMonitor(engine, testbed.topo.servers[-1],
                             interval=0.4, miss_threshold=3)
-    placement = FePlacement(testbed.topo, {})
-    controller = NezhaController(engine, testbed.gateway,
-                                 testbed.orchestrator, placement,
-                                 config=ControllerConfig(), monitor=monitor)
-    for vswitch in testbed.vswitches:
-        controller.register(vswitch)
+    controller = testbed.attach_controller(monitor=monitor)
     for fe in handle.fe_vswitches:
         monitor.add_target(fe.server)
     monitor.start()
 
     # Steady traffic.
-    loops = [ClosedLoopCrr(engine, app, SERVER_IP, 80, concurrency=16)
-             .start() for app in testbed.client_apps]
+    loops = testbed.start_closed_loop(16)
 
     victim = handle.fe_vswitches[0]
     crash_time = engine.now + 2.0
@@ -89,7 +79,7 @@ def drill(trace) -> None:
     print(f"\nfinal FE set: {[fe.name for fe in handle.fe_vswitches]} "
           f"({len(handle.frontends)} FEs — minimum of 4 restored)")
     print(f"victim still excluded from placement: "
-          f"{victim.server.name in placement.excluded}")
+          f"{victim.server.name in controller.placement.excluded}")
 
 
 if __name__ == "__main__":

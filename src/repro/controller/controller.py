@@ -47,10 +47,8 @@ class ControllerConfig:
     fallback_threshold: float = 0.1     # FE-side usage considered "idle"
     fallback_polls: int = 20            # consecutive idle polls before fallback
     initial_fes: int = 4                # App B.2: power of two, minimum viable
-    min_fes: int = 4
     remote_dominant_fraction: float = 0.5
     memory_offload_threshold: float = 0.7
-    enable_fallback: bool = True
 
 
 @dataclass
@@ -184,11 +182,10 @@ class NezhaController:
             self._ensure_min_fes()
         except ReproError as err:
             self._degraded("min_fes", "-", err)
-        if self.config.enable_fallback:
-            try:
-                self._consider_fallbacks()
-            except ReproError as err:
-                self._degraded("fallback", "-", err)
+        try:
+            self._consider_fallbacks()
+        except ReproError as err:
+            self._degraded("fallback", "-", err)
         try:
             self.policy.reconcile_tail()
         except ReproError as err:
@@ -215,15 +212,17 @@ class NezhaController:
         self.engine.process(watch(), name=f"flow-watch-{vnic_id}")
 
     def _ensure_min_fes(self) -> None:
-        """Top ACTIVE handles back up to ``min_fes`` — the convergence
-        backstop when a replacement scale-out was lost to RPC failures."""
+        """Top ACTIVE handles back up to the orchestrator's ``min_fes``
+        — the convergence backstop when a replacement scale-out was lost
+        to RPC failures."""
         for handle in list(self.orchestrator.handles.values()):
             if handle.state is not OffloadState.ACTIVE:
                 continue
             vnic_id = handle.vnic.vnic_id
             if vnic_id in self._inflight_vnics:
                 continue
-            shortfall = self.config.min_fes - len(handle.frontends)
+            shortfall = (self.orchestrator.config.min_fes
+                         - len(handle.frontends))
             if shortfall > 0:
                 self._on_need_fes(handle, shortfall)
             elif self.gateway.lookup(handle.vnic.vni,

@@ -92,6 +92,12 @@ class OffloadHandle:
         return list(self.frontends.keys())
 
     @property
+    def be_location(self) -> Location:
+        """Where the BE's vSwitch sits on the underlay."""
+        server = self.be_vswitch.server
+        return Location(server.underlay_ip, server.mac)
+
+    @property
     def fe_vswitches(self) -> List[VSwitch]:
         return [fe.vswitch for fe in self.frontends.values()]
 
@@ -296,7 +302,7 @@ class NezhaOrchestrator:
         handle.failed = True
         self.aborted_offloads += 1
         for location in list(handle.frontends):
-            self._remove_frontend(handle, location, graceful=False)
+            self._remove_frontend(handle, location)
         be_agent = self.agent_for(handle.be_vswitch)
         if be_agent.backends.get(vnic.vnic_id) is handle.backend:
             be_agent.unregister_backend(vnic.vnic_id)
@@ -306,12 +312,10 @@ class NezhaOrchestrator:
             except ResourceExhausted:
                 self.trace.emit("nezha.abort_restore_failed",
                                 vnic=vnic.vnic_id)
-        be_location = Location(handle.be_vswitch.server.underlay_ip,
-                               handle.be_vswitch.server.mac)
         entry = self.gateway.lookup(vnic.vni, vnic.tenant_ip)
-        if entry is not None and entry.locations != [be_location]:
+        if entry is not None and entry.locations != [handle.be_location]:
             self.gateway.set_locations(vnic.vni, vnic.tenant_ip,
-                                       [be_location])
+                                       [handle.be_location])
         self._set_state(handle, OffloadState.INACTIVE)
         if self.handles.get(vnic.vnic_id) is handle:
             self.handles.pop(vnic.vnic_id)
@@ -341,11 +345,10 @@ class NezhaOrchestrator:
                             vnic=handle.vnic.vnic_id,
                             vswitch=fe_vswitch.name)
             return None
-        be_location = Location(handle.be_vswitch.server.underlay_ip,
-                               handle.be_vswitch.server.mac)
         try:
             frontend = FrontendInstance(fe_vswitch, handle.vnic,
-                                        handle.vnic.slow_path, be_location)
+                                        handle.vnic.slow_path,
+                                        handle.be_location)
         except ResourceExhausted:
             self.trace.emit("nezha.fe_target_oom",
                             vnic=handle.vnic.vnic_id,
@@ -408,18 +411,16 @@ class NezhaOrchestrator:
             done.fail(OffloadError(
                 f"fallback of vNIC {vnic.vnic_id}: gateway unreachable"))
             return
-        be_location = Location(handle.be_vswitch.server.underlay_ip,
-                               handle.be_vswitch.server.mac)
         version = 0
         for _ in range(deliveries):
             version = self.gateway.set_locations(vnic.vni, vnic.tenant_ip,
-                                                 [be_location])
+                                                 [handle.be_location])
         yield from self._await_sync(vnic.vni, version)
         yield self.engine.timeout(self.config.inflight_margin)
         # 3. Tear down FEs and the BE datapath; local processing resumes
         #    with session state intact (lazy flow promotion).
         for location in list(handle.frontends):
-            self._remove_frontend(handle, location, graceful=False)
+            self._remove_frontend(handle, location)
         be_agent = self.agent_for(handle.be_vswitch)
         if be_agent.backends.get(vnic.vnic_id) is handle.backend:
             be_agent.unregister_backend(vnic.vnic_id)
@@ -436,23 +437,17 @@ class NezhaOrchestrator:
         """Add FEs to an offloaded vNIC."""
         done = self.engine.event(f"scale-out-{handle.vnic.vnic_id}")
 
-        def _live() -> bool:
-            # The handle may fall back (or abort) while this flow is in
-            # flight; scaling a retired handle would resurrect orphan FEs.
-            return (self.handles.get(handle.vnic.vnic_id) is handle
-                    and handle.state in (OffloadState.DUAL_RUNNING,
-                                         OffloadState.ACTIVE))
-
         def flow():
             deliveries = yield from self._rpc("scale_out.configure_fes")
-            if deliveries == 0 or not _live():
+            if deliveries == 0 or not self._live(handle):
                 done.succeed(handle)
                 return
             for _ in range(deliveries):
                 for fe_vswitch in fe_vswitches:
                     self._create_frontend(handle, fe_vswitch)
             deliveries = yield from self._rpc("scale_out.update_gateway")
-            if deliveries == 0 or not _live() or not handle.fe_locations:
+            if (deliveries == 0 or not self._live(handle)
+                    or not handle.fe_locations):
                 done.succeed(handle)
                 return
             version = 0
@@ -467,6 +462,14 @@ class NezhaOrchestrator:
 
         self.engine.process(flow(), name=f"scale-out-{handle.vnic.vnic_id}")
         return done
+
+    def _live(self, handle: OffloadHandle) -> bool:
+        """Still the vNIC's offload and not on its way out. A handle may
+        fall back (or abort) while a scaling flow is in flight; growing a
+        retired handle would resurrect orphan FEs."""
+        return (self.handles.get(handle.vnic.vnic_id) is handle
+                and handle.state in (OffloadState.DUAL_RUNNING,
+                                     OffloadState.ACTIVE))
 
     def scale_in_vswitch(self, vswitch: VSwitch) -> int:
         """Remove every FE hosted on ``vswitch`` (it needs its resources
@@ -526,10 +529,7 @@ class NezhaOrchestrator:
             yield grown
             landed = any(fe.vswitch is to_vswitch
                          for fe in handle.frontends.values())
-            live = (self.handles.get(handle.vnic.vnic_id) is handle
-                    and handle.state in (OffloadState.DUAL_RUNNING,
-                                         OffloadState.ACTIVE))
-            if landed and live:
+            if landed and self._live(handle):
                 for location, frontend in list(handle.frontends.items()):
                     if frontend.vswitch is from_vswitch:
                         self._retire_fe(handle, location, graceful=True)
@@ -583,10 +583,9 @@ class NezhaOrchestrator:
             # traffic stops targeting a dead location. During dual-running
             # the BE still processes everything; once ACTIVE it at least
             # accounts the drops while replacements spin up.
-            be_location = Location(handle.be_vswitch.server.underlay_ip,
-                                   handle.be_vswitch.server.mac)
             self.gateway.set_locations(handle.vnic.vni,
-                                       handle.vnic.tenant_ip, [be_location])
+                                       handle.vnic.tenant_ip,
+                                       [handle.be_location])
             self.trace.emit("nezha.all_fes_lost", vnic=handle.vnic.vnic_id)
         agent = self.agent_for(frontend.vswitch)
         if graceful:
@@ -603,8 +602,8 @@ class NezhaOrchestrator:
             if agent.frontends.get(handle.vnic.vnic_id) is frontend:
                 agent.unregister_frontend(handle.vnic.vnic_id)
 
-    def _remove_frontend(self, handle: OffloadHandle, location: Location,
-                         graceful: bool) -> None:
+    def _remove_frontend(self, handle: OffloadHandle,
+                         location: Location) -> None:
         frontend = handle.frontends.pop(location, None)
         if frontend is None:
             return

@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.controller import FePlacement, HealthMonitor, NezhaController
+from repro.controller import HealthMonitor
 from repro.controller.controller import ControllerConfig
 from repro.experiments.common import ExperimentResult
 from repro.experiments.parallel import sweep
@@ -55,17 +55,12 @@ def run_soak(seed: int = 0, horizon: float = DEFAULT_HORIZON,
     monitor_host = testbed.topo.servers[-1]
     monitor = HealthMonitor(engine, monitor_host,
                             interval=monitor_interval, miss_threshold=3)
-    placement = FePlacement(testbed.topo, {})
     # At this testbed's load the FEs idle around 3-7 % CPU; the default
     # 10 % fallback threshold would spontaneously fall everything back two
     # seconds in and leave the fuzzer nothing to break. Treat FEs as idle
     # only when truly unloaded (i.e. once the soak's traffic stops).
     config = ControllerConfig(fallback_threshold=0.02, fallback_polls=30)
-    controller = NezhaController(engine, testbed.gateway,
-                                 testbed.orchestrator, placement,
-                                 config=config, monitor=monitor)
-    for vswitch in testbed.vswitches:
-        controller.register(vswitch)
+    controller = testbed.attach_controller(config=config, monitor=monitor)
     for server in testbed.topo.servers[:-1]:
         monitor.add_target(server)
 

@@ -11,8 +11,8 @@ from typing import Optional, Sequence, Tuple
 
 from repro.experiments.common import ExperimentResult
 from repro.experiments.parallel import sweep
-from repro.experiments.testbed import SERVER_IP, build_testbed
-from repro.workloads import ClosedLoopCrr, measure_cps
+from repro.experiments.testbed import build_testbed
+from repro.workloads import measure_cps
 
 
 def measure(vcpus: int, nezha: bool, duration: float, warmup: float,
@@ -20,14 +20,8 @@ def measure(vcpus: int, nezha: bool, duration: float, warmup: float,
     testbed = build_testbed(n_clients=4, n_idle=4, server_vcpus=vcpus,
                             seed=seed)
     if nezha:
-        handle = testbed.orchestrator.offload(testbed.server_vnic,
-                                              testbed.idle_vswitches[:4])
-        testbed.run(1.0)
-        if handle.completed_at is None:
-            raise RuntimeError("offload did not complete")
-    loops = [ClosedLoopCrr(testbed.engine, app, SERVER_IP, 80,
-                           concurrency=concurrency_per_client).start()
-             for app in testbed.client_apps]
+        testbed.offload_server()
+    loops = testbed.start_closed_loop(concurrency_per_client)
     return measure_cps(testbed.engine, loops, warmup, duration)
 
 

@@ -12,8 +12,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.common import ExperimentResult
 from repro.experiments.parallel import sweep
-from repro.experiments.testbed import SERVER_IP, build_testbed
-from repro.workloads import ClosedLoopCrr
+from repro.experiments.testbed import build_testbed
 
 
 def run_point(point: Tuple[float, float, int]) -> Dict[str, Any]:
@@ -31,9 +30,7 @@ def run_point(point: Tuple[float, float, int]) -> Dict[str, Any]:
     fe_series: List[Tuple[float, float]] = []   # (time, average FE CPU)
     state = {"handle": None, "scaled": False}
 
-    loops: List[ClosedLoopCrr] = [
-        ClosedLoopCrr(engine, app, SERVER_IP, 80, concurrency=4).start()
-        for app in testbed.client_apps]
+    loops = testbed.start_closed_loop(4)
 
     def ramp():
         # Add concurrency every 1s to ramp offered CPS.

@@ -4,86 +4,46 @@ Paper: below the offload threshold both curves coincide; around 80 % CPU
 the extra BE→FE hop costs <10 µs; past that, the overloaded local vSwitch's
 latency explodes while Nezha's stays flat.
 
-Probe flow: a steady low-rate established flow client→server whose
-per-packet delivery latency we timestamp; background closed-loop CRR sets
-the vSwitch load.
+Probe flow: the testbed's steady low-rate established flow
+client→server (:meth:`~repro.experiments.testbed.Testbed.start_probe`),
+timed by the span layer alone — the P50 in the table is the one
+``tools/telemetry.py spans`` prints for the same label from a
+``--telemetry`` capture. Background closed-loop CRR sets the vSwitch
+load.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.experiments.common import ExperimentResult
 from repro.experiments.parallel import sweep
-from repro.experiments.testbed import SERVER_IP, build_testbed
-from repro.metrics.percentiles import percentile
-from repro.net.packet import Packet
-from repro.net.tcp import TcpFlags
-from repro.telemetry import spans as _spans
-from repro.workloads import ClosedLoopCrr
-
-PROBE_PORT = 9000
+from repro.experiments.testbed import build_testbed
+from repro.telemetry import span_session
 
 
 def _measure(load_concurrency: int, nezha: bool, seed: int,
-             duration: float = 1.5,
-             probe_rate: float = 200.0) -> Tuple[float, float]:
+             duration: float = 1.5) -> Tuple[float, float]:
     """Returns (vswitch cpu utilization, P50 probe latency seconds)."""
     testbed = build_testbed(n_clients=4, n_idle=4, seed=seed)
-    engine = testbed.engine
     if nezha:
-        handle = testbed.orchestrator.offload(testbed.server_vnic,
-                                              testbed.idle_vswitches[:4])
-        testbed.run(1.0)
-        if handle.completed_at is None:
-            raise RuntimeError("offload did not complete")
+        handle = testbed.offload_server()
     if load_concurrency:
-        for app in testbed.client_apps:
-            ClosedLoopCrr(engine, app, SERVER_IP, 80,
-                          concurrency=load_concurrency).start()
-
-    latencies: List[float] = []
-    probe_vnic = testbed.client_vnics[0]
-    probe_vm = testbed.client_vms[0]
-    testbed.server_vm.listen(
-        testbed.server_vnic, PROBE_PORT,
-        lambda pkt: latencies.append(engine.now - pkt.meta["probe_sent"]))
-
-    # Telemetry label: one per (path, load) sweep point, so the recorded
-    # spans aggregate into exactly the rows this experiment reports.
-    span_label = f"{'offloaded' if nezha else 'local'}/load{load_concurrency}"
-
-    def probe():
-        first = True
-        while True:
-            pkt = Packet.tcp(probe_vnic.tenant_ip, SERVER_IP, 9100,
-                             PROBE_PORT,
-                             TcpFlags.of("syn") if first
-                             else TcpFlags.of("psh", "ack"))
-            pkt.meta["probe_sent"] = engine.now
-            if _spans.ACTIVE:
-                _spans.begin(pkt, span_label, engine.now)
-            probe_vm.send(probe_vnic, pkt, new_connection=first)
-            first = False
-            yield engine.timeout(1.0 / probe_rate)
-
-    engine.process(probe(), name="probe")
-    testbed.run(0.5)          # warm up the load + probe session
-    latencies.clear()
-    if _spans.ACTIVE:
-        # Same warmup discard the latency list gets, so the span p50
-        # reproduces this measurement exactly.
-        from repro import telemetry
-        tel = telemetry.current()
-        if tel is not None:
-            tel.spans.clear(span_label)
-    testbed.run(duration)
+        testbed.start_closed_loop(load_concurrency)
+    # One span label per (path, load) sweep point, so the recorded spans
+    # aggregate into exactly the rows this experiment reports.
+    label = f"{'offloaded' if nezha else 'local'}/load{load_concurrency}"
+    testbed.start_probe(label)
+    with span_session() as recorder:
+        testbed.run(0.5)          # warm up the load + probe session
+        recorder.clear(label)
+        testbed.run(duration)
+        aggregated = recorder.aggregate().get(label)
     util = testbed.server_vswitch.cpu_utilization()
     if nezha:
-        handle_fes = testbed.orchestrator.handles[
-            testbed.server_vnic.vnic_id].fe_vswitches
-        util = max(util, max(fe.cpu_utilization() for fe in handle_fes))
-    p50 = percentile(latencies, 50) if latencies else float("inf")
+        util = max(util, max(fe.cpu_utilization()
+                             for fe in handle.fe_vswitches))
+    p50 = aggregated["latency"]["P50"] if aggregated else float("inf")
     return util, p50
 
 

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.controller import FePlacement, HealthMonitor, NezhaController
-from repro.controller.controller import ControllerConfig
+from repro.controller import HealthMonitor
 from repro.experiments.common import ExperimentResult
 from repro.experiments.parallel import sweep
-from repro.experiments.testbed import SERVER_IP, build_testbed
-from repro.workloads import ClosedLoopCrr
+from repro.experiments.testbed import build_testbed
 
 
 def run_point(point: Tuple[float, float, float, float, int]) -> Dict[str, Any]:
@@ -25,30 +23,19 @@ def run_point(point: Tuple[float, float, float, float, int]) -> Dict[str, Any]:
     testbed = build_testbed(n_clients=4, n_idle=6, seed=seed)
     engine = testbed.engine
 
-    handle = testbed.orchestrator.offload(testbed.server_vnic,
-                                          testbed.idle_vswitches[:4])
-    testbed.run(1.0)
-    if handle.completed_at is None:
-        raise RuntimeError("offload did not complete")
+    handle = testbed.offload_server()
 
     # Monitoring + failover (the §4.4 machinery).
     monitor_host = testbed.topo.servers[-1]
     monitor = HealthMonitor(engine, monitor_host,
                             interval=monitor_interval, miss_threshold=3)
-    placement = FePlacement(testbed.topo, {})
-    controller = NezhaController(engine, testbed.gateway,
-                                 testbed.orchestrator, placement,
-                                 config=ControllerConfig(),
-                                 monitor=monitor)
-    for vswitch in testbed.vswitches:
-        controller.register(vswitch)
+    testbed.attach_controller(monitor=monitor)
     for fe in handle.fe_vswitches:
         monitor.add_target(fe.server)
     monitor.start()
 
     # Steady CRR traffic; per-bucket completions/failures give loss rate.
-    loops = [ClosedLoopCrr(engine, app, SERVER_IP, 80, concurrency=24)
-             .start() for app in testbed.client_apps]
+    loops = testbed.start_closed_loop(24)
     buckets: List[Dict[str, float]] = []
     victim = handle.fe_vswitches[0]
 

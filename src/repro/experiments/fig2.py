@@ -11,9 +11,8 @@ from typing import Optional, Tuple
 
 from repro.experiments.common import ExperimentResult
 from repro.experiments.parallel import point_seeds, sweep
-from repro.experiments.testbed import SERVER_IP, build_testbed
+from repro.experiments.testbed import build_testbed
 from repro.metrics.percentiles import percentile
-from repro.workloads import ClosedLoopCrr
 
 
 def run_point(point: Tuple[int, float, int]) -> Tuple[float, float]:
@@ -23,9 +22,7 @@ def run_point(point: Tuple[int, float, int]) -> Tuple[float, float]:
     """
     vm_seed, duration, concurrency_per_client = point
     testbed = build_testbed(n_clients=4, n_idle=2, seed=vm_seed)
-    loops = [ClosedLoopCrr(testbed.engine, app, SERVER_IP, 80,
-                           concurrency=concurrency_per_client).start()
-             for app in testbed.client_apps]
+    loops = testbed.start_closed_loop(concurrency_per_client)
     testbed.run(1.0 + duration)
     for loop in loops:
         loop.stop()

@@ -17,8 +17,8 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.experiments.capacity import CapacityModel, sweep_gains
 from repro.experiments.common import ExperimentResult
 from repro.experiments.parallel import sweep
-from repro.experiments.testbed import SERVER_IP, build_testbed
-from repro.workloads import ClosedLoopCrr, measure_cps
+from repro.experiments.testbed import build_testbed
+from repro.workloads import measure_cps
 
 PAPER_CPS_GAIN = {0: 1.0, 1: 1.6, 2: 2.4, 4: 3.3, 6: 3.3, 8: 3.3, 12: 3.3}
 PAPER_FLOWS_GAIN = {0: 1.0, 1: 1.3, 2: 2.2, 4: 3.8, 6: 3.8, 8: 3.8, 12: 3.8}
@@ -29,14 +29,8 @@ def measure_cps_at(n_fes: int, duration: float, warmup: float,
                    concurrency_per_client: int, seed: int) -> float:
     testbed = build_testbed(n_clients=4, n_idle=max(4, n_fes), seed=seed)
     if n_fes:
-        handle = testbed.orchestrator.offload(
-            testbed.server_vnic, testbed.idle_vswitches[:n_fes])
-        testbed.run(1.0)
-        if handle.completed_at is None:
-            raise RuntimeError("offload did not reach the final stage")
-    loops = [ClosedLoopCrr(testbed.engine, app, SERVER_IP, 80,
-                           concurrency=concurrency_per_client).start()
-             for app in testbed.client_apps]
+        testbed.offload_server(n_fes)
+    loops = testbed.start_closed_loop(concurrency_per_client)
     return measure_cps(testbed.engine, loops, warmup, duration)
 
 

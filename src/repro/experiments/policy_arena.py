@@ -7,8 +7,8 @@ same two stages:
 * **testbed** — the §6.2 micro-testbed under closed-loop CRR load with
   the *controller* (not a hand-placed offload) reacting through the
   policy under test: measured CPS, probe-flow P99 latency via the
-  shared telemetry span layer (the fig12 probe pattern inside a
-  :func:`~repro.telemetry.span_session` — reusing the installed
+  shared telemetry span layer (fig12's probe, ``Testbed.start_probe``,
+  inside a :func:`~repro.telemetry.span_session` — reusing the installed
   telemetry's recorder when there is one), the mean number of FE
   instances the policy keeps deployed, and the FEs it preempted (only
   ``SuperNicPolicy`` preempts);
@@ -27,63 +27,29 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.controller.controller import ControllerConfig, NezhaController
-from repro.controller.placement import FePlacement
+from repro.controller.controller import ControllerConfig
 from repro.controller.policy import POLICY_NAMES, make_policy
 from repro.experiments import fleet as _fleet
 from repro.experiments.common import ExperimentResult
 from repro.experiments.parallel import sweep
-from repro.experiments.testbed import SERVER_IP, build_testbed
-from repro.net.packet import Packet
-from repro.net.tcp import TcpFlags
+from repro.experiments.testbed import build_testbed
 from repro.telemetry import span_session
-from repro.telemetry import spans as _spans
-from repro.workloads import ClosedLoopCrr
-
-PROBE_PORT = 9000
 
 
 def _testbed_stage(policy_name: str, seed: int, duration: float,
-                   warmup: float, concurrency_per_client: int,
-                   probe_rate: float = 200.0) -> Dict[str, float]:
+                   warmup: float, concurrency_per_client: int
+                   ) -> Dict[str, float]:
     """CPS, span-layer P99, mean deployed FEs and preemptions for one
     policy."""
     testbed = build_testbed(n_clients=4, n_idle=8, seed=seed)
     engine = testbed.engine
-    placement = FePlacement(testbed.topo, {})
     config = ControllerConfig(poll_interval=0.05)
-    controller = NezhaController(engine, testbed.gateway,
-                                 testbed.orchestrator, placement,
-                                 config=config,
-                                 policy=make_policy(policy_name))
-    for vswitch in testbed.vswitches:
-        controller.register(vswitch)
+    controller = testbed.attach_controller(config=config,
+                                           policy=make_policy(policy_name))
     controller.start()
-
-    loops = [ClosedLoopCrr(engine, app, SERVER_IP, 80,
-                           concurrency=concurrency_per_client).start()
-             for app in testbed.client_apps]
-
-    # fig12-style probe flow; the span layer times every delivery.
-    probe_vnic = testbed.client_vnics[0]
-    probe_vm = testbed.client_vms[0]
-    testbed.server_vm.listen(testbed.server_vnic, PROBE_PORT, lambda pkt: None)
+    loops = testbed.start_closed_loop(concurrency_per_client)
     span_label = f"arena/{policy_name}"
-
-    def probe():
-        first = True
-        while True:
-            pkt = Packet.tcp(probe_vnic.tenant_ip, SERVER_IP, 9100,
-                             PROBE_PORT,
-                             TcpFlags.of("syn") if first
-                             else TcpFlags.of("psh", "ack"))
-            if _spans.ACTIVE:
-                _spans.begin(pkt, span_label, engine.now)
-            probe_vm.send(probe_vnic, pkt, new_connection=first)
-            first = False
-            yield engine.timeout(1.0 / probe_rate)
-
-    engine.process(probe(), name="arena-probe")
+    testbed.start_probe(span_label)
 
     # Mean FE instances deployed across the measurement window: the
     # testbed-side cost of the policy's placement decisions.
@@ -108,7 +74,9 @@ def _testbed_stage(policy_name: str, seed: int, duration: float,
         testbed.run(duration)
         cps = (sum(loop.completed for loop in loops) - start) / duration
         aggregated = recorder.aggregate().get(span_label)
-    p99 = aggregated["latency"]["P99"] if aggregated else 0.0
+    # A probe that never reached the server scores the worst latency,
+    # as in fig12, never the best.
+    p99 = aggregated["latency"]["P99"] if aggregated else float("inf")
     fe_mean = sum(fe_samples) / len(fe_samples) if fe_samples else 0.0
     return {"cps": cps, "p99_us": p99 * 1e6, "fe_units": fe_mean,
             "offloads": controller.offloads_triggered,

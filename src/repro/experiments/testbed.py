@@ -1,5 +1,8 @@
 """The §6.2 testbed: one high-demand server vNIC, client servers, a pool
-of idle vSwitches, and CRR plumbing.
+of idle vSwitches, and the scaffolding every packet-level experiment
+shares — closed-loop CRR from every client, the server vNIC offloaded to
+the idle pool, a controller over every vSwitch, and the Fig 12 probe
+flow whose latency the span layer measures.
 
 Mirrors the paper's setup: client and server VMs on different servers
 (64-core Xeons), other servers as the remote resource pool, vSwitch slice
@@ -10,23 +13,34 @@ capacities are ~1/50 of production and all comparisons are ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.controller.gateway import Gateway, MappingLearner
 from repro.controller.latency import ControlLatencyModel
-from repro.core.offload import NezhaOrchestrator, OffloadConfig
+from repro.core.offload import NezhaOrchestrator, OffloadConfig, OffloadHandle
+from repro.errors import OffloadError
 from repro.fabric import Topology
 from repro.host import GuestTcp, Vm, VmCostModel
 from repro.net.addr import IPv4Address, MacAddress
+from repro.net.packet import Packet
+from repro.net.tcp import TcpFlags
 from repro.sim import Engine, SeededRng
+from repro.telemetry import spans as _spans
 from repro.vswitch import CostModel, Vnic, VSwitch
 from repro.vswitch.rule_tables import Location
 from repro.vswitch.slow_path import SlowPath
 from repro.vswitch.vswitch import make_standard_chain
-from repro.workloads import CrrLoadGenerator
+from repro.workloads import ClosedLoopCrr, CrrLoadGenerator
+
+if TYPE_CHECKING:
+    from repro.controller.controller import ControllerConfig, NezhaController
+    from repro.controller.monitor import HealthMonitor
+    from repro.controller.policy import NezhaPolicy
 
 VNI = 100
 SERVER_IP = IPv4Address("192.168.1.1")
+PROBE_PORT = 9000
+PROBE_RATE = 200.0  # probe packets per second
 
 
 @dataclass
@@ -69,6 +83,65 @@ class Testbed:
             gen.run(duration)
             gens.append(gen)
         return gens
+
+    def start_closed_loop(self, concurrency: int) -> List[ClosedLoopCrr]:
+        """Closed-loop CRR from every client VM to the server's port 80,
+        ``concurrency`` transaction slots each."""
+        return [ClosedLoopCrr(self.engine, app, SERVER_IP, 80,
+                              concurrency=concurrency).start()
+                for app in self.client_apps]
+
+    def offload_server(self, n_fes: int = 4) -> OffloadHandle:
+        """Offload the server vNIC to the first ``n_fes`` idle vSwitches
+        and run one second; raises unless it reached the final stage."""
+        handle = self.orchestrator.offload(self.server_vnic,
+                                           self.idle_vswitches[:n_fes])
+        self.run(1.0)
+        if handle.completed_at is None:
+            raise OffloadError("server vNIC offload did not reach the "
+                               "final stage")
+        return handle
+
+    def attach_controller(self, config: Optional[ControllerConfig] = None,
+                          monitor: Optional[HealthMonitor] = None,
+                          policy: Optional[NezhaPolicy] = None
+                          ) -> NezhaController:
+        """A controller over every vSwitch, registered, not started."""
+        # Imported on use: the CRR-only experiments (and the perfbench
+        # workloads built on fig9) never load the controller modules.
+        from repro.controller.controller import NezhaController
+        from repro.controller.placement import FePlacement
+        controller = NezhaController(self.engine, self.gateway,
+                                     self.orchestrator,
+                                     FePlacement(self.topo, {}),
+                                     config=config, monitor=monitor,
+                                     policy=policy)
+        for vswitch in self.vswitches:
+            controller.register(vswitch)
+        return controller
+
+    def start_probe(self, label: str) -> None:
+        """The Fig 12 probe: a steady established flow from the first
+        client to the server at ``PROBE_RATE``. Every packet carries a
+        span labelled ``label`` while a recorder is installed; the span
+        layer is the only thing that times it."""
+        engine = self.engine
+        vnic, vm = self.client_vnics[0], self.client_vms[0]
+        self.server_vm.listen(self.server_vnic, PROBE_PORT, lambda pkt: None)
+
+        def probe():
+            first = True
+            while True:
+                pkt = Packet.tcp(vnic.tenant_ip, SERVER_IP, 9100, PROBE_PORT,
+                                 TcpFlags.of("syn") if first
+                                 else TcpFlags.of("psh", "ack"))
+                if _spans.ACTIVE:
+                    _spans.begin(pkt, label, engine.now)
+                vm.send(vnic, pkt, new_connection=first)
+                first = False
+                yield engine.timeout(1.0 / PROBE_RATE)
+
+        engine.process(probe(), name="probe")
 
 
 def build_testbed(n_clients: int = 4, n_idle: int = 12,

@@ -53,8 +53,7 @@ class FaultFuzzer:
                  vswitch_names: Sequence[str],
                  server_names: Sequence[str],
                  rates: Optional[FuzzRates] = None,
-                 durations: Optional[FuzzDurations] = None,
-                 monitor_partitions: bool = True) -> None:
+                 durations: Optional[FuzzDurations] = None) -> None:
         if not vswitch_names:
             raise ConfigError("fuzzer needs at least one vSwitch target")
         self.rng = rng
@@ -62,7 +61,6 @@ class FaultFuzzer:
         self.server_names = list(server_names) or list(vswitch_names)
         self.rates = rates or FuzzRates()
         self.durations = durations or FuzzDurations()
-        self.monitor_partitions = monitor_partitions
 
     # Each stream gets its own child RNG: adding/removing one kind never
     # perturbs the arrival times of the others.
@@ -104,12 +102,11 @@ class FaultFuzzer:
                                 target=rng.choice(self.server_names),
                                 duration=rng.uniform(*dur.link_flap)))
 
-        if self.monitor_partitions:
-            rng = self._stream("partition")
-            for at in self._arrivals(rng, self.rates.partition, start, end,
-                                     min_per_kind):
-                plan.add(FaultEvent(at, FaultKind.PARTITION_MONITOR,
-                                    duration=rng.uniform(*dur.partition)))
+        rng = self._stream("partition")
+        for at in self._arrivals(rng, self.rates.partition, start, end,
+                                 min_per_kind):
+            plan.add(FaultEvent(at, FaultKind.PARTITION_MONITOR,
+                                duration=rng.uniform(*dur.partition)))
 
         rng = self._stream("rpc")
         for at in self._arrivals(rng, self.rates.rpc_storm, start, end,

@@ -110,9 +110,8 @@ class Vm:
         self._listeners.pop((vnic.vnic_id, port), None)
 
     def _rx_complete(self, vnic: Vnic, packet: Packet) -> None:
-        # Terminal span hop, recorded at the same instant a listener's
-        # own latency math runs — span totals match experiment numbers
-        # exactly, not just within rounding.
+        # Terminal span hop, at the instant the guest receives the
+        # packet: a span's total is its send-to-delivery latency.
         if _spans.ACTIVE:
             _spans.finish(packet, "vm_rx", self.engine.now)
         l4 = packet.inner_l4()

@@ -257,11 +257,11 @@ def span_session():
     """The span recorder for one measurement window.
 
     With telemetry installed this *is* the installed recorder (spans
-    land in the capture and the caller's aggregation alike — one code
-    path for fig12 captures and the policy arena); without, a temporary
-    standalone :class:`SpanRecorder` is installed for the duration and
-    torn down on exit. Callers that pre-warm should ``clear(label)``
-    only their own label: the shared recorder may hold other spans.
+    land in the capture and the caller's aggregation alike); without, a
+    temporary standalone :class:`SpanRecorder` is installed for the
+    duration and torn down on exit. fig12 and the policy arena run
+    warm-up and window inside it and, after warm-up, ``clear`` only
+    their own label: the shared recorder may hold other points' spans.
     """
     if _current is not None:
         yield _current.spans

@@ -19,7 +19,7 @@ materializes iff ``META_KEY in template.meta`` — one probe per run.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics.percentiles import percentile_summary
 
@@ -61,6 +61,14 @@ class Span:
                 "total": self.total(),
                 "hops": [{"name": name, "time": t} for name, t in self.hops]}
 
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "Span":
+        """The inverse of :meth:`to_dict` (a capture's span line)."""
+        span = cls(data["label"], data["t0"])
+        span.hops = [(hop["name"], hop["time"]) for hop in data["hops"]]
+        span.done = data["done"]
+        return span
+
 
 def begin(packet, label: str, now: float) -> Span:
     """Attach a fresh span to ``packet`` (caller already checked ACTIVE)."""
@@ -79,9 +87,8 @@ def hop(packet, name: str, now: float) -> None:
 def finish(packet, name: str, now: float) -> None:
     """Record the terminal hop and hand the span to the recorder.
 
-    Called at guest delivery — the same instant the experiment's own
-    listener computes its latency, so span totals and experiment numbers
-    agree exactly.
+    Called at guest delivery, so a span's total is the packet's
+    send-to-delivery latency — the number fig12 and the arena report.
     """
     span = packet.meta.get(META_KEY)
     if span is None or span.done:
@@ -131,40 +138,32 @@ class SpanRecorder:
         else:
             self.spans = [s for s in self.spans if s.label != label]
 
-    def by_label(self, label: str) -> List[Span]:
-        return [s for s in self.spans if s.label == label]
-
-    def labels(self) -> List[str]:
-        seen: List[str] = []
-        for span in self.spans:
-            if span.label not in seen:
-                seen.append(span.label)
-        return seen
-
-    # -- aggregation -------------------------------------------------------
-
     def aggregate(self) -> Dict[str, Dict[str, Any]]:
-        """Per-label breakdown: count, total-latency summary, and a
-        per-segment summary — the Fig-12-style decomposition in one call.
-
-        Only spans sharing a label are merged, so local and offloaded
-        paths (different hop sequences) never mix segments.
-        """
-        out: Dict[str, Dict[str, Any]] = {}
-        for label in self.labels():
-            spans = self.by_label(label)
-            totals = [s.total() for s in spans]
-            segment_samples: Dict[str, List[float]] = {}
-            for span in spans:
-                for seg_name, dt in span.segments():
-                    segment_samples.setdefault(seg_name, []).append(dt)
-            out[label] = {
-                "count": len(spans),
-                "latency": percentile_summary(totals),
-                "segments": {name: percentile_summary(samples)
-                             for name, samples in segment_samples.items()},
-            }
-        return out
+        """:func:`aggregate` over the recorded spans."""
+        return aggregate(self.spans)
 
     def to_dicts(self) -> List[Dict[str, Any]]:
         return [span.to_dict() for span in self.spans]
+
+
+def aggregate(spans: Iterable[Span]) -> Dict[str, Dict[str, Any]]:
+    """Per-label breakdown (labels in first-seen order): count, total
+    latency summary and per-segment summaries — the Fig-12 decomposition.
+    The recorder and ``tools/telemetry.py`` both call it. Only spans
+    sharing a label merge, so local and offloaded hops never mix."""
+    groups: Dict[str, List[Span]] = {}
+    for span in spans:
+        groups.setdefault(span.label, []).append(span)
+    out: Dict[str, Dict[str, Any]] = {}
+    for label, group in groups.items():
+        segment_samples: Dict[str, List[float]] = {}
+        for span in group:
+            for seg_name, dt in span.segments():
+                segment_samples.setdefault(seg_name, []).append(dt)
+        out[label] = {
+            "count": len(group),
+            "latency": percentile_summary([s.total() for s in group]),
+            "segments": {name: percentile_summary(samples)
+                         for name, samples in segment_samples.items()},
+        }
+    return out

@@ -289,12 +289,8 @@ def test_controller_never_places_fes_on_its_monitor_host():
     from repro.experiments.testbed import build_testbed
     testbed = build_testbed(n_clients=4, n_idle=6)
     monitor = HealthMonitor(testbed.engine, testbed.topo.servers[-1])
-    placement = FePlacement(testbed.topo, {})
-    controller = NezhaController(testbed.engine, testbed.gateway,
-                                 testbed.orchestrator, placement,
-                                 monitor=monitor)
-    for vswitch in testbed.vswitches:
-        controller.register(vswitch)
+    controller = testbed.attach_controller(monitor=monitor)
+    placement = controller.placement
     be, deaf = testbed.server_vswitch, testbed.vswitches[-1]
     everyone = len(testbed.vswitches)
     assert deaf not in placement.select(be, everyone)

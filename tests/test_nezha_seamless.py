@@ -10,12 +10,12 @@ import pytest
 
 from repro.controller.latency import ControlLatencyModel
 from repro.core.offload import OffloadState
-from repro.experiments.testbed import SERVER_IP, build_testbed
+from repro.errors import OffloadError
+from repro.experiments.testbed import build_testbed
 from repro.net import IPv4Address, MacAddress, Packet, TcpFlags
 from repro.vswitch import Vnic
 from repro.vswitch.rule_tables import Location
 from repro.vswitch.vswitch import make_standard_chain
-from repro.workloads import ClosedLoopCrr
 
 from tests.conftest import TENANT_A, TENANT_B, VNI, build_nezha_env
 
@@ -24,9 +24,7 @@ def test_no_transaction_loss_during_offload_activation():
     """Steady CRR traffic across the entire offload window: every
     transaction completes (dual-running catches direct arrivals)."""
     testbed = build_testbed(n_clients=2, n_idle=4, seed=3)
-    loops = [ClosedLoopCrr(testbed.engine, app, SERVER_IP, 80,
-                           concurrency=8).start()
-             for app in testbed.client_apps]
+    loops = testbed.start_closed_loop(8)
     testbed.run(0.5)
     handle = testbed.orchestrator.offload(testbed.server_vnic,
                                           testbed.idle_vswitches[:4])
@@ -53,9 +51,7 @@ def test_no_transaction_loss_during_fallback():
                                           testbed.idle_vswitches[:4])
     testbed.run(1.0)
     assert handle.state is OffloadState.ACTIVE
-    loops = [ClosedLoopCrr(testbed.engine, app, SERVER_IP, 80,
-                           concurrency=8).start()
-             for app in testbed.client_apps]
+    loops = testbed.start_closed_loop(8)
     testbed.run(0.5)
     done = testbed.orchestrator.fallback(handle)
     testbed.run(2.0)
@@ -73,12 +69,8 @@ def test_no_transaction_loss_during_fallback():
 
 def test_no_loss_during_scale_out():
     testbed = build_testbed(n_clients=2, n_idle=8, seed=5)
-    handle = testbed.orchestrator.offload(testbed.server_vnic,
-                                          testbed.idle_vswitches[:4])
-    testbed.run(1.0)
-    loops = [ClosedLoopCrr(testbed.engine, app, SERVER_IP, 80,
-                           concurrency=8).start()
-             for app in testbed.client_apps]
+    handle = testbed.offload_server()
+    loops = testbed.start_closed_loop(8)
     testbed.run(0.5)
     testbed.orchestrator.scale_out(handle, testbed.idle_vswitches[4:8])
     testbed.run(1.5)
@@ -94,12 +86,8 @@ def test_no_loss_during_graceful_scale_in():
     """§4.3: configs are retained for learning-interval + RTT after a
     scale-in, so in-flight and stale-mapped packets still process."""
     testbed = build_testbed(n_clients=2, n_idle=6, seed=6)
-    handle = testbed.orchestrator.offload(testbed.server_vnic,
-                                          testbed.idle_vswitches[:6])
-    testbed.run(1.0)
-    loops = [ClosedLoopCrr(testbed.engine, app, SERVER_IP, 80,
-                           concurrency=8).start()
-             for app in testbed.client_apps]
+    handle = testbed.offload_server(6)
+    loops = testbed.start_closed_loop(8)
     testbed.run(0.5)
     victim = handle.fe_vswitches[0]
     testbed.orchestrator.scale_in_vswitch(victim)
@@ -110,6 +98,18 @@ def test_no_loss_during_graceful_scale_in():
     testbed.run(1.5)
     completed = sum(loop.completed for loop in loops)
     assert sum(loop.failed for loop in loops) <= max(3, 0.01 * completed)
+
+
+def test_offload_server_raises_when_no_fe_survives():
+    """Every idle vSwitch crashed before the offload: each FE target is
+    refused, the flow aborts, and the testbed says so instead of
+    returning a handle that never reached the final stage."""
+    testbed = build_testbed(n_clients=2, n_idle=4, seed=7)
+    for vswitch in testbed.idle_vswitches:
+        vswitch.crash()
+    with pytest.raises(OffloadError, match="final stage"):
+        testbed.offload_server()
+    assert testbed.orchestrator.aborted_offloads == 1
 
 
 # -- multiple offloaded vNICs sharing the infrastructure ------------------------------

@@ -259,3 +259,13 @@ def test_policy_arena_single_policy_smoke():
     assert row["fe_units"] == 0  # sirius never deploys an FE
     assert row["denials"] >= 1
     assert row["mitigated_pct"] == 0.0
+
+
+def test_arena_scores_a_missing_latency_as_the_worst():
+    """A policy whose probe never reached the server must not win the
+    latency column: no span means an infinite P99, as in fig12."""
+    from repro.experiments import policy_arena
+    stage = policy_arena._testbed_stage("nezha", seed=0, duration=1e-4,
+                                        warmup=0.0,
+                                        concurrency_per_client=1)
+    assert stage["p99_us"] == float("inf")

@@ -123,9 +123,9 @@ def test_recorder_capacity_and_clear_label():
         span.hops = [("end", float(i) + 0.1)]
         recorder.add(span)
     assert recorder.dropped == 1
-    assert recorder.labels() == ["b", "a"]
+    assert list(recorder.aggregate()) == ["b", "a"]
     recorder.clear("a")
-    assert recorder.labels() == ["b"]
+    assert list(recorder.aggregate()) == ["b"]
 
 
 def test_aggregate_keeps_labels_separate():

@@ -84,13 +84,12 @@ def test_no_registration_without_install():
     assert cloud.vswitch_a.trace is SILENT  # shared, keeps nothing
 
 
-# -- fig12 reconciliation (the headline acceptance criterion) ----------------
+# -- fig12 reads its latency from spans (the headline acceptance criterion) --
 
 
 def test_fig12_span_p50_matches_experiment_exactly():
-    """The span recorder's aggregate must reproduce fig12's own latency
-    numbers — identically, because ``finish()`` stamps the same instant
-    the experiment's listener reads."""
+    """fig12's P50 is the installed span recorder's aggregate for its
+    label — identically, since the experiment reads that aggregate."""
     tel = telemetry.install()
     _util, p50 = fig12._measure(0, nezha=True, seed=0, duration=0.3)
     agg = tel.spans.aggregate()
@@ -110,6 +109,32 @@ def test_fig12_local_path_has_no_fe_segments():
     entry = tel.spans.aggregate()["local/load0"]
     assert entry["latency"]["P50"] == p50
     assert not any("fe" in name for name in entry["segments"])
+
+
+def test_fig12_latency_is_the_capture_span_p50(tmp_path, capsys):
+    """fig12 has one latency instrument, the span layer: both latency
+    cells of its table equal the P50 the post-mortem CLI reads from the
+    exported capture, float for float, and the CLI prints that number."""
+    tel = telemetry.install()
+    result = fig12.run(load_levels=(0,), duration=0.3)
+    path = tmp_path / "fig12.jsonl"
+    tel.export(path)
+    telemetry.uninstall()
+
+    cli = _load_cli()
+    agg = cli.aggregate(cli.Span.from_dict(record) for record in load(path)
+                        if record["type"] == "span")
+    assert list(agg) == ["local/load0", "offloaded/load0"]
+    row = result.rows[0]
+    assert row["latency_without_us"] == \
+        agg["local/load0"]["latency"]["P50"] * 1e6
+    assert row["latency_with_us"] == \
+        agg["offloaded/load0"]["latency"]["P50"] * 1e6
+
+    assert cli.main(["spans", str(path), "--label", "offloaded/*"]) == 0
+    out = capsys.readouterr().out
+    assert f"p50 {row['latency_with_us']:.2f}" in out
+    assert "local/load0" not in out
 
 
 def test_telemetry_on_does_not_change_results():
@@ -265,10 +290,11 @@ def test_cli_validate(capture, tmp_path, capsys):
 
 
 def test_cli_aggregate_matches_recorder(capture):
-    """The CLI's from-JSONL aggregation mirrors SpanRecorder.aggregate."""
+    """The CLI aggregates a capture's span lines with the recorder's own
+    aggregation, so from-JSONL numbers are the in-process ones."""
     cli = _load_cli()
-    spans = [r for r in load(capture) if r["type"] == "span"]
-    agg = cli.aggregate_spans(spans)
+    agg = cli.aggregate(cli.Span.from_dict(r) for r in load(capture)
+                        if r["type"] == "span")
     assert agg["local"]["count"] == 2
     assert agg["local"]["latency"]["P50"] == pytest.approx(0.3)
     assert agg["offloaded"]["latency"]["P50"] == pytest.approx(0.5)

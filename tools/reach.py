@@ -9,7 +9,8 @@ One process, traced with ``sys.settrace`` (call events only), runs every
 experiment at ``--fast --jobs 1``; fleet again at ``--jobs 2``, so the
 parent side of its resident worker pool is traced (the workers' own
 calls happen in child processes the census cannot see); the examples;
-fig9, chaos and fleet again with ``--telemetry``, each capture followed
+fig9, chaos, fleet and policy_arena again with ``--telemetry``, each
+capture followed
 by ``tools/telemetry.py validate`` and ``report``; and ``pytest
 benchmarks --benchmark-disable``.
 pytest-benchmark switches tracing off inside timed calls, so a census or
@@ -42,8 +43,10 @@ ALLOW = ROOT / "tools" / "reach_allow.txt"
 
 #: Experiments re-run with ``--telemetry``: fig9 for the datapath
 #: recorders, chaos for the controller / monitor ones, fleet for the
-#: fleet snapshot and the coordinator's decision journal.
-TELEMETRY_CAPTURES = ("fig9", "chaos", "fleet")
+#: fleet snapshot and the coordinator's decision journal, policy_arena
+#: for span lines (the only capture here that holds any), so ``report``
+#: renders spans through the one aggregation.
+TELEMETRY_CAPTURES = ("fig9", "chaos", "fleet", "policy_arena")
 
 REASONS = {
     "pool": "worker-process side of sweep / ResidentPool (untraced)",

@@ -39,8 +39,8 @@ from typing import Any, Dict, List
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.metrics.percentiles import percentile_summary  # noqa: E402
 from repro.telemetry.export import load, validate_report  # noqa: E402
+from repro.telemetry.spans import Span, aggregate  # noqa: E402
 
 
 def _by_type(records: List[Dict[str, Any]], line_type: str) -> List[Dict]:
@@ -51,47 +51,13 @@ def _us(seconds: float) -> str:
     return f"{seconds * 1e6:10.2f}"
 
 
-# -- span aggregation (mirror of SpanRecorder.aggregate over dicts) --------
-
-
-def _segments(span: Dict[str, Any]) -> List[Dict[str, float]]:
-    out = []
-    prev_name, prev_t = "start", span["t0"]
-    for hop in span["hops"]:
-        out.append({"name": f"{prev_name}->{hop['name']}",
-                    "dt": hop["time"] - prev_t})
-        prev_name, prev_t = hop["name"], hop["time"]
-    return out
-
-
-def aggregate_spans(spans: List[Dict[str, Any]],
-                    pattern: str = "*") -> Dict[str, Dict[str, Any]]:
-    """Per-label count / latency summary / per-segment summary."""
-    labels: List[str] = []
-    for span in spans:
-        if span["label"] not in labels and \
-                fnmatchcase(span["label"], pattern):
-            labels.append(span["label"])
-    out: Dict[str, Dict[str, Any]] = {}
-    for label in labels:
-        group = [s for s in spans if s["label"] == label]
-        totals = [s["total"] for s in group]
-        segment_samples: Dict[str, List[float]] = {}
-        for span in group:
-            for seg in _segments(span):
-                segment_samples.setdefault(seg["name"], []).append(seg["dt"])
-        out[label] = {
-            "count": len(group),
-            "latency": percentile_summary(totals),
-            "segments": {name: percentile_summary(samples)
-                         for name, samples in segment_samples.items()},
-        }
-    return out
+# -- spans: the capture's span lines through the recorder's aggregation ----
 
 
 def print_span_breakdown(spans: List[Dict[str, Any]], pattern: str = "*",
                          detailed: bool = False) -> None:
-    aggregated = aggregate_spans(spans, pattern)
+    aggregated = aggregate(Span.from_dict(span) for span in spans
+                           if fnmatchcase(span["label"], pattern))
     if not aggregated:
         print(f"  no spans match {pattern!r}")
         return

@@ -40,7 +40,7 @@ from repro.experiments.fig13 import PAPER_MITIGATION
 from repro.experiments.parallel import ResidentPool, resolve_jobs
 from repro.fleet import (FleetCoordinator, FleetParams, make_shards,
                          run_shard_epoch)
-from repro.telemetry.fleet import fold, fold_snapshots
+from repro.fleet.record import FleetRecord
 from repro.workloads.fleet import HotspotKind
 
 
@@ -78,7 +78,6 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
         flows_per_unit: int = 20_000,
         survivable_window: float = 3.6,
         policy: str = "nezha",
-        fleet_metrics: Optional[bool] = None,
         stats: Optional[Dict[str, object]] = None) -> ExperimentResult:
     """Run the fleet for ``epochs`` demand redraws.
 
@@ -92,25 +91,20 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
     (``nezha``/``pam``/``supernic``/``sirius``, see
     :class:`~repro.fleet.coordinator.FleetCoordinator`); the default
     renders a table byte-identical to the pre-arena experiment.
-    ``fleet_metrics`` turns the per-shard metric snapshots on
-    (``None`` = on exactly when telemetry is installed): each epoch
-    report carries a plain-data snapshot, folded here in slot order
-    into one fleet-wide snapshot (``stats["fleet_metrics"]``, and the
-    installed telemetry's capture). The snapshots are derived from the
-    reports, so every rendered value is byte-identical either way.
+    Every shard report is added, in slot order, to one
+    :class:`~repro.fleet.record.FleetRecord`: the hot-path and fluid
+    rows read it, and its plain form is ``stats["fleet_metrics"]`` and
+    the installed telemetry's ``fleet.*`` lines.
     ``stats``, if given, receives phase timings and state size
     (``seed_epoch_s``, ``steady_epoch_s``, ``state_nbytes``, ...), the
-    settled ``coordinator`` and, on the pool path,
+    settled ``coordinator``, ``fleet_metrics`` and, on the pool path,
     ``ResidentPool.runtime_stats()`` under ``"pool"`` — what perfbench,
     the policy arena and the tests read.
     """
     if shards is None:
         shards = max(1, jobs)
-    if fleet_metrics is None:
-        fleet_metrics = _telemetry.current() is not None
     params = FleetParams(seed=seed, n_vswitches=n_vswitches,
-                         flows_per_unit=flows_per_unit,
-                         collect_metrics=bool(fleet_metrics))
+                         flows_per_unit=flows_per_unit)
     pool_units = (default_pool_units(n_vswitches)
                   if fe_pool_units is None else fe_pool_units)
     coordinator = FleetCoordinator(seed=seed, pool_units=pool_units,
@@ -121,12 +115,8 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
     pool = ResidentPool(_resident_step, states, jobs=jobs) \
         if resolve_jobs(jobs, len(states)) > 1 else None
 
-    hot_observations = 0
-    hot_sent = hot_delivered = hot_drops = 0
-    hot_cpu_sum = 0.0
-    fluid_pkts = fluid_bytes = 0
+    record = FleetRecord()
     epoch_walls = []
-    fleet_snapshot = None
     try:
         for epoch in range(epochs):
             epoch_started = time.perf_counter()
@@ -138,27 +128,9 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
                     states[slot], report = run_shard_epoch(
                         (state, epoch, grants, params))
                     reports.append(report)
+            for report in reports:  # slot order = ascending global index
+                record.add(report, grants)
             grants = coordinator.settle(epoch, reports)
-            if params.collect_metrics:
-                # Fold in submission order (= ascending global index):
-                # the slot-order fold contract makes the merged snapshot
-                # byte-identical across shards x jobs.
-                epoch_snapshot = fold_snapshots(
-                    report["metrics"] for report in reports)
-                fleet_snapshot = epoch_snapshot if fleet_snapshot is None \
-                    else fold(fleet_snapshot, epoch_snapshot)
-            for report in reports:  # submission order = ascending index
-                cold = report["cold"]
-                fluid_pkts += cold["pkts"]
-                fluid_bytes += cold["bytes"]
-                for entry in report["hot"]:
-                    hot_observations += 1
-                    hot_sent += entry["sim_sent"]
-                    hot_delivered += entry["sim_delivered"]
-                    hot_drops += entry["sim_drops"]
-                    hot_cpu_sum += entry["sim_cpu"]
-                    fluid_pkts += entry["pkts"]
-                    fluid_bytes += entry["bytes"]
             epoch_walls.append(time.perf_counter() - epoch_started)
         # Materialize where the state lives; only digests come back.
         digests = pool.collect(_shard_digest) if pool is not None \
@@ -167,6 +139,7 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
         if pool is not None:
             pool.close()
 
+    fleet_metrics = record.to_dict()
     if stats is not None:
         stats["jobs"] = pool.jobs if pool is not None else 1
         stats["coordinator"] = coordinator
@@ -178,14 +151,15 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
             stats["pool"] = pool.runtime_stats()
         stats["state_nbytes"] = sum(digest["nbytes"] for digest in digests)
         stats["store_stats"] = [digest["store"] for digest in digests]
-        if fleet_snapshot is not None:
-            stats["fleet_metrics"] = fleet_snapshot
-    if fleet_snapshot is not None:
-        tel = _telemetry.current()
-        if tel is not None:
-            tel.set_fleet_metrics(fleet_snapshot)
+        stats["fleet_metrics"] = fleet_metrics
+    tel = _telemetry.current()
+    if tel is not None:
+        tel.set_fleet_metrics(fleet_metrics)
 
     # Cross-check the folded totals against the fluid ones exactly.
+    counters = record.counters
+    fluid_pkts = counters["cold.pkts"] + counters["hot.pkts"]
+    fluid_bytes = counters["cold.bytes"] + counters["hot.bytes"]
     folded_pkts = sum(digest["pkts"] for digest in digests)
     folded_bytes = sum(digest["bytes"] for digest in digests)
     live_flows = sum(digest["live_flows"] for digest in digests)
@@ -204,14 +178,16 @@ def run(n_vswitches: int = 10_000, epochs: int = 3, seed: int = 0,
     result.add_row(metric="epochs", value=epochs, paper="")
     result.add_row(metric="live flows", value=live_flows, paper="")
     result.add_row(metric="fluid packets", value=fluid_pkts, paper="")
+    hot_observations = counters["hot.count"]
     result.add_row(metric="hot observations", value=hot_observations,
                    paper="")
-    result.add_row(metric="hot packets simulated", value=hot_sent, paper="")
-    result.add_row(metric="hot packets delivered", value=hot_delivered,
-                   paper="")
-    result.add_row(metric="hot packets dropped", value=hot_drops, paper="")
+    for metric, key in (("simulated", "hot.sim_sent"),
+                        ("delivered", "hot.sim_delivered"),
+                        ("dropped", "hot.sim_drops")):
+        result.add_row(metric=f"hot packets {metric}", value=counters[key],
+                       paper="")
     result.add_row(metric="hot mean cpu",
-                   value=hot_cpu_sum / hot_observations
+                   value=record.cpu_sum / hot_observations
                    if hot_observations else 0.0,
                    paper="")
     for kind in HotspotKind:

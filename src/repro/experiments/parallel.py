@@ -48,7 +48,6 @@ from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
 from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar
 
-from repro import telemetry as _telemetry
 from repro.sim.rng import derive_seed
 
 P = TypeVar("P")
@@ -256,9 +255,6 @@ class ResidentPool:
                         for _ in range(self.jobs)],
             "ipc": {"init_bytes": 0, "step_bytes": [], "collect_bytes": 0},
         }
-        tel = _telemetry.current()
-        if tel is not None:
-            tel.register_resident_pool(self)
         # Contiguous ascending slot slices, sizes differing by at most
         # one — the partition() shape, so reply concatenation walks the
         # slot space in order.

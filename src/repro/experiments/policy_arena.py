@@ -88,7 +88,7 @@ def _fleet_stage(policy_name: str, seed: int, n_vswitches: int,
     """FE-pool cost and mitigation for one coordinator policy."""
     stats: Dict[str, object] = {}
     _fleet.run(n_vswitches, epochs, seed, shards=1, jobs=1,
-               policy=policy_name, fleet_metrics=False, stats=stats)
+               policy=policy_name, stats=stats)
     coordinator = stats["coordinator"]
     pool_units = coordinator.pool_units
     occurrences = sum(c[0] for c in coordinator.overloads.values())

@@ -10,7 +10,8 @@ Layer map (DESIGN §5.6):
 * :mod:`~repro.fleet.shard` — contiguous vSwitch ranges, global-index
   keyed demand streams, the picklable-point epoch step;
 * :mod:`~repro.fleet.coordinator` — shared FE pool allocation and
-  mitigation accounting, the only cross-shard coupling.
+  mitigation accounting, the only cross-shard coupling;
+* :mod:`~repro.fleet.record` — the run record every report adds to.
 
 The driving experiment lives in :mod:`repro.experiments.fleet`.
 """

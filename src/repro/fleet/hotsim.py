@@ -12,8 +12,9 @@ utilization the controller would see.
 When the coordinator has granted the vSwitch FE capacity, the sim is a
 ratio-1.0 run: the BE keeps only its capacity's worth of the packet
 train, and the excess is charged to the shared pool, not simulated. The
-outcome reaches the fleet table's hot-path summary rows and the
-``hot_cpu`` histogram; no allocation decision reads it.
+outcome reaches the fleet run record (:mod:`repro.fleet.record`): the
+table's hot-path rows and the ``hot_cpu`` histogram; no allocation
+decision reads it.
 
 Each micro-sim is seeded from ``derive_seed`` on the global vSwitch
 index and epoch, so results are reproducible and independent of shard
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro import telemetry
 from repro.fabric import Topology
 from repro.host.vm import Vm
 from repro.net.addr import IPv4Address, MacAddress
@@ -132,16 +132,6 @@ def simulate_hot_epoch(seed: int, demand_ratio: float, granted: bool,
     flow.run(duration=duration)
     engine.run(until=duration + 0.05)  # drain the pipeline tail
     stats = vswitch_a.stats
-    tel = telemetry.current()
-    if tel is not None:
-        # Observation only (counts, no RNG/clock reads): how much
-        # per-packet work the fleet's hot path did. Populated when the
-        # micro-sims run in-process (jobs=1); worker processes carry no
-        # installed telemetry, and the per-epoch hot *outcomes* travel
-        # in the shard snapshot instead.
-        tel.registry.counter("fleet.hotsim.runs").inc()
-        tel.registry.counter("fleet.hotsim.granted").inc(int(granted))
-        tel.registry.counter("fleet.hotsim.pkts").inc(flow.sent)
     return {
         "sim_sent": flow.sent,
         "sim_delivered": vnic_b.rx_delivered,

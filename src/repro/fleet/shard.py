@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from hashlib import sha256
 from random import Random
@@ -50,12 +51,15 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.sim.rng import derive_seed
-from repro.telemetry.fleet import snapshot_shard
 from repro.workloads.fleet import (FleetCapacity, HotspotKind, VSwitchDemand,
                                    usage_dist)
 
 from .flyweight import FleetFlowStore
 from .hotsim import simulate_hot_epoch
+from .record import HIST_EDGES
+
+#: Index of the overflow bucket of the ``flows_per_vswitch`` histogram.
+_FLOWS_TOP = len(HIST_EDGES["flows_per_vswitch"])
 
 
 @dataclass(frozen=True)
@@ -79,12 +83,6 @@ class FleetParams:
     #: Simulated seconds of per-packet traffic for each hot vSwitch.
     hot_sim_duration: float = 0.2
     capacity: FleetCapacity = field(default_factory=FleetCapacity)
-    #: Attach a :func:`repro.telemetry.fleet.snapshot_shard` metric
-    #: snapshot to each epoch report (``report["metrics"]``). Off by
-    #: default; the epoch step pays one attribute check when disabled,
-    #: and the snapshot derives from the finished report, so no report
-    #: value changes either way.
-    collect_metrics: bool = False
 
     def __post_init__(self) -> None:
         if self.n_vswitches < 1:
@@ -259,7 +257,9 @@ def run_shard_epoch(point) -> Tuple[ShardState, Dict[str, object]]:
     the global indices holding an active FE grant (decided by the
     coordinator from the *previous* epoch's reports) to their unit
     counts. Returns the advanced state plus a plain-data report:
-    integer-only cold aggregates and an index-ascending hot list.
+    integer-only cold aggregates, an index-ascending hot list and the
+    ``flows_per_vswitch`` bucket counts of the end-of-epoch live flows
+    (:mod:`repro.fleet.record`).
 
     Structure: draw the epoch's uniforms into columns, invert the
     Table 1 distributions column-wise, then one pass over the range does
@@ -352,13 +352,11 @@ def run_shard_epoch(point) -> Tuple[ShardState, Dict[str, object]]:
             cold_pkts += pkts
             cold_bytes += nbytes
 
+    # Bucket k of 2**k - 1 edges holds the counts of bit length k.
+    flow_buckets = [0] * (_FLOWS_TOP + 1)
+    for bits, n in Counter(map(int.bit_length, live)).items():
+        flow_buckets[min(bits, _FLOWS_TOP)] += n
     cold = {"count": cold_count, "flows": cold_flows, "pkts": cold_pkts,
             "bytes": cold_bytes, "born": born_total, "died": died_total}
-    report: Dict[str, object] = {"epoch": epoch, "lo": lo,
-                                 "hi": state.hi, "cold": cold, "hot": hot}
-    if params.collect_metrics:
-        # End-of-epoch live counts equal the classification-time flow
-        # populations, so the snapshot is derivable entirely from the
-        # finished report + final counts — see snapshot_shard.
-        report["metrics"] = snapshot_shard(report, live)
-    return state, report
+    return state, {"epoch": epoch, "lo": lo, "hi": state.hi, "cold": cold,
+                   "hot": hot, "flow_buckets": flow_buckets}

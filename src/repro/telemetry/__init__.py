@@ -19,7 +19,9 @@ event is recorded once, in one place:
 * the *why* of each controller and coordinator decision goes to the
   typed :class:`~repro.telemetry.fleet.DecisionJournal` as well, tagged
   with its policy (its one copy for the coordinator);
-* the registry holds counters and probe-backed gauges, read at export;
+* the registry holds probe-backed gauges, read at export;
+* each fleet run hands in its run record (:mod:`repro.fleet.record`),
+  exported as ``fleet.*`` counter and ``fleet.hist.*`` lines;
 * span call sites in the datapath go live (``spans.ACTIVE``): they record
   on span-carrying packets; the datapath is the uninstalled one, call for call;
 * engines bound to the telemetry get the profiler attached.
@@ -38,7 +40,7 @@ from typing import Any, Dict, Iterator, Optional
 from repro.sim.trace import SILENT, Trace
 from repro.telemetry import spans as _spans
 from repro.telemetry.export import SCHEMA, write_jsonl
-from repro.telemetry.fleet import DecisionJournal, fold
+from repro.telemetry.fleet import DecisionJournal
 from repro.telemetry.profiler import EngineProfiler
 from repro.telemetry.registry import MetricRegistry
 from repro.telemetry.spans import SpanRecorder
@@ -59,8 +61,8 @@ class Telemetry:
         #: Typed grant/denial/preemption/... events from the fleet
         #: coordinator and the controller's policy seam.
         self.decisions = DecisionJournal()
-        #: Folded fleet metric snapshot (repro.telemetry.fleet), set by
-        #: the fleet experiment at end of run.
+        #: The session's fleet run records (repro.fleet.record), added
+        #: up by set_fleet_metrics at the end of each fleet run.
         self.fleet_metrics: Optional[Dict[str, Any]] = None
         self._engine = None
         # One shared trace for every component built while installed;
@@ -140,41 +142,25 @@ class Telemetry:
                   probe=lambda g=gateway: sum(
                       learner.pulls_dropped for learner in g.learners))
 
-    def register_resident_pool(self, pool) -> None:
-        """Probe-backed gauges over a fleet ResidentPool's one record,
-        ``runtime_stats()``: liveness, IPC bytes by phase, and per-worker
-        wall-clock/queue-wait totals — the artifact that answers "where
-        does --jobs time go". The record outlives the workers, so the
-        probes stay valid (and cheap) after the pool is closed."""
-        reads = {
-            "fleet.pool.jobs": lambda s: s["jobs"],
-            "fleet.pool.workers_alive":
-                lambda s: float(sum(w["alive"] for w in s["workers"])),
-            "fleet.pool.ipc.init_bytes": lambda s: s["ipc"]["init_bytes"],
-            "fleet.pool.ipc.step_bytes":
-                lambda s: sum(s["ipc"]["step_bytes"]),
-            "fleet.pool.ipc.collect_bytes":
-                lambda s: s["ipc"]["collect_bytes"],
-        }
-        for w in range(pool.jobs):
-            reads[f"fleet.pool.worker{w}.alive"] = \
-                lambda s, w=w: float(s["workers"][w]["alive"])
-            for key in ("steps", "init_wall_s", "step_wall_s",
-                        "collect_wall_s", "recv_wait_s"):
-                reads[f"fleet.pool.worker{w}.{key}"] = \
-                    lambda s, w=w, key=key: s["workers"][w][key]
-        for name, read in reads.items():
-            self.registry.gauge(
-                name, probe=lambda read=read: read(pool.runtime_stats()))
-
     # -- structured hooks --------------------------------------------------
 
-    def set_fleet_metrics(self, snapshot: Dict[str, Any]) -> None:
-        """Attach a folded fleet metric snapshot to this capture; a
-        second fleet run in the same session folds in (one capture =
-        one session's worth of fleet activity)."""
-        self.fleet_metrics = snapshot if self.fleet_metrics is None \
-            else fold(self.fleet_metrics, snapshot)
+    def set_fleet_metrics(self, record: Dict[str, Any]) -> None:
+        """Attach a fleet run's record (``repro.fleet.record``) to this
+        capture; a second fleet run in the same session adds in element
+        by element (one capture = one session's worth of fleet
+        activity)."""
+        mine = self.fleet_metrics
+        if mine is None:
+            mine = self.fleet_metrics = {"counters": {}, "hist": {}}
+        counters = mine["counters"]
+        for key, value in record["counters"].items():
+            counters[key] = counters.get(key, 0) + value
+        for name, hist in record["hist"].items():
+            total = mine["hist"].setdefault(
+                name, {"edges": hist["edges"],
+                       "counts": [0] * len(hist["counts"])})
+            total["counts"] = [a + b for a, b in
+                               zip(total["counts"], hist["counts"])]
 
     # -- export ------------------------------------------------------------
 
@@ -192,7 +178,7 @@ class Telemetry:
             yield {"type": "metric", "name": name, "kind": metric.kind,
                    "value": metric.value()}
         if self.fleet_metrics is not None:
-            # Folded fleet snapshot as metric lines: counters verbatim,
+            # The fleet record as metric lines: counters verbatim,
             # histograms as {"edges", "counts"} under kind fleet_hist.
             for key, value in self.fleet_metrics["counters"].items():
                 yield {"type": "metric", "name": f"fleet.{key}",

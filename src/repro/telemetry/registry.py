@@ -1,41 +1,24 @@
-"""Metric registry: counters and probe-backed gauges under dotted names.
+"""Metric registry: probe-backed gauges under dotted names.
 
-Components register metrics under dotted names (``vswitch.be0.cpu.drops``,
-``fleet.hotsim.runs``) so a subtree can be listed with a glob pattern.
+Components register gauges under dotted names (``vswitch.be0.cpu.drops``,
+``gateway.version``) so a subtree can be listed with a glob pattern.
+Every metric is a gauge that reads lazily: the state it reports
+(session-table occupancy, link queue depth) is *already maintained* by
+the simulator, so a gauge holds a zero-argument probe that runs only
+when the capture is exported — the hot path pays nothing at all. Counts
+are kept where they happen (the fleet's are its run record,
+:mod:`repro.fleet.record`), never pushed here.
 
-* **Counters** are the only pushed metric; ``inc`` is one add.
-* **Gauges read lazily.** Most component state (session-table occupancy,
-  link queue depth, pool IPC bytes) is *already maintained* by the
-  simulator, so a gauge holds a zero-argument probe that runs only when
-  the capture is exported — the hot path pays nothing at all.
-
-Registration is idempotent with *replace* semantics for probes: an
-experiment sweep rebuilds its testbed per point, and each rebuild
-re-registers the same metric names — the registry keeps one metric object
-per name and re-points gauge probes at the live component.
+Registration is idempotent with *replace* semantics: an experiment sweep
+rebuilds its testbed per point, and each rebuild re-registers the same
+metric names — the registry keeps one gauge per name and re-points its
+probe at the live component.
 """
 
 from __future__ import annotations
 
 from fnmatch import fnmatchcase
-from typing import Callable, Dict, List, Optional, Union
-
-
-class Counter:
-    """Monotonic count; ``inc`` is the only hot-path entry point."""
-
-    kind = "counter"
-    __slots__ = ("name", "count")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.count += amount
-
-    def value(self) -> float:
-        return self.count
+from typing import Callable, Dict, List, Optional
 
 
 class Gauge:
@@ -57,39 +40,25 @@ class Gauge:
             return float("nan")
 
 
-Metric = Union[Counter, Gauge]
-
-
 class MetricRegistry:
-    """One flat namespace of dotted metric names.
+    """One flat namespace of dotted gauge names.
 
-    Creation methods return the existing metric when the name is already
-    registered (counters keep accumulating across testbed rebuilds;
-    gauges re-bind their probe to the newest component instance).
+    ``gauge`` returns the existing gauge when the name is already
+    registered, its probe re-bound to the newest component instance.
     """
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, Metric] = {}
-
-    def counter(self, name: str) -> Counter:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = Counter(name)
-        elif not isinstance(metric, Counter):
-            raise ValueError(f"metric {name!r} already registered as gauge")
-        return metric
+        self._metrics: Dict[str, Gauge] = {}
 
     def gauge(self, name: str, probe: Callable[[], float]) -> Gauge:
         metric = self._metrics.get(name)
         if metric is None:
             metric = self._metrics[name] = Gauge(name, probe)
-        elif isinstance(metric, Gauge):
-            metric.probe = probe
         else:
-            raise ValueError(f"metric {name!r} already registered as counter")
+            metric.probe = probe
         return metric
 
-    def get(self, name: str) -> Optional[Metric]:
+    def get(self, name: str) -> Optional[Gauge]:
         return self._metrics.get(name)
 
     def names(self, pattern: str = "*") -> List[str]:

@@ -52,7 +52,12 @@ class QuantileDistribution:
         # of a pair-by-pair scan with two log() calls.
         self._qs = [q for q, _v in self.anchors]
         self._logs = [math.log(v) for _q, v in self.anchors]
-        self._mean_cache: Dict[int, float] = {}
+        # A step or flat segment j (anchors j-1..j) returns its anchor
+        # value exactly: blending two equal logs can land a few ulps
+        # either side of it, which would make inversion non-monotone.
+        self._flat = [False] + [
+            self._qs[j] == self._qs[j - 1] or values[j] == values[j - 1]
+            for j in range(1, len(values))]
 
     def _invert(self, q: float) -> float:
         """Inverse CDF for an in-range ``q`` — exactly the expression the
@@ -60,9 +65,9 @@ class QuantileDistribution:
         j = bisect_left(self._qs, q, 1)
         if j >= len(self._qs):
             return self.anchors[-1][1]
-        q0, q1 = self._qs[j - 1], self._qs[j]
-        if q1 == q0:
+        if self._flat[j]:
             return self.anchors[j][1]
+        q0, q1 = self._qs[j - 1], self._qs[j]
         frac = (q - q0) / (q1 - q0)
         return math.exp(self._logs[j - 1] * (1 - frac)
                         + self._logs[j] * frac)
@@ -77,6 +82,7 @@ class QuantileDistribution:
         columns at once (the fleet's vectorized cold-tail step)."""
         anchor_qs = self._qs
         logs = self._logs
+        flat = self._flat
         anchors = self.anchors
         n_anchors = len(anchor_qs)
         top = anchors[-1][1]
@@ -89,10 +95,10 @@ class QuantileDistribution:
             if j >= n_anchors:
                 append(top)
                 continue
-            q0, q1 = anchor_qs[j - 1], anchor_qs[j]
-            if q1 == q0:
+            if flat[j]:
                 append(anchors[j][1])
                 continue
+            q0, q1 = anchor_qs[j - 1], anchor_qs[j]
             frac = (q - q0) / (q1 - q0)
             append(exp(logs[j - 1] * (1 - frac) + logs[j] * frac))
         return out
@@ -113,16 +119,6 @@ class QuantileDistribution:
         rnd = rng.random
         invert = self._invert
         return [invert(rnd()) for _ in range(n)]
-
-    def mean_estimate(self, n: int = 20000) -> float:
-        """Numerical mean via uniform quantile sweep (cached per ``n``:
-        the sweep re-drew 20K quantiles on every call)."""
-        cached = self._mean_cache.get(n)
-        if cached is None:
-            invert = self._invert
-            cached = sum(invert((i + 0.5) / n) for i in range(n)) / n
-            self._mean_cache[n] = cached
-        return cached
 
 
 # -- paper-anchored distributions -----------------------------------------------
@@ -161,9 +157,9 @@ def usage_dist(metric: str) -> QuantileDistribution:
     Memoized per metric: the fleet's shard workers call this on every
     epoch step, and re-parsing the anchors (plus the log precomputation)
     per call was measurable at 10K vSwitches. A distribution is
-    anchor-immutable after construction, so sharing one instance — and
-    its ``mean_estimate`` cache — is output-invisible; the regression
-    tests in ``tests/test_fleet_model.py`` pin the sampled streams.
+    anchor-immutable after construction, so sharing one instance is
+    output-invisible; the regression tests in
+    ``tests/test_fleet_model.py`` pin the sampled streams.
     """
     dist = _USAGE_DISTS.get(metric)
     if dist is None:

@@ -117,25 +117,6 @@ def test_sample_usage_stream_unchanged_by_vectorization():
     assert model.sample_usage(HotspotKind.CPS) == expected
 
 
-def test_mean_estimate_cached_and_identical():
-    dist = usage_dist("cps")
-    first = dist.mean_estimate(n=2000)
-    # The cache must return the very same value, and the uncached sweep
-    # on a fresh instance must agree bit-for-bit.
-    assert dist.mean_estimate(n=2000) is dist._mean_cache[2000]
-    assert usage_dist("cps").mean_estimate(n=2000) == first
-    manual = sum(dist.quantile((i + 0.5) / 2000) for i in range(2000)) / 2000
-    assert first == manual
-
-
-def test_mean_estimate_cache_is_per_resolution():
-    dist = usage_dist("vnics")
-    coarse = dist.mean_estimate(n=100)
-    fine = dist.mean_estimate(n=10_000)
-    assert coarse != fine
-    assert set(dist._mean_cache) == {100, 10_000}
-
-
 # -- memoized usage_dist + column inversion (ISSUE 8 satellites) ----------------
 
 def test_usage_dist_returns_the_memoized_instance():

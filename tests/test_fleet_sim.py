@@ -692,16 +692,15 @@ def test_fleet_experiment_identical_with_pool_and_telemetry():
 def test_fleet_experiment_identity_matrix_shards_jobs():
     """The PR 8 determinism matrix, grown a telemetry axis by PR 10:
     every shards × jobs × telemetry combination renders the
-    byte-identical table AND folds the byte-identical fleet-metrics
-    snapshot. jobs=1 is the in-process loop (no pool, no pickling);
+    byte-identical table AND builds the identical fleet run record. jobs=1 is the in-process loop (no pool, no pickling);
     jobs=2 runs the shards on the resident worker pool (in-process again
     at shards=1, where one slot clamps to one worker); the telemetry
     axis proves observation never perturbs the run."""
     import itertools
     from repro.experiments import fleet
     base_stats = {}
-    base = fleet.run(shards=1, jobs=1, fleet_metrics=True,
-                     stats=base_stats, **FLEET_KWARGS).to_text()
+    base = fleet.run(shards=1, jobs=1, stats=base_stats,
+                     **FLEET_KWARGS).to_text()
     base_snapshot = base_stats["fleet_metrics"]
     assert base_snapshot["counters"]["vswitches"] > 0
     for shards, jobs, with_tel in itertools.product(
@@ -711,8 +710,7 @@ def test_fleet_experiment_identity_matrix_shards_jobs():
             telemetry.install()
         try:
             stats = {}
-            text = fleet.run(shards=shards, jobs=jobs,
-                             fleet_metrics=True, stats=stats,
+            text = fleet.run(shards=shards, jobs=jobs, stats=stats,
                              **FLEET_KWARGS).to_text()
         finally:
             if with_tel:

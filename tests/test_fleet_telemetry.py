@@ -1,104 +1,104 @@
-"""Fleet-scale observability (ISSUE 10): shard metric snapshots and the
-deterministic fold, the coordinator/controller decision journal, the
-resident-pool runtime instrumentation, and the profiler's direct-dispatch
-owner attribution.
+"""Fleet-scale observability: the run record in the capture, the
+coordinator/controller decision journal, the resident-pool runtime
+record, and the profiler's direct-dispatch owner attribution.
 
 The load-bearing properties:
 
-* the fold is associative, commutative, and has :func:`empty_snapshot`
-  as identity — which is what makes the slot-order merge byte-identical
-  across every ``shards x jobs x resident`` split (the matrix test in
-  ``test_fleet_sim.py`` checks the composed experiment);
+* the fleet's run record is built from the shard reports alone, so the
+  capture's ``fleet.*`` lines are the same at every ``jobs`` (the
+  shards x jobs x telemetry matrix in ``test_fleet_sim.py`` checks the
+  table and ``stats["fleet_metrics"]``);
 * journal writes are pure observation — producing them cannot perturb
   the run — and every journaled event validates against the
   ``telemetry/v1`` decision schema;
 * pool instrumentation lives in reply *meta*, never in reply values.
 """
 
-import functools
-
 import pytest
 
 from repro import telemetry
 from repro.errors import SimulationError
-from repro.fleet import (FleetCoordinator, FleetParams, make_shards,
-                         run_shard_epoch)
+from repro.fleet import FleetCoordinator
 from repro.fleet.coordinator import N_TENANTS
 from repro.telemetry import spans as _spans
 from repro.telemetry.export import load, validate_report
-from repro.telemetry.fleet import (FLEET_METRICS_SCHEMA, DecisionJournal,
-                                   empty_snapshot, fold, fold_snapshots)
+from repro.telemetry.fleet import DecisionJournal
 from repro.telemetry.profiler import EngineProfiler
 
 
-# -- snapshots and the fold --------------------------------------------------
+# -- the run record in the capture -------------------------------------------
 
-def _shard_snapshots(n_vswitches=80, shards=4, seed=0):
-    params = FleetParams(seed=seed, n_vswitches=n_vswitches,
-                         collect_metrics=True)
-    return [run_shard_epoch((state, 0, {}, params))[1]["metrics"]
-            for state in make_shards(params, shards)]
-
-
-def test_shard_epoch_attaches_snapshot_only_when_collecting():
-    params_off = FleetParams(seed=0, n_vswitches=50)
-    _state, report = run_shard_epoch(
-        (make_shards(params_off, 1)[0], 0, {}, params_off))
-    assert "metrics" not in report
-
-    params_on = FleetParams(seed=0, n_vswitches=50, collect_metrics=True)
-    _state2, report_on = run_shard_epoch(
-        (make_shards(params_on, 1)[0], 0, {}, params_on))
-    snap = report_on["metrics"]
-    assert snap["schema"] == FLEET_METRICS_SCHEMA
-    assert snap["counters"]["vswitches"] == 50
-    # Collecting changes nothing besides attaching the snapshot.
-    stripped = {key: value for key, value in report_on.items()
-                if key != "metrics"}
-    assert stripped == report
+def _fleet_capture(tmp_path, jobs):
+    """A 3000-vSwitch, 3-epoch fleet (one FE grant reaches a hot
+    vSwitch) captured at ``jobs``: its fleet metric lines, decision
+    lines and ``stats["fleet_metrics"]``."""
+    from repro.experiments import fleet
+    tel = telemetry.install()
+    try:
+        stats = {}
+        fleet.run(n_vswitches=3000, epochs=3, seed=0, jobs=jobs,
+                  stats=stats)
+        path = tmp_path / f"jobs{jobs}.jsonl"
+        tel.export(path)
+    finally:
+        telemetry.uninstall()
+    records = load(path)
+    metrics = [r for r in records if r["type"] == "metric"
+               and r["name"].startswith("fleet.")]
+    decisions = [r for r in records if r["type"] == "decision"]
+    return metrics, decisions, stats["fleet_metrics"]
 
 
-def test_snapshot_values_are_integers():
-    """Counters and bucket counts must be ints: float addition is not
-    associative, which would break the fold contract."""
-    for snap in _shard_snapshots():
-        for key, value in snap["counters"].items():
-            assert isinstance(value, int), key
-        for name, hist in snap["hist"].items():
-            assert all(isinstance(c, int) for c in hist["counts"]), name
+def test_fleet_capture_is_the_run_record_at_every_jobs(tmp_path):
+    """The in-process loop and the resident pool export the same
+    ``fleet.*`` / ``fleet.hist.*`` lines and decision lines, and those
+    lines are ``stats["fleet_metrics"]`` — which a run without
+    telemetry carries too."""
+    from repro.experiments import fleet
+    metrics, decisions, record = _fleet_capture(tmp_path, jobs=1)
+    assert (metrics, decisions, record) == _fleet_capture(tmp_path, jobs=2)
+    counters = {m["name"]: m["value"] for m in metrics
+                if m["kind"] == "counter"}
+    assert counters == {f"fleet.{key}": value
+                        for key, value in record["counters"].items()}
+    hists = {m["name"]: m["value"] for m in metrics
+             if m["kind"] == "fleet_hist"}
+    assert hists == {f"fleet.hist.{name}": hist
+                     for name, hist in record["hist"].items()}
+    assert counters["fleet.hot.granted"] >= 1
+    assert decisions
+    # Integers only: a session adds records element-wise, and float
+    # addition would make that order-dependent.
+    assert all(isinstance(v, int) for v in counters.values())
+    assert all(isinstance(c, int) for hist in hists.values()
+               for c in hist["counts"])
+
+    stats = {}
+    fleet.run(n_vswitches=3000, epochs=3, seed=0, jobs=1, stats=stats)
+    assert stats["fleet_metrics"] == record
 
 
-def test_fold_of_shard_snapshots_matches_unsharded():
-    params = FleetParams(seed=0, n_vswitches=80, collect_metrics=True)
-    whole = run_shard_epoch(
-        (make_shards(params, 1)[0], 0, {}, params))[1]["metrics"]
-    parts = _shard_snapshots(n_vswitches=80, shards=4)
-    assert fold_snapshots(parts) == whole
-
-
-def test_fold_is_associative_and_commutative():
-    parts = _shard_snapshots()
-    left = functools.reduce(fold, parts)
-    right = fold(parts[0], fold(parts[1], fold(parts[2], parts[3])))
-    assert left == right
-    assert fold(parts[1], parts[0]) == fold(parts[0], parts[1])
-
-
-def test_fold_identity_and_empty_input():
-    parts = _shard_snapshots(shards=2)
-    whole = fold_snapshots(parts)
-    assert fold(empty_snapshot(), whole) == whole
-    assert fold(whole, empty_snapshot()) == whole
-    assert fold_snapshots([]) == empty_snapshot()
-
-
-def test_fold_rejects_mismatched_edges_and_foreign_dicts():
-    good, bad = empty_snapshot(), empty_snapshot()
-    bad["hist"]["hot_cpu"]["edges"][0] = 0.05
-    with pytest.raises(ValueError):
-        fold(good, bad)
-    with pytest.raises(ValueError):
-        fold({"schema": "nope"}, empty_snapshot())
+def test_second_fleet_run_adds_to_the_session_record():
+    from repro.experiments import fleet
+    tel = telemetry.install()
+    try:
+        runs = []
+        for seed in (0, 1):
+            stats = {}
+            fleet.run(n_vswitches=200, epochs=2, seed=seed, stats=stats)
+            runs.append(stats["fleet_metrics"])
+        session = tel.fleet_metrics
+    finally:
+        telemetry.uninstall()
+    first, second = runs
+    assert session["counters"] == {
+        key: first["counters"][key] + second["counters"][key]
+        for key in first["counters"]}
+    for name, hist in session["hist"].items():
+        assert hist["edges"] == first["hist"][name]["edges"]
+        assert hist["counts"] == [
+            a + b for a, b in zip(first["hist"][name]["counts"],
+                                  second["hist"][name]["counts"])]
 
 
 # -- decision journal --------------------------------------------------------
@@ -234,22 +234,6 @@ def test_fleet_capture_exports_valid_schema(tmp_path):
     assert "fleet.hist.demand_ratio" in names
 
 
-def test_hotsim_counters_are_observation_only():
-    from repro.fleet.hotsim import simulate_hot_epoch
-    off = simulate_hot_epoch(seed=7, demand_ratio=2.0, granted=False)
-    tel = telemetry.install()
-    try:
-        on = simulate_hot_epoch(seed=7, demand_ratio=2.0, granted=False)
-        runs = tel.registry.get("fleet.hotsim.runs").value()
-        granted = tel.registry.get("fleet.hotsim.granted").value()
-        pkts = tel.registry.get("fleet.hotsim.pkts").value()
-    finally:
-        telemetry.uninstall()
-    assert on == off  # counting must not perturb the micro-sim
-    assert runs == 1 and granted == 0
-    assert pkts == on["sim_sent"]
-
-
 # -- resident-pool runtime instrumentation -----------------------------------
 
 def _advance(state, payload):
@@ -291,38 +275,6 @@ def test_resident_pool_runtime_stats_and_liveness():
     # runtime_stats() hands out copies: editing one leaves the record.
     after["ipc"]["step_bytes"].clear()
     assert len(pool.runtime_stats()["ipc"]["step_bytes"]) == 2
-
-
-def test_resident_pool_registers_probe_gauges():
-    """Every fleet.pool.* gauge reads the pool's one record, and still
-    equals ``runtime_stats()`` after the pool is closed."""
-    from repro.experiments.parallel import ResidentPool
-    tel = telemetry.install()
-    try:
-        pool = ResidentPool(_advance, [1, 2, 3], jobs=2)
-        pool.step(1)
-        pool.step(2)
-        pool.collect(_identity)
-        pool.close()
-        gauges = {name: tel.registry.get(name).value()
-                  for name in tel.registry.names("fleet.pool.*")}
-    finally:
-        telemetry.uninstall()
-    stats = pool.runtime_stats()
-    expected = {
-        "fleet.pool.jobs": 2,
-        "fleet.pool.workers_alive": 0.0,
-        "fleet.pool.ipc.init_bytes": stats["ipc"]["init_bytes"],
-        "fleet.pool.ipc.step_bytes": sum(stats["ipc"]["step_bytes"]),
-        "fleet.pool.ipc.collect_bytes": stats["ipc"]["collect_bytes"],
-    }
-    for w, worker in enumerate(stats["workers"]):
-        for key, value in worker.items():
-            expected[f"fleet.pool.worker{w}.{key}"] = \
-                float(value) if key == "alive" else value
-    assert gauges == expected
-    assert stats["ipc"]["collect_bytes"] > 0
-    assert [w["steps"] for w in stats["workers"]] == [2, 2]
 
 
 # -- span sessions -----------------------------------------------------------

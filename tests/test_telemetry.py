@@ -30,18 +30,14 @@ def _clean_telemetry():
 # -- MetricRegistry ----------------------------------------------------------
 
 
-def test_counter_and_gauge_basics():
+def test_gauge_basics():
     reg = MetricRegistry()
-    counter = reg.counter("pkt.drops")
-    counter.inc()
-    counter.inc(2)
-    assert counter.value() == 3
     depth = [0.75]
     gauge = reg.gauge("cpu.util", probe=lambda: depth[0])
     assert gauge.value() == 0.75
     depth[0] = 1.0  # probes read the component's state when asked
     assert gauge.value() == 1.0
-    reg.counter("vswitch.be0.cpu.drops")
+    reg.gauge("vswitch.be0.cpu.drops", probe=lambda: 3)
     assert reg.names("vswitch.*") == ["vswitch.be0.cpu.drops"]
     assert reg.get("cpu.util") is gauge and reg.get("nope") is None
 
@@ -55,23 +51,11 @@ def test_gauge_probe_failure_is_nan_not_crash():
 
 def test_registration_is_idempotent_and_rebinds_probes():
     reg = MetricRegistry()
-    first = reg.counter("c")
-    assert reg.counter("c") is first
     gauge = reg.gauge("g", probe=lambda: 1)
     # A sweep rebuild re-binds the same gauge to the live component.
     assert reg.gauge("g", probe=lambda: 2) is gauge
     assert gauge.value() == 2.0
-    assert len(reg) == 2
-
-
-def test_kind_conflict_raises():
-    reg = MetricRegistry()
-    reg.counter("x")
-    with pytest.raises(ValueError):
-        reg.gauge("x", probe=lambda: 0)
-    reg.gauge("y", probe=lambda: 0)
-    with pytest.raises(ValueError):
-        reg.counter("y")
+    assert len(reg) == 1
 
 
 # -- spans -------------------------------------------------------------------
@@ -242,7 +226,7 @@ def test_export_roundtrip_and_validation(tmp_path):
     tel = telemetry.install(profile=True)
     engine = Engine()
     tel.bind_engine(engine)
-    tel.registry.counter("demo.count").inc(5)
+    tel.registry.gauge("demo.count", probe=lambda: 5)
     tel.trace.emit("demo.event", detail="x")
     engine.call_at(0.1, lambda: None)
     engine.run()
@@ -255,7 +239,7 @@ def test_export_roundtrip_and_validation(tmp_path):
     assert records[0]["schema"] == SCHEMA
     metric = next(r for r in records if r["type"] == "metric")
     assert metric == {"type": "metric", "name": "demo.count",
-                      "kind": "counter", "value": 5}
+                      "kind": "gauge", "value": 5.0}
     trace_line = next(r for r in records if r["type"] == "trace")
     assert trace_line["fields"] == {"detail": "x"}
 

@@ -29,7 +29,6 @@ CONSTRUCTOR_LOOKUPS = {"current", "active_trace"}
 # and per-epoch plumbing, none per packet.
 CONSTRUCTOR_TIME = {
     ("link.py", "Link.name"),             # gauge names, at registration
-    ("fleet.py", "run.<locals>.<genexpr>"),   # per-epoch snapshot fold
 }
 
 
@@ -228,7 +227,7 @@ def capture(tmp_path):
     tel = telemetry.install(profile=True)
     engine = Engine()
     tel.bind_engine(engine)
-    tel.registry.counter("demo.count").inc(3)
+    tel.registry.gauge("demo.count", probe=lambda: 3)
 
     class Pkt:
         def __init__(self):
@@ -278,6 +277,32 @@ def test_cli_timeline_orders_and_filters(capture, capsys):
     assert cli.main(["timeline", str(capture), "--kind", "fault.*"]) == 0
     filtered = capsys.readouterr().out
     assert "controller.failover" not in filtered
+
+
+def test_cli_fleet_report_renders_the_run_record(tmp_path, capsys):
+    """``fleet-report`` over a quick fleet capture: every hot-vSwitch
+    histogram holds one sample per hot observation, the flows histogram
+    one per vSwitch-epoch, and the coordinator timeline prints."""
+    telemetry.install()
+    _quick_fleet()
+    path = tmp_path / "fleet.jsonl"
+    telemetry.current().export(path)
+    telemetry.uninstall()
+    assert _load_cli().main(["fleet-report", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    counters = dict(line.split() for line in out
+                    if line.startswith("  fleet."))
+    samples = {line.split()[0]: int(line.split("(")[1].split()[0])
+               for line in out if line.startswith("fleet.hist.")}
+    hot = int(counters["fleet.hot.count"])
+    assert hot > 0
+    for name in ("demand_ratio", "hot_cpu", "hot_units"):
+        assert samples[f"fleet.hist.{name}"] == hot, name
+    assert samples["fleet.hist.flows_per_vswitch"] \
+        == int(counters["fleet.vswitches"]) == 400 * 2
+    timeline = out.index("per-epoch coordinator timeline:")
+    assert [line.split()[:2] for line in out[timeline + 2:]] \
+        == [["nezha", "0"], ["nezha", "1"]]
 
 
 def test_cli_validate(capture, tmp_path, capsys):
@@ -360,8 +385,9 @@ def test_telemetry_off_cost_is_per_object_not_per_packet():
 
 
 def test_telemetry_off_fleet_calls_only_constructor_lookups():
-    """The fleet instance: metric collection, the fold and the decision
-    journal stay uncalled unless telemetry is installed."""
+    """The fleet instance: the run record is built outside the
+    package, and the decision journal stays uncalled unless telemetry
+    is installed."""
     calls = _off_calls(_quick_fleet)[0]
     assert calls and set(calls) <= CONSTRUCTOR_LOOKUPS
 

@@ -21,8 +21,8 @@ per-segment decomposition), and the engine profile. ``spans`` goes
 deeper on one or more span labels. ``timeline`` prints the unified
 trace — faults, controller decisions, monitor verdicts, offload
 lifecycle — interleaved in time order, which is the chaos-soak
-post-mortem view. ``fleet-report`` renders the folded fleet metric
-snapshot (counters, demand/CPU/flow histograms) and the per-epoch
+post-mortem view. ``fleet-report`` renders the fleet run record
+(counters, demand/CPU/flow histograms) and the per-epoch
 coordinator timeline from the decision journal; ``decisions`` tallies
 the journal per policy and diffs outcomes across policies — the arena
 post-mortem. ``validate`` is the schema gate CI runs.
@@ -164,7 +164,7 @@ def cmd_timeline(args) -> int:
 
 
 def _bucket_labels(edges: List[float], n_buckets: int) -> List[str]:
-    """Render the fleet fold's bisect_left buckets: bucket i holds
+    """Render the fleet record's bisect_left buckets: bucket i holds
     values in (edges[i-1], edges[i]], the last bucket is overflow."""
     labels = []
     for i in range(n_buckets):
@@ -214,7 +214,8 @@ def cmd_fleet_report(args) -> int:
         return 1
 
     if counters:
-        print("fleet counters (folded across shards and epochs):")
+        print("fleet counters (every shard, epoch and fleet run of the "
+              "session):")
         for metric in counters:
             print(f"  {metric['name']:<32} {metric['value']}")
 
@@ -367,7 +368,7 @@ def main(argv=None) -> int:
                                  "(0 = unlimited; default %(default)s)")
     p_timeline.set_defaults(fn=cmd_timeline)
 
-    p_fleet = sub.add_parser("fleet-report", help="folded fleet metrics, "
+    p_fleet = sub.add_parser("fleet-report", help="fleet run record, "
                              "histograms, and per-epoch coordinator "
                              "timeline")
     p_fleet.add_argument("file", type=Path)
